@@ -14,10 +14,10 @@
 //! blind spot that motivates Boreas — MLTD-driven hotspots that appear at
 //! benign sensor temperatures.
 
-use crate::kmeans::KMeans;
 use crate::linreg::RidgeRegression;
 use crate::pca::Pca;
 use boreas_core::{ControlContext, Controller, VfTable};
+use common::kmeans::KMeans;
 use common::{Error, Result};
 use hotgauge::Pipeline;
 use telemetry::{observed_temperature, FeatureSet};

@@ -3,16 +3,15 @@
 //! The paper contrasts Boreas with *temperature-only* machine-learning
 //! approaches, specifically Cochran & Reda (DAC 2010): performance
 //! counters are reduced with **PCA**, workload **phases** are clustered
-//! with k-means over the principal components, and a **per-phase linear
-//! regression** predicts the future temperature, which a threshold
-//! controller then acts on. Everything here is implemented from scratch:
+//! with k-means ([`common::kmeans`]) over the principal components, and
+//! a **per-phase linear regression** predicts the future temperature,
+//! which a threshold controller then acts on. Everything here is
+//! implemented from scratch:
 //!
 //! * [`pca`] — principal component analysis via a cyclic Jacobi
 //!   eigendecomposition of the covariance matrix;
 //! * [`linreg`] — ridge-regularised ordinary least squares via normal
 //!   equations and Gaussian elimination;
-//! * [`kmeans`] — k-means in arbitrary dimension (the floorplan crate's
-//!   2-D version is for die coordinates);
 //! * [`cochran_reda`] — the assembled phase-aware temperature predictor
 //!   and its DVFS controller, pluggable into the same
 //!   [`boreas_core::RunSpec`] closed loop as Boreas.
@@ -34,11 +33,9 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod cochran_reda;
-pub mod kmeans;
 pub mod linreg;
 pub mod pca;
 
 pub use cochran_reda::{CochranRedaModel, CochranRedaParams, TempPredController};
-pub use kmeans::KMeans;
 pub use linreg::RidgeRegression;
 pub use pca::Pca;

@@ -1,7 +1,8 @@
 //! Property tests for the baseline numerics (PCA, ridge, k-means).
 
-use boreas_baselines::{KMeans, Pca, RidgeRegression};
+use boreas_baselines::{Pca, RidgeRegression};
 use common::check::{self, Gen};
+use common::kmeans::KMeans;
 
 fn rows(g: &mut Gen, max_len: usize) -> Vec<Vec<f64>> {
     g.vec(8..max_len, |g| g.vec(3..=3, |g| g.f64_in(-100.0..100.0)))

@@ -14,6 +14,7 @@ use hotgauge::PipelineConfig;
 use workloads::WorkloadSpec;
 
 fn main() {
+    common::cli::Spec::new("ablation_floorplan_scaling", "§I ablation: FPU area").parse_env();
     let vf_freq = GigaHertz::new(4.5);
     let voltage = common::units::Volts::new(1.15);
     println!(

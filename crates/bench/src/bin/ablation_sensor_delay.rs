@@ -11,15 +11,19 @@
 //! controller spec, so every cell keys distinctly in the artifact cache.
 
 use boreas_bench::experiments::LOOP_STEPS;
-use boreas_bench::Reporting;
+use boreas_bench::{Reporting, RunFlag};
 use boreas_core::{CriticalTemps, TrainSpec, VfTable};
+use common::cli::Spec;
 use engine::{ControllerSpec, Scenario, Session};
 use hotgauge::PipelineConfig;
 use telemetry::FeatureSet;
 use workloads::WorkloadSpec;
 
 fn main() {
-    let reporting = Reporting::from_args();
+    let (reporting, _) = Reporting::parse_env(
+        Spec::new("ablation_sensor_delay", "ablation: sensor read-out delay"),
+        &[RunFlag::Resume],
+    );
     println!(
         "{:>10} {:>10} {:>8} {:>10} {:>8}   (normalised avg frequency over the test set)",
         "delay", "TH-00", "TH inc", "ML05", "ML inc"

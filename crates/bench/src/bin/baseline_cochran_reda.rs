@@ -14,6 +14,7 @@ use telemetry::FeatureSet;
 use workloads::WorkloadSpec;
 
 fn main() {
+    common::cli::Spec::new("baseline_cochran_reda", "§IV-C Cochran & Reda baseline").parse_env();
     let exp = Experiment::paper().expect("paper config");
     let thresholds = exp.trained_thresholds().expect("thresholds");
     let (model, features) = exp.boreas_model().expect("boreas model");

@@ -28,6 +28,7 @@
 //! baseline was recorded under a different SIMD ISA; `--metrics-out`
 //! additionally exports the medians/speedups as Prometheus gauges.
 
+use common::cli::Spec;
 use common::units::{GigaHertz, Volts};
 use common::Result;
 use floorplan::{Grid, SensorSite};
@@ -422,17 +423,16 @@ fn regressions(current: &[KernelResult], baseline_json: &str) -> Result<Vec<Stri
 }
 
 fn main() -> Result<()> {
-    let reporting = boreas_bench::Reporting::from_args();
-    let args: Vec<String> = reporting.rest().to_vec();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_hotpath.json".into());
-    let check_path = flag_value("--check");
+    let (reporting, args) = boreas_bench::Reporting::parse_env(
+        Spec::new("bench_hotpath", "hot-path kernels vs their references")
+            .switch("smoke", "short CI-sized run")
+            .value_flag::<String>("out", "path", Some("BENCH_hotpath.json"), "result JSON")
+            .value_flag::<String>("check", "baseline", None, "fail on a >25% speedup drop"),
+        &[],
+    );
+    let smoke = args.has("smoke");
+    let out_path = args.value::<String>("out");
+    let check_path = args.parsed::<String>("check");
 
     println!(
         "bench_hotpath ({} mode)",

@@ -6,11 +6,13 @@
 //! Sweeps run through an uncached [`engine::Session`] (caching would be
 //! wrong here: the auto mode mutates workload heats between iterations).
 //!
-//! Usage: `cargo run --release -p boreas-bench --bin calibrate [scale] [steps]`
-//! (plus the shared `--metrics-out BASE` and `--threads N` flags).
+//! Usage: `cargo run --release -p boreas-bench --bin calibrate --
+//! [--auto] [--scale S] [--steps N] [--iters N] [--threads N]
+//! [--metrics-out BASE]`.
 
-use boreas_bench::Reporting;
+use boreas_bench::{Reporting, RunFlag};
 use boreas_core::VfTable;
+use common::cli::Spec;
 use engine::{Scenario, Session, SweepPointResult};
 use hotgauge::PipelineConfig;
 use workloads::WorkloadSpec;
@@ -109,18 +111,21 @@ fn print_sweep(session: &Session, vf: &VfTable, suite: &[WorkloadSpec], steps: u
 }
 
 fn main() {
-    let reporting = Reporting::from_args();
-    let args = reporting.rest();
-    if args.first().map(|s| s.as_str()) == Some("--auto") {
-        let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-        let steps: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(150);
-        let iters: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4);
-        auto_calibrate(scale, steps, iters, &reporting);
+    let (reporting, args) = Reporting::parse_env(
+        Spec::new("calibrate", "workload heat calibration sweep")
+            .switch("auto", "fit each workload's heat to its Fig. 2 band")
+            .value_flag::<f64>("scale", "s", Some("1.0"), "power scale of the pipeline")
+            .value_flag::<usize>("steps", "n", Some("150"), "steps per sweep point")
+            .value_flag::<usize>("iters", "n", Some("4"), "--auto fitting iterations"),
+        &[RunFlag::Threads],
+    );
+    let scale = args.value::<f64>("scale");
+    let steps = args.value::<usize>("steps");
+    if args.has("auto") {
+        auto_calibrate(scale, steps, args.value("iters"), &reporting);
         reporting.finish(None).expect("reporting");
         return;
     }
-    let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let steps: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(150);
 
     let mut cfg = PipelineConfig::paper();
     cfg.power.scale = scale;

@@ -29,7 +29,8 @@
 //! untouched.
 
 use boreas_bench::experiments::{Experiment, LOOP_STEPS};
-use boreas_bench::Reporting;
+use boreas_bench::{Reporting, RunFlag};
+use common::cli::Spec;
 use engine::{ControllerSpec, FaultCell, LoopRunResult, Scenario};
 use faults::{EngineFault, EngineFaultKind, EngineFaultPlan, Fault, FaultKind, FaultPlan};
 use workloads::WorkloadSpec;
@@ -46,47 +47,6 @@ const FAULT_KINDS: [FaultKind; 5] = [
 
 /// Per-step firing probabilities swept for every fault kind.
 const RATES: [f64; 3] = [0.05, 0.25, 1.0];
-
-struct Args {
-    seed: u64,
-    steps: Option<usize>,
-    smoke: bool,
-    engine_faults: bool,
-}
-
-fn parse_args(rest: &[String]) -> Args {
-    let mut parsed = Args {
-        seed: 2023,
-        steps: None,
-        smoke: false,
-        engine_faults: false,
-    };
-    let mut args = rest.iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                parsed.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer value");
-            }
-            "--steps" => {
-                parsed.steps = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--steps needs an integer value"),
-                );
-            }
-            "--smoke" => parsed.smoke = true,
-            "--engine-faults" => parsed.engine_faults = true,
-            other => panic!(
-                "unknown argument {other} \
-                 (expected --seed/--steps/--smoke/--engine-faults/--metrics-out/--resume)"
-            ),
-        }
-    }
-    parsed
-}
 
 /// Smoke-mode stand-in controllers (mirrors `fig8_dynamic_runs`): flat
 /// 70 °C thermal thresholds for the resilient fallback and a tiny
@@ -145,17 +105,24 @@ fn digest_row(h: u64, row: &LoopRunResult) -> u64 {
 }
 
 fn main() {
-    let reporting = Reporting::from_args();
-    let args = parse_args(reporting.rest());
-    let seed = args.seed;
+    let (reporting, args) = Reporting::parse_env(
+        Spec::new("fault_campaign", "plain vs resilient ML05 under faults")
+            .value_flag::<u64>("seed", "n", Some("2023"), "fault-plan seed")
+            .value_flag::<usize>("steps", "n", None, "steps per run (default 144; smoke 24)")
+            .switch("smoke", "2 workloads, one rate, for CI")
+            .switch("engine-faults", "inject a job panic and a cache bit flip"),
+        &[RunFlag::Resume],
+    );
+    let seed = args.value::<u64>("seed");
+    let steps = args.parsed::<usize>("steps");
     let exp = Experiment::paper()
         .expect("paper config")
         .observe(&reporting.obs);
 
-    let (name, workloads, steps, rates, controllers) = if args.smoke {
+    let (name, workloads, steps, rates, controllers) = if args.has("smoke") {
         let workloads: Vec<WorkloadSpec> = WorkloadSpec::test_set().into_iter().take(2).collect();
         let controllers = smoke_controllers(exp.vf.len());
-        let steps = args.steps.unwrap_or(24);
+        let steps = steps.unwrap_or(24);
         (
             "fault-campaign-smoke",
             workloads,
@@ -170,7 +137,7 @@ fn main() {
             ControllerSpec::ml(model.clone(), &features, 0.05),
             ControllerSpec::resilient_ml(model, &features, 0.05, thresholds, 0),
         ];
-        let steps = args.steps.unwrap_or(LOOP_STEPS);
+        let steps = steps.unwrap_or(LOOP_STEPS);
         (
             "fault-campaign",
             WorkloadSpec::test_set(),
@@ -194,7 +161,7 @@ fn main() {
     let scenario = Scenario::closed_loop(name, workloads, exp.vf.clone(), steps, controllers)
         .with_faults(cells);
     let mut session = exp.session().expect("session");
-    if args.engine_faults {
+    if args.has("engine-faults") {
         let plan = engine_fault_plan(seed);
         println!(
             "engine-fault plan armed: job-panic on job 0 (1 attempt), \

@@ -7,6 +7,7 @@ use common::units::Celsius;
 use hotgauge::SeverityParams;
 
 fn main() {
+    common::cli::Spec::new("fig1_severity_surface", "Fig. 1: Hotspot-Severity surface").parse_env();
     let params = SeverityParams::default();
     println!("Fig. 1: Hotspot-Severity(T, MLTD), clamped to [0, 1]\n");
     print!("{:>8}", "T\\MLTD");

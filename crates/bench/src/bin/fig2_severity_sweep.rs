@@ -6,20 +6,25 @@
 //! memoised in the artifact cache, so re-runs (and other binaries
 //! sharing cells, e.g. the sweep-table consumers) skip the simulation.
 //!
-//! Usage: `fig2_severity_sweep [--smoke] [--metrics-out BASE]`.
+//! Usage: `fig2_severity_sweep [--smoke] [--metrics-out BASE] [--resume]`.
 //! `--smoke` runs a reduced grid (6 workloads × every 4th VF point × 24
 //! steps) as a CI smoke test; `--metrics-out` exports the observability
 //! artifacts (`BASE.prom`, `BASE.jsonl`).
 
 use boreas_bench::experiments::{Experiment, RUN_STEPS};
-use boreas_bench::Reporting;
+use boreas_bench::{Reporting, RunFlag};
 use boreas_core::{oracle_frequencies, VfTable};
+use common::cli::Spec;
 use engine::Scenario;
 use workloads::{SetKind, WorkloadSpec};
 
 fn main() {
-    let reporting = Reporting::from_args();
-    let smoke = reporting.rest().iter().any(|a| a == "--smoke");
+    let (reporting, args) = Reporting::parse_env(
+        Spec::new("fig2_severity_sweep", "Fig. 2: peak severity sweep")
+            .switch("smoke", "6 workloads x every 4th VF point x 24 steps"),
+        &[RunFlag::Resume],
+    );
+    let smoke = args.has("smoke");
     let exp = Experiment::paper()
         .expect("paper config")
         .observe(&reporting.obs);

@@ -7,12 +7,16 @@
 //! [`engine::Scenario`] executed (and cached) by the shared session.
 
 use boreas_bench::experiments::{Experiment, LOOP_STEPS};
-use boreas_bench::Reporting;
+use boreas_bench::{Reporting, RunFlag};
+use common::cli::Spec;
 use engine::{ControllerSpec, Scenario};
 use workloads::WorkloadSpec;
 
 fn main() {
-    let reporting = Reporting::from_args();
+    let (reporting, _) = Reporting::parse_env(
+        Spec::new("fig4_thermal_case_study", "Fig. 4: TH-00/05/10 case study"),
+        &[RunFlag::Resume],
+    );
     let exp = Experiment::paper()
         .expect("paper config")
         .observe(&reporting.obs);

@@ -12,6 +12,7 @@ use floorplan::SensorSite;
 use workloads::WorkloadSpec;
 
 fn main() {
+    common::cli::Spec::new("fig5_sensor_placement", "Fig. 5: sensor placement traces").parse_env();
     let exp = Experiment::paper().expect("paper config");
     let spec = WorkloadSpec::by_name("gromacs").expect("gromacs");
     let freq = GigaHertz::new(4.5);

@@ -6,22 +6,26 @@
 //! [`engine::Scenario`] through the shared cached session.
 
 use boreas_bench::experiments::{Experiment, LOOP_STEPS};
-use boreas_bench::Reporting;
+use boreas_bench::{Reporting, RunFlag};
+use common::cli::Spec;
 use engine::{ControllerSpec, Scenario};
 use workloads::WorkloadSpec;
 
 fn main() {
-    let reporting = Reporting::from_args();
-    let name = reporting
-        .rest()
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "bzip2".into());
+    let (reporting, args) = Reporting::parse_env(
+        Spec::new("fig6_guardband_traces", "Fig. 6: guardband traces").positionals(
+            "workload",
+            0..=1,
+            "workload [default: bzip2]",
+        ),
+        &[RunFlag::Resume],
+    );
+    let name = args.positionals().first().map_or("bzip2", String::as_str);
     let exp = Experiment::paper()
         .expect("paper config")
         .observe(&reporting.obs);
     let (model, features) = exp.boreas_model().expect("model");
-    let spec = WorkloadSpec::by_name(&name).expect("workload");
+    let spec = WorkloadSpec::by_name(name).expect("workload");
 
     let controllers: Vec<ControllerSpec> = [0.0, 0.05, 0.10]
         .iter()

@@ -9,13 +9,17 @@
 //! [`engine::Session`] runs it in parallel and memoises every cell.
 
 use boreas_bench::experiments::{Experiment, LOOP_STEPS};
-use boreas_bench::Reporting;
+use boreas_bench::{Reporting, RunFlag};
 use boreas_core::VfTable;
+use common::cli::Spec;
 use engine::{ControllerSpec, Scenario};
 use workloads::WorkloadSpec;
 
 fn main() {
-    let reporting = Reporting::from_args();
+    let (reporting, _) = Reporting::parse_env(
+        Spec::new("fig7_avg_frequency", "Fig. 7: average frequency per model"),
+        &[RunFlag::Resume],
+    );
     let exp = Experiment::paper()
         .expect("paper config")
         .observe(&reporting.obs);

@@ -9,7 +9,8 @@
 //! [`engine::Scenario`]; the per-interval traces come straight off the
 //! engine's result rows.
 //!
-//! Usage: `fig8_dynamic_runs [--smoke] [--threads N] [--metrics-out BASE]`.
+//! Usage: `fig8_dynamic_runs [--smoke] [--threads N] [--metrics-out BASE]
+//! [--resume]`.
 //! `--smoke` shrinks the grid to 2 workloads × 48 steps with cheap
 //! stand-in controllers (flat 70 °C thermal thresholds, a tiny
 //! frequency-only GBT model) so CI can exercise the full
@@ -19,7 +20,8 @@
 //! observability artifacts (`BASE.prom`, `BASE.jsonl`).
 
 use boreas_bench::experiments::{Experiment, LOOP_STEPS};
-use boreas_bench::Reporting;
+use boreas_bench::{Reporting, RunFlag};
+use common::cli::Spec;
 use engine::{ControllerSpec, Scenario};
 use workloads::WorkloadSpec;
 
@@ -48,8 +50,12 @@ fn smoke_controllers(vf_len: usize, threads: usize) -> Vec<ControllerSpec> {
 }
 
 fn main() {
-    let reporting = Reporting::from_args();
-    let smoke = reporting.rest().iter().any(|a| a == "--smoke");
+    let (reporting, args) = Reporting::parse_env(
+        Spec::new("fig8_dynamic_runs", "Fig. 8: TH-00 vs ML05 closed loops")
+            .switch("smoke", "2 workloads x 48 steps, stand-in controllers"),
+        &[RunFlag::Resume, RunFlag::Threads],
+    );
+    let smoke = args.has("smoke");
     let exp = Experiment::paper()
         .expect("paper config")
         .observe(&reporting.obs);

@@ -16,7 +16,10 @@ use gbt::{GbtModel, GbtParams};
 use workloads::WorkloadSpec;
 
 fn main() {
-    let full_cv = std::env::args().any(|a| a == "--full");
+    let args = common::cli::Spec::new("fig9_mse_vs_size", "Fig. 9: CV MSE versus model size")
+        .switch("full", "complete 20-fold CV (slow)")
+        .parse_env();
+    let full_cv = args.has("full");
     let exp = Experiment::paper().expect("paper config");
     let (_, features) = exp.boreas_model().expect("model");
     let vf = VfTable::paper();

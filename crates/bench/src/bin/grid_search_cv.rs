@@ -11,7 +11,10 @@ use gbt::{grid_search, GbtParams};
 use workloads::WorkloadSpec;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--paper");
+    let args = common::cli::Spec::new("grid_search_cv", "§IV-A GBT hyper-parameter grid search")
+        .switch("paper", "full training set (slow)")
+        .parse_env();
+    let full = args.has("paper");
     let exp = Experiment::paper().expect("paper config");
     let (_, features) = exp.boreas_model().expect("feature schema");
     let vf = VfTable::paper();

@@ -3,6 +3,7 @@
 use boreas_core::VfTable;
 
 fn main() {
+    common::cli::Spec::new("table1_vf_pairs", "Table I: the voltage/frequency pairs").parse_env();
     let vf = VfTable::paper();
     println!("Table I: Select Voltage and Frequency (VF) pairs");
     print!("{:<16}", "Voltage [V]");

@@ -5,6 +5,7 @@ use boreas_core::{TrainSpec, TrainingConfig, VfTable};
 use workloads::WorkloadSpec;
 
 fn main() {
+    common::cli::Spec::new("table2_model_params", "Table II: model parameters").parse_env();
     let exp = Experiment::paper().expect("paper config");
     let (model, features) = exp.boreas_model().expect("model");
     let cfg = TrainingConfig::default();

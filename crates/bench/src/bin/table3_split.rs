@@ -5,6 +5,7 @@
 use workloads::{SetKind, WorkloadSpec};
 
 fn main() {
+    common::cli::Spec::new("table3_split", "Table III: train/test workload split").parse_env();
     println!("Table III: train/test workload split\n");
     let sorted = WorkloadSpec::by_severity_rank();
     println!("Suite sorted by peak Hotspot-Severity (ascending); every 4th -> test:");

@@ -8,6 +8,7 @@ use telemetry::{build_dataset, DatasetSpec, FeatureSet, TEMPERATURE_FEATURE};
 use workloads::WorkloadSpec;
 
 fn main() {
+    common::cli::Spec::new("table4_feature_importance", "Table IV: feature importance").parse_env();
     let exp = Experiment::paper().expect("paper config");
     let full = exp.full_model().expect("full model");
     let importance = full.feature_importance();

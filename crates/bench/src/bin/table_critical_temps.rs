@@ -8,6 +8,7 @@ use hotgauge::PipelineConfig;
 use workloads::WorkloadSpec;
 
 fn main() {
+    common::cli::Spec::new("table_critical_temps", "§III-D: critical temperatures").parse_env();
     let vf = VfTable::paper();
     let train = WorkloadSpec::train_set();
 

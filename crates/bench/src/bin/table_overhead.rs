@@ -8,6 +8,7 @@ use boreas_bench::experiments::Experiment;
 use std::time::Instant;
 
 fn main() {
+    common::cli::Spec::new("table_overhead", "§V-E: model memory and time overhead").parse_env();
     let exp = Experiment::paper().expect("paper config");
     let (model, features) = exp.boreas_model().expect("model");
     let cost = model.cost();

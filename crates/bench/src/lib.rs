@@ -17,4 +17,4 @@ pub mod experiments;
 pub mod report;
 
 pub use experiments::{Experiment, LOOP_STEPS, RUN_STEPS};
-pub use report::{baseline_speedups, speedup_regressions, Reporting};
+pub use report::{baseline_speedups, speedup_regressions, Reporting, RunFlag};

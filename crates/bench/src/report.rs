@@ -2,16 +2,19 @@
 //! observability bundle per process, the standard engine footer, and
 //! optional artifact export.
 //!
-//! Every binary recognises `--metrics-out <base>`; when given,
-//! [`Reporting::finish`] writes `<base>.prom` (Prometheus text
-//! exposition) and `<base>.jsonl` (spans, flight events and metrics as
-//! self-describing JSON lines) beside printing the footer. Binaries that
-//! drive an [`engine::Session`] also recognise `--resume`: route the run
-//! through [`Reporting::execute`] and an interrupted sweep picks up from
-//! its checkpoint manifest instead of starting over. `--threads <n>`
-//! sets the worker count for sessions and trainers (`0` = one per core);
-//! results are bit-identical for every value.
+//! A binary hands its [`Spec`] to [`Reporting::parse_env`], which adds
+//! the reporting flags and parses argv once. Every such binary takes
+//! `--metrics-out <base>`: [`Reporting::finish`] then writes
+//! `<base>.prom` (Prometheus text exposition) and `<base>.jsonl`
+//! (spans, flight events and metrics as self-describing JSON lines)
+//! beside printing the footer. A binary that runs an
+//! [`engine::Session`] through [`Reporting::execute`] also declares
+//! [`RunFlag::Resume`], so an interrupted sweep picks up from its
+//! checkpoint manifest; one that sizes a session or trainer declares
+//! [`RunFlag::Threads`] (`0` = one worker per core; results are
+//! bit-identical for every value).
 
+use common::cli::{Args, Spec};
 use common::{json, Error, Result};
 use std::path::{Path, PathBuf};
 
@@ -46,9 +49,21 @@ pub fn speedup_regressions<'a>(
         .collect())
 }
 
+/// A reporting flag beyond `--metrics-out`, declared only by the
+/// binaries that act on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunFlag {
+    /// `--resume`: the binary runs its scenario through
+    /// [`Reporting::execute`].
+    Resume,
+    /// `--threads <n>`: the binary sizes a session or trainer with
+    /// [`Reporting::threads`].
+    Threads,
+}
+
 /// Observability + export wiring shared by every bench binary.
 ///
-/// Construct with [`Reporting::from_args`], attach [`Reporting::obs`]
+/// Construct with [`Reporting::parse_env`], attach [`Reporting::obs`]
 /// to the experiment/session, and call [`Reporting::finish`] last.
 pub struct Reporting {
     /// The live observability bundle for this process.
@@ -56,52 +71,43 @@ pub struct Reporting {
     out: Option<PathBuf>,
     resume: bool,
     threads: usize,
-    rest: Vec<String>,
 }
 
 impl Reporting {
-    /// Parses `--metrics-out <base>`, `--resume` and `--threads <n>` out
-    /// of the process arguments.
-    pub fn from_args() -> Reporting {
-        Self::parse(std::env::args().skip(1))
+    /// Declares `--metrics-out` and `extra` on `spec`, then parses the
+    /// process arguments ([`Spec::parse_env`]: exits 0 on `--help` and
+    /// 2 on a bad argument). Returns the reporting state and the parsed
+    /// arguments, which carry the binary's own flags too.
+    pub fn parse_env(spec: Spec, extra: &[RunFlag]) -> (Reporting, Args) {
+        let args = Self::spec(spec, extra).parse_env();
+        (Self::from_args(&args), args)
     }
 
-    /// Parses an explicit argument list (the process-independent core of
-    /// [`Reporting::from_args`]).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Reporting {
-        let mut out = None;
-        let mut resume = false;
-        let mut threads = 0;
-        let mut rest = Vec::new();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            if arg == "--metrics-out" {
-                out = it.next().map(PathBuf::from);
-            } else if let Some(v) = arg.strip_prefix("--metrics-out=") {
-                out = Some(PathBuf::from(v));
-            } else if arg == "--resume" {
-                resume = true;
-            } else if arg == "--threads" {
-                threads = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-            } else if let Some(v) = arg.strip_prefix("--threads=") {
-                threads = v.parse().unwrap_or(0);
-            } else {
-                rest.push(arg);
-            }
-        }
+    fn spec(spec: Spec, extra: &[RunFlag]) -> Spec {
+        let spec = spec.value_flag::<PathBuf>(
+            "metrics-out",
+            "base",
+            None,
+            "also write <base>.prom and <base>.jsonl",
+        );
+        extra.iter().fold(spec, |spec, flag| match flag {
+            RunFlag::Resume => spec.switch("resume", "continue from the checkpoint manifest"),
+            RunFlag::Threads => spec.value_flag::<usize>(
+                "threads",
+                "n",
+                Some("0"),
+                "worker threads (0 = one per core); results are identical for every value",
+            ),
+        })
+    }
+
+    fn from_args(args: &Args) -> Reporting {
         Reporting {
             obs: obs::Obs::new(),
-            out,
-            resume,
-            threads,
-            rest,
+            out: args.parsed("metrics-out"),
+            resume: args.has("resume"),
+            threads: args.parsed("threads").unwrap_or(0),
         }
-    }
-
-    /// The arguments left over after the reporting flags — the binary's
-    /// own flags and positionals, in their original order.
-    pub fn rest(&self) -> &[String] {
-        &self.rest
     }
 
     /// The export base path, when `--metrics-out` was given.
@@ -109,12 +115,13 @@ impl Reporting {
         self.out.as_deref()
     }
 
-    /// `true` when `--resume` was given.
+    /// `true` when `--resume` was declared and given.
     pub fn resume(&self) -> bool {
         self.resume
     }
 
-    /// The worker count from `--threads <n>` (`0` = auto, the default).
+    /// The worker count from `--threads <n>` (`0` = auto, the default
+    /// and the value when the flag is not declared).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -195,54 +202,43 @@ impl Reporting {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| (*s).to_string()).collect()
+    fn parse(extra: &[RunFlag], argv: &[&str]) -> Result<(Reporting, Args)> {
+        let spec = Spec::new("fig_x", "test binary")
+            .switch("smoke", "tiny run")
+            .value_flag::<u64>("seed", "n", Some("1"), "seed");
+        let args = Reporting::spec(spec, extra).parse(argv.iter().map(|s| (*s).to_string()))?;
+        Ok((Reporting::from_args(&args), args))
     }
 
     #[test]
-    fn metrics_out_flag_is_stripped_from_rest() {
-        let r = Reporting::parse(args(&[
-            "--smoke",
-            "--metrics-out",
-            "out/run",
-            "--seed",
-            "7",
-        ]));
+    fn metrics_out_is_parsed_beside_the_binary_flags() {
+        let (r, args) =
+            parse(&[], &["--smoke", "--metrics-out", "out/run", "--seed", "7"]).unwrap();
         assert_eq!(r.metrics_out(), Some(Path::new("out/run")));
-        assert_eq!(r.rest(), &args(&["--smoke", "--seed", "7"])[..]);
+        assert!(args.has("smoke"));
+        assert_eq!(args.value::<u64>("seed"), 7);
         assert!(r.obs.is_enabled());
     }
 
     #[test]
-    fn equals_form_is_accepted() {
-        let r = Reporting::parse(args(&["--metrics-out=x/y"]));
-        assert_eq!(r.metrics_out(), Some(Path::new("x/y")));
-        assert!(r.rest().is_empty());
-    }
-
-    #[test]
     fn absent_flag_means_no_export() {
-        let r = Reporting::parse(args(&["--smoke"]));
+        let (r, _) = parse(&[RunFlag::Resume, RunFlag::Threads], &["--smoke"]).unwrap();
         assert_eq!(r.metrics_out(), None);
-        assert_eq!(r.rest(), &args(&["--smoke"])[..]);
         assert!(!r.resume());
-    }
-
-    #[test]
-    fn resume_flag_is_stripped_from_rest() {
-        let r = Reporting::parse(args(&["--smoke", "--resume", "--seed", "7"]));
-        assert!(r.resume());
-        assert_eq!(r.rest(), &args(&["--smoke", "--seed", "7"])[..]);
-    }
-
-    #[test]
-    fn threads_flag_is_parsed_in_both_forms() {
-        let r = Reporting::parse(args(&["--threads", "4", "--smoke"]));
-        assert_eq!(r.threads(), 4);
-        assert_eq!(r.rest(), &args(&["--smoke"])[..]);
-        let r = Reporting::parse(args(&["--threads=2"]));
-        assert_eq!(r.threads(), 2);
-        let r = Reporting::parse(args(&["--smoke"]));
         assert_eq!(r.threads(), 0);
+    }
+
+    #[test]
+    fn resume_and_threads_are_declared_only_on_request() {
+        assert!(parse(&[], &["--resume"]).is_err());
+        assert!(parse(&[RunFlag::Threads], &["--resume"]).is_err());
+        assert!(parse(&[RunFlag::Resume], &["--threads", "4"]).is_err());
+        let (r, _) = parse(
+            &[RunFlag::Resume, RunFlag::Threads],
+            &["--resume", "--threads=4"],
+        )
+        .unwrap();
+        assert!(r.resume());
+        assert_eq!(r.threads(), 4);
     }
 }

@@ -1,20 +1,23 @@
-//! k-means in arbitrary dimension (phase clustering over PCA
-//! components).
+//! k-means clustering in arbitrary dimension: hotspot locations into
+//! sensor sites (`floorplan::placement`) and PCA components into
+//! workload phases (the Cochran & Reda baseline).
 
-use common::rng::SplitMix64;
-use common::{Error, Result};
+use crate::rng::SplitMix64;
+use crate::{Error, Result};
 
 /// A fitted k-means clustering.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     centroids: Vec<Vec<f64>>,
-    /// Total within-cluster sum of squared distances at convergence.
+    assignment: Vec<usize>,
     inertia: f64,
+    iterations: usize,
 }
 
 impl KMeans {
-    /// Fits `k` clusters to row-major points (k-means++ seeding, Lloyd
-    /// iterations, deterministic in `seed`).
+    /// Fits `k` clusters to row-major points: k-means++ seeding, then at
+    /// most `max_iters` Lloyd iterations, stopping once an iteration
+    /// after the first changes no assignment. Deterministic in `seed`.
     ///
     /// # Errors
     ///
@@ -43,6 +46,8 @@ impl KMeans {
             ));
         }
         let mut rng = SplitMix64::new(seed);
+        // k-means++ seeding: first centroid uniform, then proportional to
+        // squared distance from the nearest existing centroid.
         let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
         centroids.push(points[rng.next_usize(points.len())].clone());
         while centroids.len() < k {
@@ -74,7 +79,9 @@ impl KMeans {
         }
 
         let mut assignment = vec![0usize; points.len()];
-        for _ in 0..max_iters.max(1) {
+        let mut iterations = 0;
+        for iter in 0..max_iters {
+            iterations = iter + 1;
             let mut changed = false;
             for (i, p) in points.iter().enumerate() {
                 let best = (0..k)
@@ -104,7 +111,7 @@ impl KMeans {
                     }
                 }
             }
-            if !changed {
+            if !changed && iter > 0 {
                 break;
             }
         }
@@ -113,7 +120,12 @@ impl KMeans {
             .zip(&assignment)
             .map(|(p, &a)| dist2(p, &centroids[a]))
             .sum();
-        Ok(KMeans { centroids, inertia })
+        Ok(KMeans {
+            centroids,
+            assignment,
+            inertia,
+            iterations,
+        })
     }
 
     /// Number of clusters.
@@ -126,9 +138,19 @@ impl KMeans {
         &self.centroids
     }
 
-    /// Within-cluster sum of squares at convergence.
+    /// `assignment()[i]` is the centroid index of input point `i`.
+    pub fn assignment(&self) -> &[usize] {
+        &self.assignment
+    }
+
+    /// Total within-cluster sum of squared distances at convergence.
     pub fn inertia(&self) -> f64 {
         self.inertia
+    }
+
+    /// Number of Lloyd iterations performed.
+    pub fn iterations(&self) -> usize {
+        self.iterations
     }
 
     /// The nearest centroid of a point.

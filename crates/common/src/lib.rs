@@ -2,11 +2,13 @@
 //!
 //! This crate provides the strongly-typed physical units, simulation-time
 //! representation, error types, deterministic random-number generation,
-//! the JSON codec ([`json`]) and the property-test runner ([`check`])
-//! used by every other crate in the workspace. Keeping them in one place
-//! guarantees that, e.g., a [`units::Celsius`] produced by the thermal
-//! solver is the same type consumed by the severity metric, and that all
-//! stochastic components are reproducible from a single seed.
+//! the JSON codec ([`json`]), the flag parser behind every binary
+//! ([`cli`]), k-means clustering ([`kmeans`]) and the property-test
+//! runner ([`check`]) used by every other crate in the workspace.
+//! Keeping them in one place guarantees that, e.g., a
+//! [`units::Celsius`] produced by the thermal solver is the same type
+//! consumed by the severity metric, and that all stochastic components
+//! are reproducible from a single seed.
 //!
 //! # Examples
 //!
@@ -25,8 +27,10 @@
 //! ```
 
 pub mod check;
+pub mod cli;
 pub mod error;
 pub mod json;
+pub mod kmeans;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -34,7 +34,7 @@ pub mod rect;
 pub mod unit;
 
 pub use grid::{CellIndex, Grid, GridSpec};
-pub use placement::{kmeans, SensorSite};
+pub use placement::SensorSite;
 pub use plan::Floorplan;
 pub use rect::Rect;
 pub use unit::{FunctionalUnit, UnitKind};

@@ -3,14 +3,14 @@
 //! HotGauge — and §III-A of the Boreas paper — places thermal sensors by
 //! running k-means over the locations where hotspots were observed across
 //! the workload suite, repeated for different values of `k`. This module
-//! implements that clustering ([`kmeans`]) and exposes both the resulting
-//! data-driven sites and the fixed seven-sensor configuration analysed in
-//! Fig. 5 ([`SensorSite::paper_seven`]).
+//! exposes both the sites that clustering derives
+//! ([`sensor_sites_from_hotspots`]) and the fixed seven-sensor
+//! configuration analysed in Fig. 5 ([`SensorSite::paper_seven`]).
 
 use crate::grid::Grid;
 use crate::plan::Floorplan;
 use crate::unit::UnitKind;
-use common::rng::SplitMix64;
+use common::kmeans::KMeans;
 use common::{Error, Result};
 
 /// A candidate thermal-sensor location on the die.
@@ -90,170 +90,39 @@ impl SensorSite {
     }
 }
 
-/// Result of a k-means run: centroids plus the assignment of each input
-/// point to a centroid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KmeansResult {
-    /// Cluster centres, `k` of them.
-    pub centroids: Vec<(f64, f64)>,
-    /// `assignment[i]` is the centroid index of input point `i`.
-    pub assignment: Vec<usize>,
-    /// Total within-cluster sum of squared distances.
-    pub inertia: f64,
-    /// Number of Lloyd iterations performed.
-    pub iterations: usize,
-}
-
-/// Lloyd's k-means over 2-D points with k-means++-style seeding, used to
-/// derive sensor sites from observed hotspot locations.
-///
-/// Deterministic for a given `seed`.
+/// Derives `k` sensor sites from hotspot observations by k-means
+/// ([`KMeans`]), naming them `ksens00..`, ordered left-to-right for
+/// stability.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] when `k` is zero or exceeds the number
-/// of points, or [`Error::EmptyDataset`] when `points` is empty.
+/// Propagates [`KMeans::fit`] errors: no hotspots, or `k` zero or above
+/// the hotspot count.
 ///
 /// # Examples
 ///
 /// ```
-/// use boreas_floorplan::placement::kmeans;
+/// use boreas_floorplan::placement::sensor_sites_from_hotspots;
 ///
-/// let pts = vec![(0.0, 0.0), (0.1, 0.0), (5.0, 5.0), (5.1, 5.0)];
-/// let res = kmeans(&pts, 2, 100, 7)?;
-/// assert_eq!(res.centroids.len(), 2);
-/// // The two tight pairs must land in different clusters.
-/// assert_ne!(res.assignment[0], res.assignment[2]);
+/// let pts = vec![(5.0, 5.0), (5.1, 5.0), (0.0, 0.0), (0.1, 0.0)];
+/// let sites = sensor_sites_from_hotspots(&pts, 2, 7)?;
+/// // One site per tight pair, the leftmost first.
+/// assert!(sites[0].x < 1.0 && sites[1].x > 4.0);
 /// # Ok::<(), common::Error>(())
 /// ```
-pub fn kmeans(
-    points: &[(f64, f64)],
-    k: usize,
-    max_iters: usize,
-    seed: u64,
-) -> Result<KmeansResult> {
-    if points.is_empty() {
-        return Err(Error::EmptyDataset("kmeans points"));
-    }
-    if k == 0 || k > points.len() {
-        return Err(Error::invalid_config(
-            "kmeans",
-            format!("k = {k} must be in 1..={}", points.len()),
-        ));
-    }
-    let mut rng = SplitMix64::new(seed);
-
-    // k-means++ seeding: first centroid uniform, then proportional to
-    // squared distance from the nearest existing centroid.
-    let mut centroids: Vec<(f64, f64)> = Vec::with_capacity(k);
-    centroids.push(points[rng.next_usize(points.len())]);
-    while centroids.len() < k {
-        let d2: Vec<f64> = points
-            .iter()
-            .map(|p| {
-                centroids
-                    .iter()
-                    .map(|c| dist2(*p, *c))
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect();
-        let total: f64 = d2.iter().sum();
-        let next = if total <= 0.0 {
-            // All remaining points coincide with a centroid; pick any.
-            points[rng.next_usize(points.len())]
-        } else {
-            let mut target = rng.next_f64() * total;
-            let mut chosen = points.len() - 1;
-            for (i, &d) in d2.iter().enumerate() {
-                target -= d;
-                if target <= 0.0 {
-                    chosen = i;
-                    break;
-                }
-            }
-            points[chosen]
-        };
-        centroids.push(next);
-    }
-
-    let mut assignment = vec![0usize; points.len()];
-    let mut iterations = 0;
-    for iter in 0..max_iters {
-        iterations = iter + 1;
-        // Assignment step.
-        let mut changed = false;
-        for (i, p) in points.iter().enumerate() {
-            let best = (0..k)
-                .min_by(|&a, &b| {
-                    dist2(*p, centroids[a])
-                        .partial_cmp(&dist2(*p, centroids[b]))
-                        .expect("finite distances")
-                })
-                .expect("k >= 1");
-            if assignment[i] != best {
-                assignment[i] = best;
-                changed = true;
-            }
-        }
-        // Update step.
-        let mut sums = vec![(0.0, 0.0, 0usize); k];
-        for (i, p) in points.iter().enumerate() {
-            let s = &mut sums[assignment[i]];
-            s.0 += p.0;
-            s.1 += p.1;
-            s.2 += 1;
-        }
-        for (c, s) in centroids.iter_mut().zip(&sums) {
-            if s.2 > 0 {
-                *c = (s.0 / s.2 as f64, s.1 / s.2 as f64);
-            }
-        }
-        if !changed && iter > 0 {
-            break;
-        }
-    }
-
-    let inertia = points
-        .iter()
-        .zip(&assignment)
-        .map(|(p, &a)| dist2(*p, centroids[a]))
-        .sum();
-    Ok(KmeansResult {
-        centroids,
-        assignment,
-        inertia,
-        iterations,
-    })
-}
-
-/// Derives `k` sensor sites from hotspot observations by k-means, naming
-/// them `ksens00..`, ordered left-to-right for stability.
-///
-/// # Errors
-///
-/// Propagates [`kmeans`] errors.
 pub fn sensor_sites_from_hotspots(
     hotspots: &[(f64, f64)],
     k: usize,
     seed: u64,
 ) -> Result<Vec<SensorSite>> {
-    let mut result = kmeans(hotspots, k, 200, seed)?;
-    result
-        .centroids
-        .sort_by(|a, b| a.partial_cmp(b).expect("finite coordinates"));
-    Ok(result
-        .centroids
-        .into_iter()
+    let points: Vec<Vec<f64>> = hotspots.iter().map(|&(x, y)| vec![x, y]).collect();
+    let mut centroids = KMeans::fit(&points, k, 200, seed)?.centroids().to_vec();
+    centroids.sort_by(|a, b| a.partial_cmp(b).expect("finite coordinates"));
+    Ok(centroids
+        .iter()
         .enumerate()
-        .map(|(i, (x, y))| SensorSite::new(format!("ksens{i:02}"), x, y))
+        .map(|(i, c)| SensorSite::new(format!("ksens{i:02}"), c[0], c[1]))
         .collect())
-}
-
-#[inline]
-fn dist2(a: (f64, f64), b: (f64, f64)) -> f64 {
-    let dx = a.0 - b.0;
-    let dy = a.1 - b.1;
-    dx * dx + dy * dy
 }
 
 #[cfg(test)]
@@ -301,37 +170,33 @@ mod tests {
             pts.push((0.0 + 0.01 * i as f64, 0.0));
             pts.push((3.0 + 0.01 * i as f64, 2.0));
         }
-        let res = kmeans(&pts, 2, 100, 42).unwrap();
-        // All points in each blob share a label and differ across blobs.
-        let first = res.assignment[0];
-        for i in (0..40).step_by(2) {
-            assert_eq!(res.assignment[i], first);
-        }
-        assert_ne!(res.assignment[1], first);
-        assert!(res.inertia < 1.0);
+        let sites = sensor_sites_from_hotspots(&pts, 2, 42).unwrap();
+        // One site at each blob's centre.
+        assert!((sites[0].x - 0.095).abs() < 1e-9 && sites[0].y == 0.0);
+        assert!((sites[1].x - 3.095).abs() < 1e-9 && sites[1].y == 2.0);
     }
 
     #[test]
     fn kmeans_is_deterministic() {
         let pts: Vec<(f64, f64)> = (0..50).map(|i| ((i % 7) as f64, (i % 5) as f64)).collect();
-        let a = kmeans(&pts, 3, 100, 9).unwrap();
-        let b = kmeans(&pts, 3, 100, 9).unwrap();
+        let a = sensor_sites_from_hotspots(&pts, 3, 9).unwrap();
+        let b = sensor_sites_from_hotspots(&pts, 3, 9).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn kmeans_input_validation() {
-        assert!(kmeans(&[], 1, 10, 0).is_err());
-        assert!(kmeans(&[(0.0, 0.0)], 0, 10, 0).is_err());
-        assert!(kmeans(&[(0.0, 0.0)], 2, 10, 0).is_err());
+        assert!(sensor_sites_from_hotspots(&[], 1, 0).is_err());
+        assert!(sensor_sites_from_hotspots(&[(0.0, 0.0)], 0, 0).is_err());
+        assert!(sensor_sites_from_hotspots(&[(0.0, 0.0)], 2, 0).is_err());
     }
 
     #[test]
     fn kmeans_handles_duplicate_points() {
         let pts = vec![(1.0, 1.0); 10];
-        let res = kmeans(&pts, 3, 50, 5).unwrap();
-        assert_eq!(res.centroids.len(), 3);
-        assert!(res.inertia < 1e-12);
+        let sites = sensor_sites_from_hotspots(&pts, 3, 5).unwrap();
+        assert_eq!(sites.len(), 3);
+        assert!(sites.iter().all(|s| s.x == 1.0 && s.y == 1.0));
     }
 
     #[test]

@@ -1,33 +1,33 @@
 //! Property tests for k-means sensor placement and grid rasterisation.
 
-use boreas_floorplan::placement::kmeans;
 use boreas_floorplan::{Floorplan, Grid, GridSpec};
 use common::check;
+use common::kmeans::KMeans;
 
 #[test]
 fn kmeans_assignments_are_valid_and_inertia_nonnegative() {
     check::cases(256, |g| {
-        let points = g.vec(5..80, |g| (g.f64_in(0.0..4.0), g.f64_in(0.0..3.0)));
+        let points = g.vec(5..80, |g| vec![g.f64_in(0.0..4.0), g.f64_in(0.0..3.0)]);
         let k = g.usize_in(1..=points.len().min(4));
         let seed = g.u64_in(0..1000);
-        let res = kmeans(&points, k, 100, seed).unwrap();
-        assert_eq!(res.assignment.len(), points.len());
-        assert!(res.assignment.iter().all(|&a| a < k));
-        assert!(res.inertia >= 0.0);
-        assert!(res.iterations >= 1);
+        let res = KMeans::fit(&points, k, 100, seed).unwrap();
+        assert_eq!(res.assignment().len(), points.len());
+        assert!(res.assignment().iter().all(|&a| a < k));
+        assert!(res.inertia() >= 0.0);
+        assert!(res.iterations() >= 1);
     });
 }
 
 #[test]
 fn kmeans_inertia_never_increases_with_k() {
     check::cases(256, |g| {
-        let points = g.vec(12..60, |g| (g.f64_in(0.0..4.0), g.f64_in(0.0..3.0)));
+        let points = g.vec(12..60, |g| vec![g.f64_in(0.0..4.0), g.f64_in(0.0..3.0)]);
         let seed = g.u64_in(0..100);
         // Best-of-3 seeds per k smooths out seeding luck; the trend must
         // be non-increasing within tolerance.
         let best = |k: usize| -> f64 {
             (0..3)
-                .map(|s| kmeans(&points, k, 200, seed + s).unwrap().inertia)
+                .map(|s| KMeans::fit(&points, k, 200, seed + s).unwrap().inertia())
                 .fold(f64::INFINITY, f64::min)
         };
         let i1 = best(1);

@@ -26,8 +26,8 @@
 //! regression.
 
 use boreas_core::{TelemetryFrame, VfTable};
-use boreas_serve::cli;
 use boreas_serve::protocol::{self, Incoming, Response};
+use common::cli::Spec;
 use common::{json, Error, Result, ServerKind};
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -358,48 +358,68 @@ fn render_json(smoke: bool, rate: f64, runs: &[RunResult]) -> String {
     out
 }
 
-fn spec() -> cli::Spec {
-    cli::Spec::new(
+/// The `--connections` list: one run per entry, each a positive count.
+struct Connections(Vec<usize>);
+
+impl std::str::FromStr for Connections {
+    type Err = String;
+
+    fn from_str(list: &str) -> std::result::Result<Connections, String> {
+        list.split(',')
+            .map(|s| {
+                s.trim()
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|c| *c > 0)
+                    .ok_or_else(|| format!("entry `{s}` is not a positive integer"))
+            })
+            .collect::<std::result::Result<_, _>>()
+            .map(Connections)
+    }
+}
+
+fn spec() -> Spec {
+    Spec::new(
         "boreas_loadgen",
         "replays workload traces against boreas_serve and reports decision latency",
     )
-    .value_flag(
+    .value_flag::<String>(
         "addr",
         "host:port",
         Some("127.0.0.1:7070"),
         "daemon ingress socket",
     )
-    .value_flag(
+    .value_flag::<Connections>(
         "connections",
         "list",
         None,
         "comma-separated connection counts, one run each (default: 1,64,256; smoke: 1,4)",
     )
-    .value_flag(
+    .value_flag::<usize>(
         "shards",
         "n",
         None,
         "minimum distinct die ids per run (default: 4; smoke: 2)",
     )
-    .value_flag(
+    .value_flag::<u64>(
         "frames",
         "n",
         None,
         "frame budget per run (default: 4800; smoke: 1152)",
     )
-    .value_flag(
+    .value_flag::<f64>(
         "rate",
         "fps",
         Some("0"),
         "aggregate send rate; 0 = unthrottled",
     )
-    .value_flag(
+    .value_flag::<String>(
         "out",
         "path",
         Some("BENCH_serving.json"),
         "result JSON path",
     )
-    .value_flag(
+    .value_flag::<String>(
         "check",
         "baseline",
         None,
@@ -409,36 +429,23 @@ fn spec() -> cli::Spec {
 }
 
 fn main() -> Result<()> {
-    let args = spec().parse_env()?;
-    let addr = args.get("addr").unwrap_or_default().to_string();
+    let args = spec().parse_env();
+    let addr = args.value::<String>("addr");
     let smoke = args.has("smoke");
     let shards = args
-        .parsed::<usize>("shards")?
+        .parsed::<usize>("shards")
         .unwrap_or(if smoke { 2 } else { 4 })
         .max(1);
     let frames = args
-        .parsed::<u64>("frames")?
+        .parsed::<u64>("frames")
         .unwrap_or(if smoke { 1152 } else { 4800 });
-    let rate = args.parsed::<f64>("rate")?.unwrap_or(0.0);
-    let out_path = args.get("out").unwrap_or_default().to_string();
-    let check_path = args.get("check").map(str::to_string);
-    let connections: Vec<usize> = args
-        .get("connections")
-        .unwrap_or(if smoke { "1,4" } else { "1,64,256" })
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|c| *c > 0)
-                .ok_or_else(|| {
-                    Error::invalid_config(
-                        "cli",
-                        format!("--connections entry `{s}` is not a positive integer"),
-                    )
-                })
-        })
-        .collect::<Result<_>>()?;
+    let rate = args.value::<f64>("rate");
+    let out_path = args.value::<String>("out");
+    let check_path = args.parsed::<String>("check");
+    let connections = args.parsed::<Connections>("connections").map_or_else(
+        || if smoke { vec![1, 4] } else { vec![1, 64, 256] },
+        |c| c.0,
+    );
 
     // Per-die traces, generated once per distinct workload at the
     // longest step count any run needs, fixed at the baseline operating

@@ -17,7 +17,8 @@
 //! TH-00 thermal controller.
 
 use boreas_core::VfTable;
-use boreas_serve::{cli, http, signal, ServeConfig, Server};
+use boreas_serve::{http, signal, ServeConfig, Server};
+use common::cli::Spec;
 use common::{Result, ServerKind};
 use engine::ControllerSpec;
 use obs::Registry;
@@ -42,38 +43,38 @@ fn smoke_ml_spec() -> Result<ControllerSpec> {
     Ok(ControllerSpec::ml(model, &features, 0.05))
 }
 
-fn spec() -> cli::Spec {
-    cli::Spec::new(
+fn spec() -> Spec {
+    Spec::new(
         "boreas_serve",
         "Boreas online mitigation daemon: telemetry frames in, V/f decisions out",
     )
-    .value_flag(
+    .value_flag::<String>(
         "addr",
         "host:port",
         Some("127.0.0.1:7070"),
         "frame ingress socket",
     )
-    .value_flag(
+    .value_flag::<String>(
         "metrics-addr",
         "host:port",
         Some("127.0.0.1:7071"),
         "GET /metrics and /healthz",
     )
-    .value_flag("shards", "n", Some("2"), "shard worker threads")
-    .value_flag(
+    .value_flag::<usize>("shards", "n", Some("2"), "shard worker threads")
+    .value_flag::<usize>(
         "queue-depth",
         "n",
         Some("64"),
         "bounded per-shard queue; full queues reject, not block",
     )
-    .value_flag("io-threads", "n", Some("1"), "epoll reactor threads")
-    .value_flag(
+    .value_flag::<usize>("io-threads", "n", Some("1"), "epoll reactor threads")
+    .value_flag::<usize>(
         "max-connections",
         "n",
         Some("1024"),
         "concurrent-connection cap enforced at accept",
     )
-    .value_flag(
+    .value_flag::<u64>(
         "idle-timeout-ms",
         "ms",
         Some("60000"),
@@ -87,15 +88,15 @@ fn spec() -> cli::Spec {
 
 fn main() -> Result<()> {
     signal::install();
-    let args = spec().parse_env()?;
+    let args = spec().parse_env();
 
-    let addr = args.get("addr").unwrap_or_default().to_string();
-    let metrics_addr = args.get("metrics-addr").unwrap_or_default().to_string();
-    let shards = args.parsed::<usize>("shards")?.unwrap_or(2);
-    let queue_depth = args.parsed::<usize>("queue-depth")?.unwrap_or(64);
-    let io_threads = args.parsed::<usize>("io-threads")?.unwrap_or(1);
-    let max_connections = args.parsed::<usize>("max-connections")?.unwrap_or(1024);
-    let idle_ms = args.parsed::<u64>("idle-timeout-ms")?.unwrap_or(60_000);
+    let addr = args.value::<String>("addr");
+    let metrics_addr = args.value::<String>("metrics-addr");
+    let shards = args.value::<usize>("shards");
+    let queue_depth = args.value::<usize>("queue-depth");
+    let io_threads = args.value::<usize>("io-threads");
+    let max_connections = args.value::<usize>("max-connections");
+    let idle_ms = args.value::<u64>("idle-timeout-ms");
     let smoke = args.has("smoke");
 
     let vf = VfTable::paper();

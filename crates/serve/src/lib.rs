@@ -12,9 +12,6 @@
 //!   drains cleanly on SIGTERM. A few epoll reactor threads multiplex
 //!   every connection, so serving is Linux-only; elsewhere the crate
 //!   builds and [`Server::bind`] returns an error;
-//! * [`cli`] — the shared flag parser used by both binaries (`--flag
-//!   value` and `--flag=value`, generated `--help`, unknown flags are
-//!   errors);
 //! * [`protocol`] — the wire codec: canonical JSON bodies behind 4-byte
 //!   big-endian length prefixes, with bit-exact `f64` round trips;
 //! * [`http`] — a tiny `GET /metrics` responder exposing the shared
@@ -30,7 +27,6 @@
 // the routing and worker code unreachable there.
 #![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
-pub mod cli;
 mod conn;
 pub mod http;
 pub mod protocol;
