@@ -6,8 +6,10 @@
 //!
 //! * `thermal_step` — one 80 µs [`ThermalGrid::step`] (4 fused substeps)
 //!   vs [`ThermalGrid::step_reference`];
-//! * `mltd_sweep` — one sliding-window [`MltdMap::compute_into`] vs the
-//!   naive [`MltdMap::compute_reference`] stencil scan;
+//! * `severity_argmax` — one pruned [`MltdMap::severity_argmax`] vs
+//!   [`MltdMap::severity_argmax_reference`], the first-max scan over the
+//!   naive [`MltdMap::compute_reference`] stencil field, on temperature
+//!   fields taken from a simulated run;
 //! * `gbt_predict` — one [`gbt::FlatModel::predict`] vs the pointer-walk
 //!   [`gbt::GbtModel::predict`];
 //! * `gbt_predict_batch` — one 64-row [`gbt::FlatModel::predict_batch_into`]
@@ -15,7 +17,7 @@
 //! * `pipeline_step` — one full fused [`hotgauge::SimRun::step`] vs a
 //!   reference loop composed from the pre-PR kernels.
 //!
-//! The SIMD-dispatched kernels (thermal, MLTD) are
+//! The SIMD-dispatched kernel (thermal) is
 //! additionally timed once per ISA this CPU supports; the active ISA and
 //! any `BOREAS_SIMD` override are recorded in the machine block so two
 //! snapshots are never compared across ISAs by accident.
@@ -33,7 +35,7 @@ use common::units::{GigaHertz, Volts};
 use common::Result;
 use floorplan::{Grid, SensorSite};
 use gbt::{Dataset, GbtModel, GbtParams};
-use hotgauge::{MltdMap, MltdScratch, PipelineConfig};
+use hotgauge::{ArgmaxScratch, MltdMap, PipelineConfig};
 use perfsim::CoreModel;
 use powersim::PowerModel;
 use simd::Isa;
@@ -148,42 +150,40 @@ fn bench_thermal(smoke: bool) -> Result<KernelResult> {
     })
 }
 
-fn bench_mltd(smoke: bool) -> Result<KernelResult> {
+/// The severity argmax on the fields a simulation step really sees: the
+/// end-of-step temperatures of a 4.5 GHz gromacs run, cycled through.
+fn bench_severity_argmax(smoke: bool) -> Result<KernelResult> {
     let cfg = PipelineConfig::paper();
-    let grid = Grid::rasterize(&cfg.floorplan, cfg.grid)?;
-    let temps: Vec<f64> = (0..grid.spec().cells())
-        .map(|i| 45.0 + 40.0 * (((i * 37) % 101) as f64 / 101.0))
-        .collect();
-    let mut scratch = MltdScratch::default();
-    let mut out = Vec::new();
-    let (samples, iters) = if smoke { (5, 100) } else { (21, 1_000) };
-    let active = Isa::active();
-    let (mut median_ns, mut reference_median_ns) = (0.0, 0.0);
-    let mut isa_medians = Vec::new();
-    let reference = MltdMap::new(&grid, cfg.severity.mltd_radius_mm);
-    for isa in Isa::available() {
-        let mltd = MltdMap::new(&grid, cfg.severity.mltd_radius_mm).with_isa(isa);
-        let (m, r) = measure(
-            samples,
-            iters,
-            || {
-                mltd.compute_into(&temps, &mut scratch, &mut out);
-                std::hint::black_box(&out);
-            },
-            || {
-                std::hint::black_box(reference.compute_reference(&temps));
-            },
-        );
-        if isa == active {
-            (median_ns, reference_median_ns) = (m, r);
-        }
-        isa_medians.push((isa.name(), m));
+    let pipeline = cfg.clone().build()?;
+    let mut run = pipeline.start_run(&WorkloadSpec::by_name("gromacs")?)?;
+    let mut fields = Vec::new();
+    for _ in 0..48 {
+        run.step(GigaHertz::new(4.5), Volts::new(1.15))?;
+        fields.push(run.thermal().temperatures().to_vec());
     }
+    let mltd = MltdMap::new(pipeline.grid(), cfg.severity.mltd_radius_mm);
+    let mut scratch = ArgmaxScratch::default();
+    let (samples, iters) = if smoke { (5, 200) } else { (21, 2_000) };
+    let (mut k, mut j) = (0usize, 0usize);
+    let (median_ns, reference_median_ns) = measure(
+        samples,
+        iters,
+        || {
+            let temps = &fields[k % fields.len()];
+            std::hint::black_box(mltd.severity_argmax(temps, &cfg.severity, &mut scratch));
+            k += 1;
+        },
+        || {
+            let temps = &fields[j % fields.len()];
+            std::hint::black_box(mltd.severity_argmax_reference(temps, &cfg.severity));
+            j += 1;
+        },
+    );
     Ok(KernelResult {
-        name: "mltd_sweep",
+        name: "severity_argmax",
         median_ns,
         reference_median_ns,
-        isa_medians,
+        isa_medians: Vec::new(),
     })
 }
 
@@ -325,19 +325,10 @@ impl ReferenceLoop {
         self.thermal.step_reference(&power_map, 80.0)?;
         self.now_us += 80.0;
         self.sensors.record(self.now_us, &self.thermal)?;
-        let temps = self.thermal.temperatures();
-        let mltd = self.mltd.compute_reference(temps);
-        let params = &self.cfg.severity;
-        let mut max_raw = f64::NEG_INFINITY;
-        for (&t, &m) in temps.iter().zip(&mltd) {
-            let s = params.evaluate_raw(
-                common::units::Celsius::new(t),
-                common::units::Celsius::new(m),
-            );
-            if s > max_raw {
-                max_raw = s;
-            }
-        }
+        let max_raw = self
+            .mltd
+            .severity_argmax_reference(self.thermal.temperatures(), &self.cfg.severity)
+            .max_raw;
         let readings = self.sensors.read_all(self.now_us);
         std::hint::black_box((&readings, self.grid.spec().nx));
         Ok(max_raw)
@@ -446,7 +437,7 @@ fn main() -> Result<()> {
     );
     let results = vec![
         bench_thermal(smoke)?,
-        bench_mltd(smoke)?,
+        bench_severity_argmax(smoke)?,
         bench_gbt(smoke)?,
         bench_gbt_batch(smoke)?,
         bench_pipeline(smoke)?,
@@ -534,7 +525,7 @@ mod tests {
                 isa_medians: vec![("avx2", 1000.0), ("sse2", 1600.0), ("scalar", 2900.0)],
             },
             KernelResult {
-                name: "mltd_sweep",
+                name: "severity_argmax",
                 median_ns: 500.0,
                 reference_median_ns: 4000.0,
                 isa_medians: Vec::new(),
@@ -545,7 +536,7 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, "thermal_step");
         assert!((got[0].1 - 3.0).abs() < 1e-9);
-        assert_eq!(got[1].0, "mltd_sweep");
+        assert_eq!(got[1].0, "severity_argmax");
         assert!((got[1].1 - 8.0).abs() < 1e-9);
     }
 

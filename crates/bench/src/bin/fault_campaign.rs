@@ -31,8 +31,10 @@
 use boreas_bench::experiments::{Experiment, LOOP_STEPS};
 use boreas_bench::{Reporting, RunFlag};
 use common::cli::Spec;
+use common::STEPS_PER_DECISION;
 use engine::{ControllerSpec, FaultCell, LoopRunResult, Scenario};
 use faults::{EngineFault, EngineFaultKind, EngineFaultPlan, Fault, FaultKind, FaultPlan};
+use std::str::FromStr;
 use workloads::WorkloadSpec;
 
 /// One fault archetype of the sweep; the campaign crosses these with the
@@ -48,20 +50,12 @@ const FAULT_KINDS: [FaultKind; 5] = [
 /// Per-step firing probabilities swept for every fault kind.
 const RATES: [f64; 3] = [0.05, 0.25, 1.0];
 
-/// Smoke-mode stand-in controllers (mirrors `fig8_dynamic_runs`): flat
-/// 70 °C thermal thresholds for the resilient fallback and a tiny
-/// frequency-only model, so the full plain-vs-resilient path runs in
-/// seconds.
+/// Smoke-mode stand-in controllers: the [`engine::smoke_model`] (also
+/// behind `fig8_dynamic_runs --smoke`), plain and with flat 70 °C
+/// thermal thresholds as the resilient fallback, so the full
+/// plain-vs-resilient path runs in seconds.
 fn smoke_controllers(vf_len: usize) -> Vec<ControllerSpec> {
-    let mut d = gbt::Dataset::new(vec!["frequency_ghz".to_string()]);
-    for i in 0..200 {
-        let f = 2.0 + 3.0 * (i as f64 / 200.0);
-        d.push_row(&[f], f / 5.0, (i % 2) as u32)
-            .expect("synthetic row");
-    }
-    let model = gbt::GbtModel::train(&d, &gbt::GbtParams::default().with_estimators(30))
-        .expect("tiny model");
-    let features = telemetry::FeatureSet::from_names(&["frequency_ghz"]).expect("feature");
+    let (model, features) = engine::smoke_model(0);
     let thresholds = vec![Some(70.0); vf_len];
     vec![
         ControllerSpec::ml(model.clone(), &features, 0.05),
@@ -90,6 +84,26 @@ fn cell_plan(seed: u64, kind: FaultKind, rate: f64) -> FaultPlan {
     )
 }
 
+/// `--steps`: a positive whole number of decision intervals, checked
+/// while the arguments are parsed so a bad value exits 2 before any
+/// work.
+struct Steps(usize);
+
+impl FromStr for Steps {
+    type Err = String;
+
+    fn from_str(raw: &str) -> Result<Steps, String> {
+        let steps = raw.parse::<usize>().map_err(|e| e.to_string())?;
+        let interval = STEPS_PER_DECISION as usize;
+        if steps == 0 || !steps.is_multiple_of(interval) {
+            return Err(format!(
+                "steps must be a positive multiple of {interval} (one decision interval)"
+            ));
+        }
+        Ok(Steps(steps))
+    }
+}
+
 /// Mixes an outcome into the campaign digest (SplitMix64 finalizer).
 fn mix(h: u64, v: u64) -> u64 {
     let mut z = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -108,13 +122,13 @@ fn main() {
     let (reporting, args) = Reporting::parse_env(
         Spec::new("fault_campaign", "plain vs resilient ML05 under faults")
             .value_flag::<u64>("seed", "n", Some("2023"), "fault-plan seed")
-            .value_flag::<usize>("steps", "n", None, "steps per run (default 144; smoke 24)")
+            .value_flag::<Steps>("steps", "n", None, "steps per run (default 144; smoke 24)")
             .switch("smoke", "2 workloads, one rate, for CI")
             .switch("engine-faults", "inject a job panic and a cache bit flip"),
         &[RunFlag::Resume],
     );
     let seed = args.value::<u64>("seed");
-    let steps = args.parsed::<usize>("steps");
+    let steps = args.parsed::<Steps>("steps").map(|s| s.0);
     let exp = Experiment::paper()
         .expect("paper config")
         .observe(&reporting.obs);

@@ -25,24 +25,12 @@ use common::cli::Spec;
 use engine::{ControllerSpec, Scenario};
 use workloads::WorkloadSpec;
 
-/// Smoke-mode stand-ins: flat thermal thresholds and a severity ≈
-/// frequency/5 model — the paper shape does not hold under them, but
-/// every code path (thermal + ML decisions, flight events, metrics)
+/// Smoke-mode stand-ins: flat thermal thresholds and the
+/// [`engine::smoke_model`] — the paper shape does not hold under them,
+/// but every code path (thermal + ML decisions, flight events, metrics)
 /// still runs.
 fn smoke_controllers(vf_len: usize, threads: usize) -> Vec<ControllerSpec> {
-    let mut d = gbt::Dataset::new(vec!["frequency_ghz".to_string()]);
-    for i in 0..200 {
-        let f = 2.0 + 3.0 * (i as f64 / 200.0);
-        d.push_row(&[f], f / 5.0, (i % 2) as u32)
-            .expect("synthetic row");
-    }
-    let model = gbt::TrainSpec::new(&d)
-        .params(gbt::GbtParams::default().with_estimators(30))
-        .threads(threads)
-        .fit()
-        .expect("tiny model")
-        .model;
-    let features = telemetry::FeatureSet::from_names(&["frequency_ghz"]).expect("feature");
+    let (model, features) = engine::smoke_model(threads);
     vec![
         ControllerSpec::thermal(vec![Some(70.0); vf_len], 0.0),
         ControllerSpec::ml(model, &features, 0.05),

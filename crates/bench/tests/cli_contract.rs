@@ -149,6 +149,17 @@ fn bad_arguments_exit_2_before_any_work() {
 }
 
 #[test]
+fn fault_campaign_rejects_steps_off_the_decision_interval() {
+    let bin = env!("CARGO_BIN_EXE_fault_campaign");
+    for steps in ["13", "0"] {
+        assert_rejected(bin, &["--smoke", "--steps", steps]);
+        let out = run(bin, &["--steps", steps], Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("positive multiple of 12"), "{stderr}");
+    }
+}
+
+#[test]
 fn bench_hotpath_writes_the_out_path() {
     let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/cli-contract-hotpath.json");
     let _ = std::fs::remove_file(path);

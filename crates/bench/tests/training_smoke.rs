@@ -1,7 +1,7 @@
 //! Integration: the fig8 `--smoke` path driven through `TrainSpec`.
 //!
-//! Reproduces the smoke-mode model and closed loop of
-//! `fig8_dynamic_runs --smoke` and pins its metrics, so the unified
+//! Reproduces the smoke-mode model ([`engine::smoke_model`]) and closed
+//! loop of `fig8_dynamic_runs --smoke` and pins its metrics, so the unified
 //! training API cannot silently drift the CI smoke path: the tiny
 //! frequency-only GBT model must be bit-identical at 1 and 4 trainer
 //! threads, and the 2-workload closed loop must produce the same
@@ -51,13 +51,12 @@ fn loop_digest(report: &engine::SessionReport) -> String {
 
 fn run_smoke_loop(threads: usize) -> engine::SessionReport {
     let pipeline = hotgauge::PipelineConfig::paper().build().expect("pipeline");
-    let report = smoke_model(threads);
-    let features = telemetry::FeatureSet::from_names(&["frequency_ghz"]).expect("feature");
+    let (model, features) = engine::smoke_model(threads);
     let vf = boreas_core::VfTable::paper();
     let tests: Vec<WorkloadSpec> = WorkloadSpec::test_set().into_iter().take(2).collect();
     let controllers = vec![
         ControllerSpec::thermal(vec![Some(70.0); vf.len()], 0.0),
-        ControllerSpec::ml(report.model, &features, 0.05),
+        ControllerSpec::ml(model, &features, 0.05),
     ];
     let scenario = Scenario::closed_loop("fig8-smoke-test", tests, vf, 48, controllers);
     Session::without_cache(pipeline)
@@ -82,6 +81,8 @@ fn smoke_model_is_thread_invariant_and_histogram_trained() {
             "prediction at {f} GHz differs between 1 and 4 trainer threads"
         );
     }
+    // The binaries' shared stand-in is this model.
+    assert_eq!(engine::smoke_model(1).0, r1.model);
     // The smoke model's shape is pinned: severity ≈ f/5 over the
     // training range.
     let p = r1.model.predict(&[4.0]);

@@ -3,10 +3,10 @@
 //! This crate reimplements the two pieces of HotGauge the paper builds
 //! on:
 //!
-//! * the **metrics** — [`mltd`] computes the Maximum Local Temperature
-//!   Difference of every die cell, and [`severity`] combines absolute
-//!   temperature with MLTD into the scalar *Hotspot-Severity* of Fig. 1
-//!   (1.0 = the chip is in immediate danger);
+//! * the **metrics** — [`mltd`] defines the Maximum Local Temperature
+//!   Difference of a die cell and finds the die's most severe cell, and
+//!   [`severity`] combines absolute temperature with MLTD into the scalar
+//!   *Hotspot-Severity* of Fig. 1 (1.0 = the chip is in immediate danger);
 //! * the **pipeline** — [`Pipeline`] couples the performance model
 //!   (`perfsim`), the power model (`powersim`) and the thermal solver
 //!   (`thermal`) into the per-80 µs simulation loop that every experiment
@@ -48,7 +48,7 @@ pub mod pipeline;
 pub mod severity;
 
 pub use events::{detect_events, summarize, EventSummary, HotspotClass, HotspotEvent};
-pub use mltd::{MltdMap, MltdScratch};
+pub use mltd::{ArgmaxScratch, MltdMap, SeverityArgmax};
 pub use pipeline::{
     FixedRunOutcome, KernelBreakdown, Pipeline, PipelineConfig, SimRun, StepRecord,
 };

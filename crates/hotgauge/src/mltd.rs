@@ -1,20 +1,25 @@
-//! Maximum Local Temperature Difference (MLTD).
+//! Maximum Local Temperature Difference (MLTD) and the severity argmax
+//! over it.
 //!
 //! For each die cell `i`, `MLTD(i) = max over cells j within radius r of
 //! (T(i) − T(j))`, floored at zero: how much hotter this location is than
 //! the coolest point in its neighbourhood. Large MLTD means steep local
 //! thermal gradients — the timing-margin threat that pure temperature
 //! thresholds miss.
+//!
+//! A simulation step needs only the most severe cell, so
+//! [`MltdMap::severity_argmax`] finds it without computing every cell's
+//! MLTD; [`MltdMap::compute_reference`] is the per-cell field it is
+//! pinned against.
 
+use crate::severity::SeverityParams;
 use common::units::Celsius;
 use floorplan::Grid;
-use simd::Isa;
 
 /// Precomputed MLTD evaluator for a fixed grid and radius.
 ///
-/// The neighbourhood stencil (cell offsets within the physical radius) is
-/// computed once; evaluation is then a stencil sweep over the temperature
-/// map.
+/// The neighbourhood stencil (cell offsets within the physical radius)
+/// and the tiling the severity argmax prunes with are computed once.
 #[derive(Debug, Clone)]
 pub struct MltdMap {
     nx: usize,
@@ -28,25 +33,62 @@ pub struct MltdMap {
     /// stencil row at a given `dy` is exactly the contiguous range
     /// `-half_widths[|dy|] ..= half_widths[|dy|]`.
     half_widths: Vec<usize>,
-    /// Instruction set the sweep kernels run on (see [`MltdMap::with_isa`]).
-    isa: Isa,
+    /// Edge of the square pruning tiles, in cells: at least the
+    /// stencil's reach along either axis, so every cell's disc lies
+    /// inside the 3×3 tiles centred on its own tile.
+    tile: usize,
+    /// Tiles per row.
+    tiles_x: usize,
+    /// Tile rows.
+    tiles_y: usize,
 }
 
-/// Reusable buffers for [`MltdMap::compute_into`] / [`MltdMap::sweep`], so
-/// steady-state evaluation allocates nothing.
+/// Reusable per-tile buffers for [`MltdMap::severity_argmax`], so a
+/// steady-state caller allocates nothing.
 #[derive(Debug, Clone, Default)]
-pub struct MltdScratch {
-    /// Per-output-row combined disc minimum, one slot per column.
-    rowmin: Vec<f64>,
-    /// Cached windowed row minima, one row per (source row, |dy|) pair:
-    /// the slice for `(jy, d)` starts at `(jy * (ry + 1) + d) * nx`.
-    rows: Vec<f64>,
-    /// `+inf`-padded copy of the current source row (window-min input).
-    padded: Vec<f64>,
-    /// Per-block prefix minima over the padded row.
-    prefix: Vec<f64>,
-    /// Per-output-row MLTD values (`tᵢ − rowmin`), one slot per column.
-    mltd_row: Vec<f64>,
+pub struct ArgmaxScratch {
+    /// Coolest temperature in each tile.
+    tile_min: Vec<f64>,
+    /// Hottest temperature in each tile.
+    tile_max: Vec<f64>,
+    /// Coolest temperature in the 3×3 tiles around each tile: a lower
+    /// bound on the disc minimum of every cell in it.
+    near_min: Vec<f64>,
+    /// Upper bound on the severity of every cell in each tile.
+    tile_bound: Vec<f64>,
+}
+
+/// The most severe cell of a temperature field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeverityArgmax {
+    /// Its unclamped severity, [`SeverityParams::evaluate_raw`] of its
+    /// temperature and MLTD.
+    pub max_raw: f64,
+    /// Its row-major index; the lowest index on a tie.
+    pub index: usize,
+    /// The hottest temperature anywhere in the field (°C).
+    pub max_temp: f64,
+}
+
+/// `a.min(b)` as one branch-free select; exact for the finite fields
+/// this module takes, and unlike `f64::min` free of a NaN check.
+#[inline(always)]
+fn min_sel(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// `a.max(b)` as one branch-free select (see [`min_sel`]).
+#[inline(always)]
+fn max_sel(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
 }
 
 impl MltdMap {
@@ -76,9 +118,9 @@ impl MltdMap {
                 }
             }
         }
-        // Derive the per-row extents *from the built stencil* so the fast
-        // sweep covers exactly the same neighbourhood geometry (including
-        // the 1e-12 radius epsilon) as the reference scan.
+        // Derive the per-row extents *from the built stencil* so the
+        // exact disc minimum covers the same neighbourhood geometry
+        // (including the 1e-12 radius epsilon) as the reference scan.
         let ry_eff = stencil
             .iter()
             .map(|&(_, dy)| dy.unsigned_abs())
@@ -89,13 +131,18 @@ impl MltdMap {
             let d = dy.unsigned_abs();
             half_widths[d] = half_widths[d].max(dx.unsigned_abs());
         }
+        let reach = half_widths.iter().copied().max().unwrap_or(0).max(ry_eff);
+        let tile = reach.max(1);
+        let (nx, ny) = (grid.spec().nx, grid.spec().ny);
         Self {
-            nx: grid.spec().nx,
-            ny: grid.spec().ny,
+            nx,
+            ny,
             stencil,
             ry: ry_eff,
             half_widths,
-            isa: Isa::active(),
+            tile,
+            tiles_x: nx.div_ceil(tile),
+            tiles_y: ny.div_ceil(tile),
         }
     }
 
@@ -104,150 +151,213 @@ impl MltdMap {
         self.stencil.len()
     }
 
-    /// Forces the sweep kernels onto a specific instruction set (the
-    /// constructor uses the process-wide [`Isa::active`] selection).
-    /// Results are bit-identical across ISAs; only the speed differs.
+    /// The most severe cell of a temperature map (°C, row-major): the
+    /// same cell and bits as a first-max-wins scan of
+    /// [`SeverityParams::evaluate_raw`] over [`MltdMap::compute_reference`]
+    /// ([`MltdMap::severity_argmax_reference`]), found while computing
+    /// the exact MLTD of only the cells that can still win.
     ///
-    /// # Panics
+    /// `evaluate_raw` never decreases in the temperature or in the MLTD
+    /// under IEEE rounding (`params` must pass
+    /// [`SeverityParams::validate`]), and a cell's MLTD is `T − m` for
+    /// the minimum `m` over its disc. So any `L ≤ m` gives an upper
+    /// bound `evaluate_raw(T, T − L)` on the cell's severity, and a cell
+    /// whose bound is below a severity some cell actually reaches can
+    /// never be the maximum. The search:
     ///
-    /// Panics if this CPU cannot execute `isa`.
-    #[must_use]
-    pub fn with_isa(mut self, isa: Isa) -> Self {
-        assert!(isa.is_supported(), "{isa} is not supported by this CPU");
-        self.isa = isa;
-        self
-    }
-
-    /// The instruction set the sweep kernels run on.
-    pub fn isa(&self) -> Isa {
-        self.isa
-    }
-
-    /// Computes the MLTD of every cell for a temperature map (°C,
-    /// row-major).
+    /// 1. one pass takes each tile's coolest and hottest temperature;
+    /// 2. `L` for every cell of a tile is the minimum over the 3×3 tiles
+    ///    around it, which cover every disc in the tile, and the tile's
+    ///    bound is `evaluate_raw(T_hot, T_hot − L)` at its hottest
+    ///    temperature, which bounds every cell of the tile;
+    /// 3. the exact severity of the hottest cell of the best-bounded
+    ///    tile is the floor;
+    /// 4. a row-major scan evaluates a cell exactly only if its tile's
+    ///    bound and its own bound reach the floor and exceed the best so
+    ///    far, and takes a new best only on a strict `>`, which keeps
+    ///    the lowest index on a tie.
     ///
-    /// # Panics
+    /// On simulated fields about 20 cells per step get an exact MLTD.
+    /// The pruning needs a smooth field: on independent per-cell noise
+    /// most bounds pass and the search approaches the cost of
+    /// [`MltdMap::compute_reference`].
     ///
-    /// Panics if `temps` does not match the grid size.
-    pub fn compute(&self, temps: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.compute_into(temps, &mut MltdScratch::default(), &mut out);
-        out
-    }
-
-    /// [`MltdMap::compute`] into caller-owned buffers: `out` is cleared
-    /// and refilled row-major; `scratch` holds the sweep's working state
-    /// so steady-state callers allocate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `temps` does not match the grid size.
-    pub fn compute_into(&self, temps: &[f64], scratch: &mut MltdScratch, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(temps.len());
-        self.sweep(temps, scratch, |_, _, mltd| out.push(mltd));
-    }
-
-    /// Evaluates the MLTD of every cell in row-major order, calling
-    /// `visit(flat_index, temperature, mltd)` for each — the fusion hook
-    /// the pipeline uses to take the severity argmax in the same pass.
-    ///
-    /// The disc minimum is computed in two stages. First, every source
-    /// row's sliding-window minimum is cached once per distinct row
-    /// distance (each `(jy, |dy|)` pair serves the output rows above
-    /// *and* below, so this halves the window-min work); the window min
-    /// itself is the branch-free van Herk / Gil–Werman block prefix +
-    /// suffix scheme on the scalar ISA — O(1) `min` ops per element
-    /// regardless of window width — and the vectorized doubling scheme
-    /// of [`simd::sliding_min`] on SSE2/AVX2 (see [`MltdMap::with_isa`]).
-    /// Second, each output row takes the element-wise minimum of
-    /// its `2·ry + 1` cached rows. This turns the O(cells × stencil)
-    /// reference scan into O(cells × ry). The window includes the centre
-    /// column, matching the reference's seeding of the running minimum
-    /// with the centre temperature; `min` over a set of (non-NaN) floats
-    /// is exact selection, independent of association order, so results
-    /// are bit-identical to [`MltdMap::compute_reference`].
+    /// The field must be finite (`ThermalGrid::step` rejects non-finite
+    /// power, so simulated fields are); `min`/`max` are then exact
+    /// selections, whatever order they run in.
     ///
     /// # Panics
     ///
     /// Panics if `temps` does not match the grid size.
-    pub fn sweep(
+    pub fn severity_argmax(
         &self,
         temps: &[f64],
-        scratch: &mut MltdScratch,
-        mut visit: impl FnMut(usize, f64, f64),
-    ) {
+        params: &SeverityParams,
+        scratch: &mut ArgmaxScratch,
+    ) -> SeverityArgmax {
         assert_eq!(
             temps.len(),
             self.nx * self.ny,
             "temperature map size mismatch"
         );
-        let (nx, ny, ry) = (self.nx, self.ny, self.ry);
-        let stride = ry + 1;
-        scratch.rowmin.resize(nx, 0.0);
-        scratch.rows.resize(ny * stride * nx, 0.0);
-        scratch.mltd_row.resize(nx, 0.0);
-        let MltdScratch {
-            rowmin,
-            rows,
-            padded,
-            prefix,
-            mltd_row,
+        debug_assert!(
+            temps.iter().all(|t| t.is_finite()),
+            "severity argmax needs a finite field"
+        );
+        debug_assert!(
+            params.validate().is_ok(),
+            "severity argmax needs a monotone severity surface"
+        );
+        let (nx, s, tiles_x, tiles_y) = (self.nx, self.tile, self.tiles_x, self.tiles_y);
+        let ArgmaxScratch {
+            tile_min,
+            tile_max,
+            near_min,
+            tile_bound,
         } = scratch;
+        for buf in [
+            &mut *tile_min,
+            &mut *tile_max,
+            &mut *near_min,
+            &mut *tile_bound,
+        ] {
+            buf.clear();
+            buf.resize(tiles_x * tiles_y, 0.0);
+        }
 
-        // Stage 1: windowed minimum of every source row at every row
-        // distance, computed once and shared by the output rows above
-        // and below. The scalar ISA keeps the van Herk block scan; the
-        // vector ISAs use the doubling sparse-table form, whose shifted
-        // `min` passes are plain elementwise lanes — both are exact
-        // selection over the same window, hence bit-identical.
-        for jy in 0..ny {
-            let src = &temps[jy * nx..(jy + 1) * nx];
-            for d in 0..=ry {
-                let out = &mut rows[(jy * stride + d) * nx..][..nx];
-                match self.isa {
-                    Isa::Scalar => window_min_row(src, self.half_widths[d], padded, prefix, out),
-                    isa => simd::sliding_min(isa, src, self.half_widths[d], padded, out),
+        // 1. Per-tile extremes.
+        for ty in 0..tiles_y {
+            let rows = ty * s..((ty + 1) * s).min(self.ny);
+            for tx in 0..tiles_x {
+                let cols = tx * s..((tx + 1) * s).min(nx);
+                // One min/max chain per row, so the rows overlap.
+                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                for iy in rows.clone() {
+                    let seg = &temps[iy * nx..][cols.clone()];
+                    let (row_lo, row_hi) = seg[1..].iter().fold((seg[0], seg[0]), |(a, b), &t| {
+                        (min_sel(a, t), max_sel(b, t))
+                    });
+                    lo = min_sel(lo, row_lo);
+                    hi = max_sel(hi, row_hi);
+                }
+                tile_min[ty * tiles_x + tx] = lo;
+                tile_max[ty * tiles_x + tx] = hi;
+            }
+        }
+
+        // 2. Per-tile bounds; the best-bounded tile seeds the floor.
+        let sev = |t: f64, m: f64| params.evaluate_raw(Celsius::new(t), Celsius::new(m));
+        let mut max_temp = f64::NEG_INFINITY;
+        let mut best_tile = 0;
+        for ty in 0..tiles_y {
+            for tx in 0..tiles_x {
+                let cols = tx.saturating_sub(1)..(tx + 2).min(tiles_x);
+                let mut near = f64::INFINITY;
+                for row in ty.saturating_sub(1)..(ty + 2).min(tiles_y) {
+                    for &m in &tile_min[row * tiles_x..][cols.clone()] {
+                        near = min_sel(near, m);
+                    }
+                }
+                let t = ty * tiles_x + tx;
+                let hot = tile_max[t];
+                max_temp = max_sel(max_temp, hot);
+                near_min[t] = near;
+                tile_bound[t] = sev(hot, hot - near);
+                if tile_bound[t] > tile_bound[best_tile] {
+                    best_tile = t;
                 }
             }
         }
 
-        // Stage 2: element-wise combine of the cached rows per output row.
-        for iy in 0..ny {
-            let lo = iy.saturating_sub(ry);
-            let hi = (iy + ry).min(ny - 1);
-            rowmin.copy_from_slice(&rows[iy * stride * nx..][..nx]);
-            for jy in lo..=hi {
-                if jy == iy {
+        // 3. The floor: a severity some cell really reaches.
+        let floor = {
+            let (x0, y0) = ((best_tile % tiles_x) * s, (best_tile / tiles_x) * s);
+            let hot = tile_max[best_tile];
+            let i = (y0..(y0 + s).min(self.ny))
+                .flat_map(|iy| iy * nx + x0..iy * nx + (x0 + s).min(nx))
+                .find(|&i| temps[i] == hot)
+                .expect("a tile's maximum is one of its cells");
+            sev(hot, hot - self.disc_min(temps, i))
+        };
+
+        // 4. Row-major scan of the cells that can still win.
+        let mut best = f64::NEG_INFINITY;
+        let mut index = 0;
+        for (iy, row) in temps.chunks_exact(nx).enumerate() {
+            let t_row = (iy / s) * tiles_x;
+            for (tx, seg) in row.chunks(s).enumerate() {
+                let t = t_row + tx;
+                if tile_bound[t] < floor || tile_bound[t] <= best {
                     continue;
                 }
-                let d = jy.abs_diff(iy);
-                let cached = &rows[(jy * stride + d) * nx..][..nx];
-                simd::min_assign(self.isa, rowmin, cached);
+                for (ix, &temp) in seg.iter().enumerate() {
+                    let bound = sev(temp, temp - near_min[t]);
+                    if bound < floor || bound <= best {
+                        continue;
+                    }
+                    let i = iy * nx + tx * s + ix;
+                    let exact = sev(temp, temp - self.disc_min(temps, i));
+                    if exact > best {
+                        best = exact;
+                        index = i;
+                    }
+                }
             }
-            let base = iy * nx;
-            let t_row = &temps[base..base + nx];
-            simd::sub_into(self.isa, t_row, rowmin, mltd_row);
-            for ix in 0..nx {
-                visit(base + ix, t_row[ix], mltd_row[ix]);
-            }
+        }
+        SeverityArgmax {
+            max_raw: best,
+            index,
+            max_temp,
         }
     }
 
-    /// The largest MLTD anywhere on the die, folded in-place during the
-    /// sweep (no per-cell field is materialised).
-    pub fn max_mltd(&self, temps: &[f64]) -> Celsius {
-        let mut max = f64::NEG_INFINITY;
-        self.sweep(temps, &mut MltdScratch::default(), |_, _, mltd| {
-            max = max.max(mltd);
-        });
-        Celsius::new(max)
+    /// The minimum temperature over cell `i` and its stencil: per-row
+    /// spans `±half_widths[|dy|]`, clamped to the grid. Each row runs its
+    /// own `min` chain so the rows overlap in the pipeline.
+    fn disc_min(&self, temps: &[f64], i: usize) -> f64 {
+        let (nx, ix, iy) = (self.nx, i % self.nx, i / self.nx);
+        let mut m = temps[i];
+        for jy in iy.saturating_sub(self.ry)..(iy + self.ry + 1).min(self.ny) {
+            let hw = self.half_widths[jy.abs_diff(iy)];
+            let span = &temps[jy * nx + ix.saturating_sub(hw)..jy * nx + (ix + hw + 1).min(nx)];
+            let row_min = span[1..].iter().fold(span[0], |a, &b| min_sel(a, b));
+            m = min_sel(m, row_min);
+        }
+        m
     }
 
-    /// The pre-optimisation per-cell stencil scan, O(cells × stencil).
-    /// Kept as the reference the sliding-window sweep is pinned against
-    /// (bit-identical, see `tests/proptest_mltd.rs`) and as the baseline
-    /// `bench_hotpath` measures speedups from; not used on the hot path.
+    /// The first-max-wins scan of [`SeverityParams::evaluate_raw`] over
+    /// [`MltdMap::compute_reference`]: the oracle
+    /// [`MltdMap::severity_argmax`] is pinned against (bit-identical,
+    /// see `tests/proptest_mltd.rs`); not used on the hot path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `temps` does not match the grid size.
+    pub fn severity_argmax_reference(
+        &self,
+        temps: &[f64],
+        params: &SeverityParams,
+    ) -> SeverityArgmax {
+        let mut out = SeverityArgmax {
+            max_raw: f64::NEG_INFINITY,
+            index: 0,
+            max_temp: temps.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        };
+        for (i, (&t, &m)) in temps.iter().zip(&self.compute_reference(temps)).enumerate() {
+            let s = params.evaluate_raw(Celsius::new(t), Celsius::new(m));
+            if s > out.max_raw {
+                out.max_raw = s;
+                out.index = i;
+            }
+        }
+        out
+    }
+
+    /// The MLTD of every cell for a temperature map (°C, row-major), by
+    /// the per-cell stencil scan, O(cells × stencil). The reference
+    /// field: tests and `bench_hotpath` use it; the simulation step does
+    /// not.
     ///
     /// # Panics
     ///
@@ -282,59 +392,6 @@ impl MltdMap {
     }
 }
 
-/// Writes the sliding-window minimum of `src` (window `[i-hw, i+hw]`,
-/// clamped to the row) into `out`, using the van Herk / Gil–Werman block
-/// decomposition: pad with `+inf` to window length `L = 2·hw + 1`, take
-/// prefix and suffix minima within aligned blocks of `L`, then each
-/// window min is `min(suffix[i], prefix[i + L - 1])`. Branch-free and
-/// O(1) `min` operations per element regardless of `hw`.
-fn window_min_row(
-    src: &[f64],
-    hw: usize,
-    padded: &mut Vec<f64>,
-    prefix: &mut Vec<f64>,
-    out: &mut [f64],
-) {
-    let n = src.len();
-    if hw == 0 {
-        out.copy_from_slice(src);
-        return;
-    }
-    let l = 2 * hw + 1;
-    let m = n + 2 * hw;
-    if padded.len() < m {
-        padded.resize(m, f64::INFINITY);
-    }
-    padded[..hw].fill(f64::INFINITY);
-    padded[hw..hw + n].copy_from_slice(src);
-    padded[hw + n..m].fill(f64::INFINITY);
-    if prefix.len() < m {
-        // Every slot below `m` is overwritten by the forward pass; only
-        // the length matters.
-        prefix.resize(m, f64::INFINITY);
-    }
-    for start in (0..m).step_by(l) {
-        let end = (start + l).min(m);
-        let mut run = f64::INFINITY;
-        for k in start..end {
-            run = run.min(padded[k]);
-            prefix[k] = run;
-        }
-    }
-    // Backward pass: the running suffix min within each block, combined
-    // with the forward prefix of the window's far edge.
-    for start in (0..m).step_by(l) {
-        let end = (start + l).min(m);
-        let mut run = f64::INFINITY;
-        for k in (start..end).rev() {
-            run = run.min(padded[k]);
-            if k < n {
-                out[k] = run.min(prefix[k + 2 * hw]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,8 +406,11 @@ mod tests {
         let g = grid();
         let m = MltdMap::new(&g, 0.6);
         let temps = vec![77.0; g.spec().cells()];
-        assert!(m.compute(&temps).iter().all(|&v| v == 0.0));
-        assert_eq!(m.max_mltd(&temps).value(), 0.0);
+        assert!(m.compute_reference(&temps).iter().all(|&v| v == 0.0));
+        let params = SeverityParams::default();
+        let top = m.severity_argmax(&temps, &params, &mut ArgmaxScratch::default());
+        assert_eq!(top.index, 0, "a flat field's first cell wins the tie");
+        assert_eq!(top.max_temp, 77.0);
     }
 
     #[test]
@@ -360,11 +420,14 @@ mod tests {
         let mut temps = vec![50.0; g.spec().cells()];
         let centre = g.spec().nx * (g.spec().ny / 2) + g.spec().nx / 2;
         temps[centre] = 90.0;
-        let mltd = m.compute(&temps);
+        let mltd = m.compute_reference(&temps);
         assert_eq!(mltd[centre], 40.0);
         // Cool cells near the hot one are *cooler* than their hottest
         // neighbour but MLTD only measures positive contrast.
         assert!(mltd.iter().all(|&v| v >= 0.0));
+        let params = SeverityParams::default();
+        let top = m.severity_argmax(&temps, &params, &mut ArgmaxScratch::default());
+        assert_eq!(top.index, centre);
     }
 
     #[test]
@@ -376,7 +439,7 @@ mod tests {
             .collect();
         let lo = temps.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = temps.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for v in m.compute(&temps) {
+        for v in m.compute_reference(&temps) {
             assert!(v >= 0.0 && v <= hi - lo + 1e-12);
         }
     }
@@ -391,8 +454,8 @@ mod tests {
         let small = MltdMap::new(&g, 0.13); // 1 cell reach
         let large = MltdMap::new(&g, 0.6); // 4 cell reach
         let idx = g.spec().nx / 2; // interior cell in the first row
-        assert_eq!(small.compute(&temps)[idx], 1.0);
-        assert_eq!(large.compute(&temps)[idx], 4.0);
+        assert_eq!(small.compute_reference(&temps)[idx], 1.0);
+        assert_eq!(large.compute_reference(&temps)[idx], 4.0);
     }
 
     #[test]
@@ -409,82 +472,49 @@ mod tests {
         let m = MltdMap::new(&g, 0.6);
         let mut temps = vec![45.0; g.spec().cells()];
         temps[0] = 100.0; // corner
-        let mltd = m.compute(&temps);
+        let mltd = m.compute_reference(&temps);
         assert_eq!(mltd[0], 55.0);
+        let params = SeverityParams::default();
+        let top = m.severity_argmax(&temps, &params, &mut ArgmaxScratch::default());
+        assert_eq!(top.index, 0);
+        assert_eq!(
+            top.max_raw.to_bits(),
+            m.severity_argmax_reference(&temps, &params)
+                .max_raw
+                .to_bits()
+        );
     }
 
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn wrong_size_panics() {
         let g = grid();
-        MltdMap::new(&g, 0.6).compute(&[1.0, 2.0]);
+        MltdMap::new(&g, 0.6).compute_reference(&[1.0, 2.0]);
     }
 
     #[test]
-    fn sweep_matches_reference_bitwise() {
+    fn argmax_matches_reference_bitwise() {
         let g = grid();
+        let params = SeverityParams::default();
+        let mut scratch = ArgmaxScratch::default();
         for radius in [0.05, 0.13, 0.3, 0.6, 1.7] {
             let m = MltdMap::new(&g, radius);
             let temps: Vec<f64> = (0..g.spec().cells())
                 .map(|i| 45.0 + ((i * 37) % 101) as f64 * 0.173)
                 .collect();
-            let fast = m.compute(&temps);
-            let reference = m.compute_reference(&temps);
-            assert_eq!(fast.len(), reference.len());
-            for (a, b) in fast.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "radius {radius}");
-            }
+            let fast = m.severity_argmax(&temps, &params, &mut scratch);
+            let reference = m.severity_argmax_reference(&temps, &params);
+            assert_eq!(fast.index, reference.index, "radius {radius}");
+            assert_eq!(
+                fast.max_raw.to_bits(),
+                reference.max_raw.to_bits(),
+                "radius {radius}"
+            );
+            assert_eq!(
+                fast.max_temp.to_bits(),
+                reference.max_temp.to_bits(),
+                "radius {radius}"
+            );
         }
-    }
-
-    #[test]
-    fn max_mltd_matches_field_maximum() {
-        let g = grid();
-        let m = MltdMap::new(&g, 0.6);
-        let temps: Vec<f64> = (0..g.spec().cells())
-            .map(|i| 50.0 + ((i * 13) % 29) as f64)
-            .collect();
-        let field_max = m
-            .compute(&temps)
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(m.max_mltd(&temps).value().to_bits(), field_max.to_bits());
-    }
-
-    #[test]
-    fn every_available_isa_is_bit_identical_to_scalar() {
-        let g = grid();
-        let temps: Vec<f64> = (0..g.spec().cells())
-            .map(|i| 45.0 + ((i * 37) % 101) as f64 * 0.173 + ((i * 7) % 13) as f64 * 0.019)
-            .collect();
-        for radius in [0.05, 0.13, 0.3, 0.6, 1.7] {
-            let reference = MltdMap::new(&g, radius)
-                .with_isa(Isa::Scalar)
-                .compute(&temps);
-            for isa in Isa::available() {
-                let m = MltdMap::new(&g, radius).with_isa(isa);
-                assert_eq!(m.isa(), isa);
-                let got = m.compute(&temps);
-                assert_eq!(got.len(), reference.len());
-                for (ix, (a, b)) in got.iter().zip(&reference).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{isa} radius {radius} cell {ix}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compute_into_reuses_buffers() {
-        let g = grid();
-        let m = MltdMap::new(&g, 0.6);
-        let temps = vec![61.0; g.spec().cells()];
-        let mut scratch = MltdScratch::default();
-        let mut out = vec![99.0; 5];
-        m.compute_into(&temps, &mut scratch, &mut out);
-        assert_eq!(out.len(), g.spec().cells());
-        assert!(out.iter().all(|&v| v == 0.0));
-        // Second call reuses the same buffers and refills from scratch.
-        m.compute_into(&temps, &mut scratch, &mut out);
-        assert_eq!(out.len(), g.spec().cells());
     }
 }

@@ -1,6 +1,6 @@
 //! The coupled performance → power → thermal → severity simulation loop.
 
-use crate::mltd::{MltdMap, MltdScratch};
+use crate::mltd::{ArgmaxScratch, MltdMap};
 use crate::severity::{Severity, SeverityParams};
 use common::time::{SimTime, STEP_MICROS};
 use common::units::{Celsius, GigaHertz, Volts, Watts};
@@ -122,10 +122,11 @@ pub struct Pipeline {
 /// nanoseconds, accumulated by [`SimRun::step`].
 ///
 /// The four buckets partition the step: performance + power modelling,
-/// thermal integration, the fused MLTD + severity sweep, and sensor
-/// record/read-out. Timing uses monotonic [`Instant`] samples (a few per
-/// 80 µs step — negligible against the kernels themselves) and is kept
-/// strictly out of simulation results, so runs stay deterministic.
+/// thermal integration, the pruned severity argmax (with the MLTD of the
+/// cells it evaluates), and sensor record/read-out. Timing uses
+/// monotonic [`Instant`] samples (a few per 80 µs step — negligible
+/// against the kernels themselves) and is kept strictly out of
+/// simulation results, so runs stay deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelBreakdown {
     /// Steps accumulated into the totals.
@@ -134,7 +135,7 @@ pub struct KernelBreakdown {
     pub perf_power_ns: u64,
     /// Thermal explicit-Euler integration.
     pub thermal_ns: u64,
-    /// Fused MLTD sweep + severity argmax.
+    /// Severity argmax, including the MLTD of the cells it evaluates.
     pub mltd_severity_ns: u64,
     /// Sensor recording and delayed read-out (plus record assembly).
     pub sensor_ns: u64,
@@ -375,8 +376,8 @@ impl Pipeline {
 struct StepScratch {
     /// The per-cell power map for the current interval.
     power: Vec<f64>,
-    /// Working state of the sliding-window MLTD sweep.
-    mltd: MltdScratch,
+    /// Per-tile bounds of the severity argmax.
+    argmax: ArgmaxScratch,
 }
 
 /// Pre-registered metric handles a [`SimRun`] records into, present only
@@ -450,10 +451,11 @@ impl SimRun<'_> {
     /// power map (leakage uses entry temperatures) → thermal integration
     /// → severity on the end-of-step temperature field → sensor sampling.
     ///
-    /// The power map is written into a per-run scratch buffer and the
-    /// MLTD + severity argmax run as one fused pass over the temperature
-    /// field ([`MltdMap::sweep`]), so the steady-state loop allocates
-    /// only the record's own `sensor_temps`.
+    /// The power map is written into a per-run scratch buffer, and the
+    /// severity argmax ([`MltdMap::severity_argmax`]) prunes with per-tile
+    /// bounds kept in that scratch too, so the steady-state loop
+    /// allocates only the record's own `sensor_temps`. The same argmax
+    /// pass yields the record's `max_temp`.
     ///
     /// # Errors
     ///
@@ -481,28 +483,19 @@ impl SimRun<'_> {
         self.sensors.record(now_us, &self.thermal)?;
         let t3 = Instant::now();
 
-        // Severity over the end-of-step field, fused with the MLTD sweep:
-        // one pass computes each cell's MLTD and feeds it straight into
-        // the running argmax (same first-max-wins, row-major semantics as
-        // a scan over a materialised field).
-        let params = &p.cfg.severity;
-        let mut max_raw = f64::NEG_INFINITY;
-        let mut argmax = 0usize;
-        p.mltd.sweep(
+        // Severity over the end-of-step field: only its argmax is kept,
+        // so the pruned search computes the exact MLTD of just the cells
+        // that can still win (same first-max-wins, row-major cell as a
+        // scan over the whole field).
+        let top = p.mltd.severity_argmax(
             self.thermal.temperatures(),
-            &mut self.scratch.mltd,
-            |i, t, m| {
-                let s = params.evaluate_raw(Celsius::new(t), Celsius::new(m));
-                if s > max_raw {
-                    max_raw = s;
-                    argmax = i;
-                }
-            },
+            &p.cfg.severity,
+            &mut self.scratch.argmax,
         );
         let t4 = Instant::now();
-        let max_severity = Severity::new(max_raw);
+        let max_severity = Severity::new(top.max_raw);
         let nx = p.grid.spec().nx;
-        let cell = floorplan::CellIndex::new(argmax % nx, argmax / nx);
+        let cell = floorplan::CellIndex::new(top.index % nx, top.index / nx);
         let hotspot_xy = p.grid.cell_center(cell);
         let mut sensor_temps = Vec::new();
         self.sensors.read_temps_into(now_us, &mut sensor_temps);
@@ -523,9 +516,9 @@ impl SimRun<'_> {
             time: self.now,
             counters,
             sensor_temps,
-            max_temp: self.thermal.max_temp(),
+            max_temp: Celsius::new(top.max_temp),
             max_severity,
-            max_severity_raw: max_raw,
+            max_severity_raw: top.max_raw,
             hotspot_xy,
             total_power,
             frequency: freq,

@@ -49,7 +49,7 @@ fn mltd_is_nonnegative_and_bounded() {
         let m = MltdMap::new(&grid, 0.6);
         let lo = temps.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = temps.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for v in m.compute(&temps) {
+        for v in m.compute_reference(&temps) {
             assert!(v >= 0.0);
             assert!(v <= hi - lo + 1e-9);
         }
@@ -63,9 +63,9 @@ fn mltd_is_invariant_to_uniform_offset() {
         let offset = g.f64_in(-20.0..20.0);
         let grid = Grid::rasterize(&Floorplan::skylake_like(), GridSpec::default()).unwrap();
         let m = MltdMap::new(&grid, 0.6);
-        let base = m.compute(&temps);
+        let base = m.compute_reference(&temps);
         let shifted: Vec<f64> = temps.iter().map(|t| t + offset).collect();
-        let moved = m.compute(&shifted);
+        let moved = m.compute_reference(&shifted);
         for (a, b) in base.iter().zip(&moved) {
             assert!((a - b).abs() < 1e-9);
         }

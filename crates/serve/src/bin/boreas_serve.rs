@@ -10,8 +10,9 @@
 //! connection, so the daemon runs on Linux only.
 //!
 //! Run `boreas_serve --help` for the full flag list. `--smoke` serves
-//! the tiny synthetic severity ≈ frequency/5 GBT model (same stand-in
-//! as `fig8_dynamic_runs --smoke`) as an ML05 controller, so the CI
+//! the tiny synthetic severity ≈ frequency/5 GBT model
+//! ([`engine::smoke_model`], also behind `fig8_dynamic_runs --smoke`) as
+//! an ML05 controller, so the CI
 //! smoke job exercises the batched GBT inference path without a
 //! training pipeline; without it the daemon serves the flat-70 °C
 //! TH-00 thermal controller.
@@ -26,22 +27,6 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The fig8-smoke stand-in model: severity ≈ frequency/5, trained on a
-/// synthetic single-feature dataset in milliseconds.
-fn smoke_ml_spec() -> Result<ControllerSpec> {
-    let mut d = gbt::Dataset::new(vec!["frequency_ghz".to_string()]);
-    for i in 0..200 {
-        let f = 2.0 + 3.0 * (i as f64 / 200.0);
-        d.push_row(&[f], f / 5.0, (i % 2) as u32)?;
-    }
-    let model = gbt::TrainSpec::new(&d)
-        .params(gbt::GbtParams::default().with_estimators(30))
-        .fit()?
-        .model;
-    let features = telemetry::FeatureSet::from_names(&["frequency_ghz"])?;
-    Ok(ControllerSpec::ml(model, &features, 0.05))
-}
 
 fn spec() -> Spec {
     Spec::new(
@@ -101,7 +86,8 @@ fn main() -> Result<()> {
 
     let vf = VfTable::paper();
     let controller = if smoke {
-        smoke_ml_spec()?
+        let (model, features) = engine::smoke_model(0);
+        ControllerSpec::ml(model, &features, 0.05)
     } else {
         ControllerSpec::thermal(vec![Some(70.0); vf.len()], 0.0)
     };

@@ -26,8 +26,17 @@ use std::time::Instant;
 
 use crate::protocol::FrameDecoder;
 
-/// Per-read-call chunk size; reads repeat until the socket would block.
+/// Per-read-call chunk size.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Bytes one readiness event may take from a connection. Epoll is
+/// level-triggered here, so whatever the pass leaves stays readable and
+/// the next `epoll_wait` reports it again, after the reactor's other
+/// ready connections have had their turn. The cap bounds the frames one
+/// pass holds (a saturating client would otherwise hand over its whole
+/// burst at once) and leaves the rest in the socket, where TCP flow
+/// control pushes back on the sender.
+const READ_BUDGET: usize = 4 * READ_CHUNK;
 
 /// A queue of encoded, length-prefixed response byte strings, filled
 /// by shard workers and drained by the owning reactor.
@@ -97,8 +106,8 @@ impl Conn {
         }
     }
 
-    /// Reads until the socket would block, feeding the framing state
-    /// machine.
+    /// Reads until the socket would block or [`READ_BUDGET`] bytes have
+    /// arrived, feeding the framing state machine.
     ///
     /// # Errors
     ///
@@ -111,8 +120,9 @@ impl Conn {
             progress: false,
         };
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
+        let mut budget = READ_BUDGET;
+        while budget > 0 {
+            match self.stream.read(&mut chunk[..budget.min(READ_CHUNK)]) {
                 Ok(0) => {
                     pass.eof = true;
                     pass.progress = true;
@@ -120,6 +130,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     pass.progress = true;
+                    budget -= n;
                     self.decoder.push(&chunk[..n]);
                     while let Some(body) = self.next_frame()? {
                         pass.frames.push(body);
@@ -216,5 +227,70 @@ impl Conn {
     /// connection (the reactor's own `Arc` is then the only one).
     pub fn no_inflight_jobs(&self) -> bool {
         Arc::strong_count(&self.outbox) == 1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::write_frame;
+    use std::net::{Shutdown, TcpListener};
+    use std::time::Duration;
+
+    /// Frame bodies of varied lengths, each tagged with its index.
+    fn bodies() -> Vec<Vec<u8>> {
+        (0..120u32)
+            .map(|i| {
+                let mut body = i.to_be_bytes().to_vec();
+                body.resize(4 + 1500 + (i as usize * 37) % 700, b'a' + (i % 26) as u8);
+                body
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_read_pass_stops_at_the_budget_and_later_passes_deliver_the_rest() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        server_side.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(server_side);
+
+        let sent = bodies();
+        let mut wire = Vec::new();
+        for body in &sent {
+            write_frame(&mut wire, body).unwrap();
+        }
+        assert!(wire.len() > 2 * READ_BUDGET);
+        let writer = std::thread::spawn(move || {
+            client.write_all(&wire).unwrap();
+            client.shutdown(Shutdown::Write).unwrap();
+        });
+        // Let the burst land in the socket buffers before the first pass.
+        let start = Instant::now();
+        while !writer.is_finished() && start.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let wire_len = |frames: &[Vec<u8>]| frames.iter().map(|b| 4 + b.len()).sum::<usize>();
+        let mut got = Vec::new();
+        let mut first = true;
+        loop {
+            let pass = conn.read_ready().unwrap();
+            if first && pass.progress {
+                assert!(wire_len(&pass.frames) <= READ_BUDGET);
+                assert!(!pass.eof, "one pass must not take the whole burst");
+                first = false;
+            }
+            got.extend(pass.frames);
+            if pass.eof {
+                break;
+            }
+            if !pass.progress {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        writer.join().unwrap();
+        assert_eq!(got, sent, "every frame, in order, before EOF");
     }
 }

@@ -8,8 +8,9 @@
 //! threads and their stacks. This module multiplexes all connections
 //! over `epoll_wait` on non-blocking sockets:
 //!
-//! * **inbound** — readiness on a socket triggers a drain-until-
-//!   `EWOULDBLOCK` read into the connection's [`FrameDecoder`]; every
+//! * **inbound** — readiness on a socket triggers a read of at most a
+//!   fixed byte budget into the connection's [`FrameDecoder`] (epoll is
+//!   level-triggered, so the rest is reported again); every
 //!   complete frame routes to its shard worker through
 //!   [`route_frame`] (`try_send` backpressure, rejections answered);
 //! * **outbound** — shard workers push encoded responses into the

@@ -1,10 +1,8 @@
-//! Runtime-dispatched SIMD lanes for the Boreas hot kernels.
+//! Runtime-dispatched SIMD lanes for the Boreas thermal kernel.
 //!
-//! The simulation kernels (`thermal::solver`, `hotgauge::mltd`) are
-//! elementwise stencil math and exact `min` selections — exactly the
-//! float operations whose vector forms are IEEE-identical to their
-//! scalar forms. This
-//! crate provides the three pieces they share:
+//! The thermal solver (`thermal::solver`) is elementwise stencil math —
+//! exactly the float operations whose vector forms are IEEE-identical to
+//! their scalar forms. This crate provides the two pieces it uses:
 //!
 //! * [`Isa`] — the instruction-set ladder (AVX2 → SSE2 → scalar),
 //!   detected once per process via `is_x86_feature_detected!` and
@@ -12,12 +10,14 @@
 //!   (`scalar`, `sse2` or `avx2`) for testing and CI equivalence runs;
 //! * [`SimdF64`] + [`F64x2`] / [`F64x4`] — safe lane-wrapper types over
 //!   the `core::arch` `f64` vectors, exposing only the exact-rounding
-//!   elementwise operations (`add`/`sub`/`mul`/`div`/`min`). No FMA, no
+//!   elementwise operations (`add`/`sub`/`mul`/`div`). No FMA, no
 //!   horizontal reductions: every lane computes the same IEEE-754
 //!   expression the scalar code computes, so results are *bit*-identical
-//!   by construction;
-//! * slice kernels ([`min_assign`], [`sub_into`], [`sliding_min`]) used
-//!   by the MLTD sweep, dispatched per call on a caller-held [`Isa`].
+//!   by construction.
+//!
+//! The MLTD/severity step has no vector path: its pruned argmax
+//! (`hotgauge::mltd`) computes the exact MLTD of about 20 cells per
+//! step, too few for lanes to pay.
 //!
 //! # The bit-identity contract
 //!
@@ -25,12 +25,10 @@
 //! corresponding scalar instruction — SIMD changes *which registers*
 //! hold the values, never the rounding. Divergence can only come from
 //! (a) FMA contraction (never emitted: the wrappers call the explicit
-//! non-fused intrinsics), (b) re-associated reductions (the only
-//! reduction on the hot paths, the thermal package-flux sum, is
-//! accumulated in scalar program order by extracting lanes), or
-//! (c) `min`/`max` tie-breaking on `-0.0`/NaN (the kernels operate on
-//! finite temperatures; NaN inputs are rejected
-//! upstream and `-0.0` does not arise from °C fields). See DESIGN §14.
+//! non-fused intrinsics) or (b) re-associated reductions (the only
+//! reduction on the hot path, the thermal package-flux sum, is
+//! accumulated in scalar program order by extracting lanes). See
+//! DESIGN §14.
 
 use common::{Error, Result};
 use std::sync::OnceLock;
@@ -219,11 +217,6 @@ pub trait SimdF64: Copy {
     fn mul(self, o: Self) -> Self;
     /// Lanewise `/`.
     fn div(self, o: Self) -> Self;
-    /// Lanewise minimum with the *keep-on-tie* polarity of
-    /// `if b < a { a = b }`: returns `self` when the lanes are equal
-    /// (`minpd self, other` semantics). Identical to `f64::min` for
-    /// finite inputs that do not mix `+0.0`/`-0.0`.
-    fn min(self, o: Self) -> Self;
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -282,12 +275,6 @@ mod lanes_x86 {
         fn div(self, o: Self) -> Self {
             F64x2(unsafe { _mm_div_pd(self.0, o.0) })
         }
-
-        #[inline(always)]
-        fn min(self, o: Self) -> Self {
-            // minpd(b, a) = (b < a) ? b : a — keeps `self` on ties.
-            F64x2(unsafe { _mm_min_pd(o.0, self.0) })
-        }
     }
 
     /// Four `f64` lanes over AVX. Only constructed inside
@@ -343,247 +330,11 @@ mod lanes_x86 {
         fn div(self, o: Self) -> Self {
             F64x4(unsafe { _mm256_div_pd(self.0, o.0) })
         }
-
-        #[inline(always)]
-        fn min(self, o: Self) -> Self {
-            F64x4(unsafe { _mm256_min_pd(o.0, self.0) })
-        }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 pub use lanes_x86::{F64x2, F64x4};
-
-/// `dst[i] = min(dst[i], src[i])` elementwise, with the keep-on-tie
-/// polarity of the scalar MLTD combine (`m = m.min(v)`).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn min_assign(isa: Isa, dst: &mut [f64], src: &[f64]) {
-    assert_eq!(dst.len(), src.len(), "min_assign length mismatch");
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Isa::Avx2 is only selectable when the CPU supports it
-        // (Isa::from_env / Isa::detect enforce this).
-        Isa::Avx2 => unsafe { min_assign_avx2(dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => min_assign_lanes::<F64x2>(dst, src),
-        _ => {
-            for (m, &v) in dst.iter_mut().zip(src) {
-                *m = m.min(v);
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn min_assign_avx2(dst: &mut [f64], src: &[f64]) {
-    min_assign_lanes::<F64x4>(dst, src);
-}
-
-#[inline(always)]
-fn min_assign_lanes<V: SimdF64>(dst: &mut [f64], src: &[f64]) {
-    let n = dst.len();
-    let mut i = 0;
-    while i + V::LANES <= n {
-        let a = V::from_slice(&dst[i..]);
-        let b = V::from_slice(&src[i..]);
-        a.min(b).write_to(&mut dst[i..]);
-        i += V::LANES;
-    }
-    while i < n {
-        dst[i] = dst[i].min(src[i]);
-        i += 1;
-    }
-}
-
-/// `out[i] = a[i] - b[i]` elementwise (exact, so bit-identical to the
-/// scalar subtraction at any lane width).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn sub_into(isa: Isa, a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), b.len(), "sub_into length mismatch");
-    assert_eq!(a.len(), out.len(), "sub_into output length mismatch");
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 selection implies CPU support (see min_assign).
-        Isa::Avx2 => unsafe { sub_into_avx2(a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => sub_into_lanes::<F64x2>(a, b, out),
-        _ => {
-            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *o = x - y;
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sub_into_avx2(a: &[f64], b: &[f64], out: &mut [f64]) {
-    sub_into_lanes::<F64x4>(a, b, out);
-}
-
-#[inline(always)]
-fn sub_into_lanes<V: SimdF64>(a: &[f64], b: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    let mut i = 0;
-    while i + V::LANES <= n {
-        let x = V::from_slice(&a[i..]);
-        let y = V::from_slice(&b[i..]);
-        x.sub(y).write_to(&mut out[i..]);
-        i += V::LANES;
-    }
-    while i < n {
-        out[i] = a[i] - b[i];
-        i += 1;
-    }
-}
-
-/// Sliding-window minimum of `src` with window `[i - hw, i + hw]`
-/// clamped to the slice, written to `out` (`out.len() == src.len()`).
-///
-/// Uses the doubling (sparse-table) scheme instead of the scalar van
-/// Herk / Gil–Werman block decomposition: `+inf`-pad to `n + 2·hw`,
-/// build prefix minima of power-of-two span `K` (the largest power of
-/// two ≤ the window length `L`) with `log₂ K` in-place shifted-`min`
-/// passes, then combine `min(p[i], p[i + L - K])`. Every pass is an
-/// elementwise `min` of a slice against its shifted self, so the whole
-/// computation vectorizes; because `min` over NaN-free floats is exact
-/// selection, the result is bit-identical to the van Herk scan no
-/// matter how the `min`s are associated.
-///
-/// `work` is the caller's reusable padding buffer.
-///
-/// # Panics
-///
-/// Panics if `out.len() != src.len()`.
-pub fn sliding_min(isa: Isa, src: &[f64], hw: usize, work: &mut Vec<f64>, out: &mut [f64]) {
-    assert_eq!(src.len(), out.len(), "sliding_min length mismatch");
-    if hw == 0 {
-        out.copy_from_slice(src);
-        return;
-    }
-    let n = src.len();
-    let m = n + 2 * hw;
-    work.clear();
-    work.resize(m, f64::INFINITY);
-    work[hw..hw + n].copy_from_slice(src);
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 selection implies CPU support (see min_assign).
-        Isa::Avx2 => unsafe { sliding_min_avx2(hw, work, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => sliding_min_lanes::<F64x2>(hw, work, out),
-        _ => sliding_min_lanes::<ScalarLane>(hw, work, out),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sliding_min_avx2(hw: usize, work: &mut [f64], out: &mut [f64]) {
-    sliding_min_lanes::<F64x4>(hw, work, out);
-}
-
-#[inline(always)]
-fn sliding_min_lanes<V: SimdF64>(hw: usize, work: &mut [f64], out: &mut [f64]) {
-    let l = 2 * hw + 1;
-    let m = work.len();
-    // Largest power of two ≤ l (l ≥ 3 here, so k ≥ 2).
-    let k = usize::BITS - 1 - l.leading_zeros();
-    let k_span = 1usize << k;
-    // After pass j, work[i] = min(src_padded[i .. i + 2^(j+1)]).
-    let mut s = 1usize;
-    while s < k_span {
-        // In-place forward shifted min: reads at i + s happen before that
-        // index is written (writes trail reads by `s`).
-        let limit = m - s;
-        let mut i = 0;
-        while i + V::LANES <= limit {
-            let a = V::from_slice(&work[i..]);
-            let b = V::from_slice(&work[i + s..]);
-            a.min(b).write_to(&mut work[i..]);
-            i += V::LANES;
-        }
-        while i < limit {
-            work[i] = work[i].min(work[i + s]);
-            i += 1;
-        }
-        s <<= 1;
-    }
-    // Window of cell c covers padded[c .. c + l]; combine the two
-    // K-spans anchored at its ends.
-    let shift = l - k_span;
-    let n = out.len();
-    let mut i = 0;
-    while i + V::LANES <= n {
-        let a = V::from_slice(&work[i..]);
-        let b = V::from_slice(&work[i + shift..]);
-        a.min(b).write_to(&mut out[i..]);
-        i += V::LANES;
-    }
-    while i < n {
-        out[i] = work[i].min(work[i + shift]);
-        i += 1;
-    }
-}
-
-/// One-lane "vector" so the scalar fallback shares the generic kernels.
-#[derive(Debug, Clone, Copy)]
-struct ScalarLane(f64);
-
-impl SimdF64 for ScalarLane {
-    const LANES: usize = 1;
-
-    #[inline(always)]
-    fn from_slice(s: &[f64]) -> Self {
-        ScalarLane(s[0])
-    }
-
-    #[inline(always)]
-    fn splat(v: f64) -> Self {
-        ScalarLane(v)
-    }
-
-    #[inline(always)]
-    fn write_to(self, out: &mut [f64]) {
-        out[0] = self.0;
-    }
-
-    #[inline(always)]
-    fn spill(self, out: &mut [f64; MAX_LANES]) {
-        out[0] = self.0;
-    }
-
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        ScalarLane(self.0 + o.0)
-    }
-
-    #[inline(always)]
-    fn sub(self, o: Self) -> Self {
-        ScalarLane(self.0 - o.0)
-    }
-
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        ScalarLane(self.0 * o.0)
-    }
-
-    #[inline(always)]
-    fn div(self, o: Self) -> Self {
-        ScalarLane(self.0 / o.0)
-    }
-
-    #[inline(always)]
-    fn min(self, o: Self) -> Self {
-        ScalarLane(if o.0 < self.0 { o.0 } else { self.0 })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -626,76 +377,6 @@ mod tests {
         for isa in Isa::ALL {
             assert_eq!(Isa::parse(isa.name()).unwrap(), isa);
             assert_eq!(format!("{isa}"), isa.name());
-        }
-    }
-
-    fn ramp(n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| 40.0 + ((i * 37) % 19) as f64 * 1.7)
-            .collect()
-    }
-
-    #[test]
-    fn min_assign_matches_scalar_for_every_available_isa() {
-        for n in [0, 1, 2, 3, 5, 8, 13, 64, 101] {
-            let a0 = ramp(n);
-            let b: Vec<f64> = ramp(n).iter().map(|v| 120.0 - v).collect();
-            let mut want = a0.clone();
-            for (m, &v) in want.iter_mut().zip(&b) {
-                *m = m.min(v);
-            }
-            for isa in Isa::available() {
-                let mut got = a0.clone();
-                min_assign(isa, &mut got, &b);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{isa} n={n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sub_into_matches_scalar_for_every_available_isa() {
-        for n in [0, 1, 3, 4, 7, 64, 101] {
-            let a = ramp(n);
-            let b: Vec<f64> = ramp(n).iter().map(|v| v * 0.43).collect();
-            let want: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
-            for isa in Isa::available() {
-                let mut got = vec![0.0; n];
-                sub_into(isa, &a, &b, &mut got);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{isa} n={n}");
-                }
-            }
-        }
-    }
-
-    /// Brute-force window minimum, the semantics `sliding_min` must hit.
-    fn window_min_naive(src: &[f64], hw: usize) -> Vec<f64> {
-        (0..src.len())
-            .map(|i| {
-                let lo = i.saturating_sub(hw);
-                let hi = (i + hw).min(src.len() - 1);
-                src[lo..=hi].iter().copied().fold(f64::INFINITY, f64::min)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sliding_min_matches_naive_for_every_available_isa() {
-        let mut work = Vec::new();
-        for n in [1, 2, 3, 4, 5, 9, 16, 33, 80, 101] {
-            let src = ramp(n);
-            for hw in [0, 1, 2, 3, 4, 7, 11] {
-                let want = window_min_naive(&src, hw);
-                for isa in Isa::available() {
-                    let mut got = vec![0.0; n];
-                    sliding_min(isa, &src, hw, &mut work, &mut got);
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{isa} n={n} hw={hw}");
-                    }
-                }
-            }
         }
     }
 }

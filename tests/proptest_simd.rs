@@ -1,17 +1,16 @@
-//! Cross-ISA equivalence properties for the SIMD hot-kernel layer.
+//! Cross-ISA equivalence properties for the SIMD thermal kernel.
 //!
-//! Every vectorized kernel must be *bit*-identical to its scalar
+//! The vectorized kernel must be *bit*-identical to its scalar
 //! counterpart — not merely close — because the repo's reproducibility
 //! contract (digest-pinned figures, resumable sessions) depends on
 //! results that do not change with the machine the run happens to land
-//! on. These properties drive each kernel across every ISA the host CPU
+//! on. These properties drive the kernel across every ISA the host CPU
 //! supports (`Isa::available()` always includes `Scalar`, so the suite
 //! degrades gracefully on non-x86 hardware) with randomized shapes that
 //! exercise lane remainders, and compare outputs through `to_bits`.
 
 use common::check;
 use floorplan::{Floorplan, Grid, GridSpec};
-use hotgauge::MltdMap;
 use simd::Isa;
 use thermal::{ThermalConfig, ThermalGrid};
 
@@ -42,65 +41,6 @@ fn thermal_step_is_bit_identical_across_isas() {
                 t.package_temp().value().to_bits(),
                 reference.package_temp().value().to_bits()
             );
-        }
-    });
-}
-
-/// The MLTD sweep (vectorized sliding row minima + row combine +
-/// subtract) matches the scalar sweep bitwise for random temperature
-/// fields and disc radii.
-#[test]
-fn mltd_sweep_is_bit_identical_across_isas() {
-    check::cases(16, |g| {
-        let temps = g.vec(9 * 7..=9 * 7, |g| g.f64_in(40.0..110.0));
-        let radius_mm = g.f64_in(0.3..2.5);
-        let grid =
-            Grid::rasterize(&Floorplan::skylake_like(), GridSpec::new(9, 7).unwrap()).unwrap();
-        let reference = MltdMap::new(&grid, radius_mm)
-            .with_isa(Isa::Scalar)
-            .compute(&temps);
-        for isa in Isa::available() {
-            let got = MltdMap::new(&grid, radius_mm).with_isa(isa).compute(&temps);
-            assert_eq!(got.len(), reference.len());
-            for (x, r) in got.iter().zip(&reference) {
-                assert_eq!(x.to_bits(), r.to_bits(), "{} vs scalar", isa);
-            }
-        }
-    });
-}
-
-/// The slice kernels under the sweep — elementwise running min,
-/// elementwise subtract, doubling sliding-window min — are bitwise
-/// scalar-equal at every width (remainders included) and half-width.
-#[test]
-fn slice_kernels_are_bit_identical_across_isas() {
-    check::cases(16, |g| {
-        let a = g.vec(1..40, |g| g.f64_in(-50.0..150.0));
-        let b_seed = g.vec(40..=40, |g| g.f64_in(-50.0..150.0));
-        let hw = g.usize_in(0..9);
-        let n = a.len();
-        let b = &b_seed[..n];
-        let mut work = Vec::new();
-
-        let mut min_ref = a.clone();
-        simd::min_assign(Isa::Scalar, &mut min_ref, b);
-        let mut sub_ref = vec![0.0; n];
-        simd::sub_into(Isa::Scalar, &a, b, &mut sub_ref);
-        let mut win_ref = vec![0.0; n];
-        simd::sliding_min(Isa::Scalar, &a, hw, &mut work, &mut win_ref);
-
-        for isa in Isa::available() {
-            let mut min_got = a.clone();
-            simd::min_assign(isa, &mut min_got, b);
-            let mut sub_got = vec![0.0; n];
-            simd::sub_into(isa, &a, b, &mut sub_got);
-            let mut win_got = vec![0.0; n];
-            simd::sliding_min(isa, &a, hw, &mut work, &mut win_got);
-            for i in 0..n {
-                assert_eq!(min_got[i].to_bits(), min_ref[i].to_bits(), "min {}", isa);
-                assert_eq!(sub_got[i].to_bits(), sub_ref[i].to_bits(), "sub {}", isa);
-                assert_eq!(win_got[i].to_bits(), win_ref[i].to_bits(), "win {}", isa);
-            }
         }
     });
 }
