@@ -13,15 +13,21 @@
 //!
 //! Beside timing, the run *asserts* the determinism contract: the three
 //! thread counts must produce bit-identical predictions on every
-//! training row.
+//! training row. Each configuration also prints its median sample's
+//! phases (binning, histogram build, split search, row routing) and
+//! their sum against the fit's measured binning + boosting time.
 //!
 //! Usage: `bench_training [--smoke] [--out PATH] [--check BASELINE]
 //! [--metrics-out BASE]`. `--smoke` swaps the pipeline extraction for a
 //! synthetic dataset and shrinks the ensemble for CI; `--check` compares
 //! each configuration's *speedup ratio* (histogram vs reference on the
 //! same machine — machine-independent) against a checked-in baseline and
-//! exits non-zero on a >25% regression; `--metrics-out` additionally
-//! exports the medians/speedups as Prometheus gauges.
+//! exits non-zero on a >25% regression, and — on a machine with two or
+//! more cores — fails when the baseline's `scaling_floor` is not met
+//! (`train_hist_2t`'s fastest fit slower than `scaling_floor` ×
+//! `train_hist_1t`'s speed);
+//! `--metrics-out` additionally exports the medians/speedups as
+//! Prometheus gauges.
 
 use common::cli::Spec;
 use common::Result;
@@ -42,20 +48,26 @@ impl TrainResult {
     }
 }
 
-/// Times `op` `samples` times; returns the median wall nanoseconds.
-/// One full training per sample — no inner iteration loop, trainings are
-/// long enough to time directly.
-fn measure(samples: usize, mut op: impl FnMut()) -> f64 {
-    op(); // warm-up
-    let mut ns: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            op();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    ns[ns.len() / 2]
+/// The timed histogram configurations: name and trainer threads.
+const CONFIGS: [(&str, usize); 3] = [
+    ("train_hist_1t", 1),
+    ("train_hist_2t", 2),
+    ("train_hist_4t", 4),
+];
+
+/// Runs `op` once; returns its wall nanoseconds and output. One full
+/// training per sample — no inner iteration loop, trainings are long
+/// enough to time directly.
+fn timed<T>(op: impl FnOnce() -> T) -> (f64, T) {
+    let t = Instant::now();
+    let out = op();
+    (t.elapsed().as_nanos() as f64, out)
+}
+
+/// The median sample by wall time.
+fn median_sample<T>(mut runs: Vec<(f64, T)>) -> (f64, T) {
+    runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite timings"));
+    runs.swap_remove(runs.len() / 2)
 }
 
 /// The Fig. 8 training extraction: the paper training workloads over the
@@ -86,16 +98,33 @@ fn synthetic_dataset(rows: usize, features: usize) -> Result<Dataset> {
     Ok(d)
 }
 
-/// Trains with the histogram path at a thread count and returns the
-/// model (for the determinism assertion).
-fn hist_train(data: &Dataset, params: &GbtParams, threads: usize) -> GbtModel {
+/// Trains with the histogram path at a thread count.
+fn hist_train(data: &Dataset, params: &GbtParams, threads: usize) -> gbt::TrainReport {
     gbt::TrainSpec::new(data)
         .params(*params)
         .method(TrainMethod::Histogram)
         .threads(threads)
         .fit()
         .expect("histogram training")
-        .model
+}
+
+/// One line of a fit's phases in ms, and their sum against the fit's
+/// measured `bin_ns + grow_ns` (the rest is the boosting loop's own
+/// gradient and prediction updates).
+fn phase_line(s: &gbt::TrainStats) -> String {
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let sum = s.bin_ns + s.hist_ns + s.split_ns + s.route_ns;
+    let whole = s.bin_ns + s.grow_ns;
+    format!(
+        "bin {:.1} + hist {:.1} + split {:.1} + route {:.1} = {:.1} ms of bin+grow {:.1} ms ({:.1}%)",
+        ms(s.bin_ns),
+        ms(s.hist_ns),
+        ms(s.split_ns),
+        ms(s.route_ns),
+        ms(sum),
+        ms(whole),
+        100.0 * sum as f64 / whole as f64
+    )
 }
 
 /// Asserts the thread-count determinism contract: per-row predictions of
@@ -111,8 +140,13 @@ fn assert_bit_identical(data: &Dataset, a: &GbtModel, b: &GbtModel, what: &str) 
     }
 }
 
+/// Cores this process may run on.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 fn render_json(results: &[TrainResult], rows: usize, features: usize, smoke: bool) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = cores();
     let kernels: Vec<String> = results
         .iter()
         .map(|r| {
@@ -146,6 +180,30 @@ fn regressions(current: &[TrainResult], baseline_json: &str) -> Result<Vec<Strin
     boreas_bench::speedup_regressions(current.iter().map(|r| (r.name, r.speedup())), baseline_json)
 }
 
+/// Checks the baseline's `scaling_floor` against the fastest 1- and
+/// 2-thread fits: `train_hist_2t` must run at least `scaling_floor` × as
+/// fast as `train_hist_1t`. Fastest, not median: a busy host only ever
+/// slows a fit, and it slows multi-threaded fits most. Returns the
+/// failure, if any; `None` on a 1-core machine, where extra trainer
+/// threads cannot run in parallel.
+fn scaling_failure(
+    one_t_ns: f64,
+    two_t_ns: f64,
+    baseline_json: &str,
+    cores: usize,
+) -> Result<Option<String>> {
+    let min_ratio = common::json::parse(baseline_json)?
+        .get("scaling_floor")?
+        .as_f64("scaling_floor")?;
+    if cores < 2 {
+        return Ok(None);
+    }
+    let ratio = one_t_ns / two_t_ns;
+    Ok((ratio < min_ratio).then(|| {
+        format!("train_hist_2t: fastest fit is {ratio:.2}x as fast as train_hist_1t's, below the {min_ratio:.2}x scaling floor")
+    }))
+}
+
 fn main() -> Result<()> {
     let (reporting, args) = boreas_bench::Reporting::parse_env(
         Spec::new("bench_training", "histogram GBT training benchmark")
@@ -168,7 +226,7 @@ fn main() -> Result<()> {
         (
             synthetic_dataset(6_000, 12)?,
             GbtParams::default().with_estimators(8),
-            3,
+            7,
         )
     } else {
         (fig8_dataset()?, GbtParams::default().with_estimators(20), 5)
@@ -182,43 +240,65 @@ fn main() -> Result<()> {
 
     // Determinism contract first: 1, 2 and 4 trainer threads must agree
     // to the bit.
-    let m1 = hist_train(&data, &params, 1);
-    let m2 = hist_train(&data, &params, 2);
-    let m4 = hist_train(&data, &params, 4);
+    let m1 = hist_train(&data, &params, 1).model;
+    let m2 = hist_train(&data, &params, 2).model;
+    let m4 = hist_train(&data, &params, 4).model;
     assert_bit_identical(&data, &m1, &m2, "1 vs 2 threads");
     assert_bit_identical(&data, &m1, &m4, "1 vs 4 threads");
     println!("  determinism: 1/2/4-thread models bit-identical on every training row");
 
-    let reference_median_ns = measure(samples, || {
-        std::hint::black_box(GbtModel::train_reference(&data, &params).expect("reference"));
-    });
-    let mut results = Vec::new();
-    for (name, threads) in [
-        ("train_hist_1t", 1usize),
-        ("train_hist_2t", 2),
-        ("train_hist_4t", 4),
-    ] {
-        let median_ns = measure(samples, || {
-            std::hint::black_box(hist_train(&data, &params, threads));
+    // Each timing starts with an untimed warm-up. The histogram
+    // configurations run in rounds of one training each, so drift on a
+    // busy machine hits them alike and their ratios stay comparable.
+    let reference = (0..=samples)
+        .map(|_| {
+            timed(|| {
+                std::hint::black_box(GbtModel::train_reference(&data, &params).expect("reference"));
+            })
+        })
+        .skip(1)
+        .collect();
+    let (reference_median_ns, ()) = median_sample(reference);
+    let mut runs: Vec<Vec<(f64, gbt::TrainStats)>> = CONFIGS.iter().map(|_| Vec::new()).collect();
+    for round in 0..=samples {
+        let hist = CONFIGS.map(|(_, threads)| {
+            timed(|| std::hint::black_box(hist_train(&data, &params, threads)).stats)
         });
+        if round > 0 {
+            for (r, s) in runs.iter_mut().zip(hist) {
+                r.push(s);
+            }
+        }
+    }
+    let (mut results, mut phases, mut fastest_ns) = (Vec::new(), Vec::new(), Vec::new());
+    for ((name, _), r) in CONFIGS.into_iter().zip(runs) {
+        fastest_ns.push(r.iter().map(|s| s.0).fold(f64::INFINITY, f64::min));
+        let (median_ns, stats) = median_sample(r);
         results.push(TrainResult {
             name,
             median_ns,
             reference_median_ns,
         });
+        phases.push(stats);
     }
     println!(
         "  {:<14} {:>12.0} ns/training",
         "reference", reference_median_ns
     );
-    for r in &results {
+    for (r, stats) in results.iter().zip(&phases) {
         println!(
             "  {:<14} {:>12.0} ns/training  ({:>5.2}x vs reference)",
             r.name,
             r.median_ns,
             r.speedup()
         );
+        println!("  {:<14} {}", "", phase_line(stats));
     }
+    println!(
+        "  fastest fits: 2t {:.2}x and 4t {:.2}x as fast as 1t",
+        fastest_ns[0] / fastest_ns[1],
+        fastest_ns[0] / fastest_ns[2]
+    );
 
     let json = render_json(&results, data.len(), data.num_features(), smoke);
     std::fs::write(&out_path, &json)
@@ -250,7 +330,12 @@ fn main() -> Result<()> {
     if let Some(baseline_path) = check_path {
         let baseline = std::fs::read_to_string(&baseline_path)
             .map_err(|e| common::Error::io("read bench baseline", e.to_string()))?;
-        let bad = regressions(&results, &baseline)?;
+        let mut bad = regressions(&results, &baseline)?;
+        match scaling_failure(fastest_ns[0], fastest_ns[1], &baseline, cores())? {
+            Some(failure) => bad.push(failure),
+            None if cores() < 2 => println!("scaling floor skipped: 1 core"),
+            None => {}
+        }
         if !bad.is_empty() {
             for b in &bad {
                 eprintln!("REGRESSION {b}");
@@ -315,6 +400,26 @@ mod tests {
             reference_median_ns: 4.0,
         }];
         assert_eq!(regressions(&bad, &baseline).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn scaling_floor_applies_only_on_two_or_more_cores() {
+        let baseline = r#"{"kernels": [], "scaling_floor": 0.8}"#;
+        // 2t at 1.0x and 0.8x of 1t's speed pass; 0.5x fails.
+        assert_eq!(scaling_failure(100.0, 100.0, baseline, 2).unwrap(), None);
+        assert_eq!(scaling_failure(100.0, 125.0, baseline, 2).unwrap(), None);
+        assert!(scaling_failure(100.0, 200.0, baseline, 2)
+            .unwrap()
+            .is_some());
+        assert_eq!(scaling_failure(100.0, 200.0, baseline, 1).unwrap(), None);
+        // The floor is required.
+        assert!(scaling_failure(100.0, 100.0, r#"{"kernels": []}"#, 2).is_err());
+    }
+
+    #[test]
+    fn committed_baseline_declares_the_scaling_floor() {
+        let baseline = include_str!("../../baselines/BENCH_training_baseline.json");
+        assert_eq!(scaling_failure(1.0, 1.0, baseline, 2).unwrap(), None);
     }
 
     #[test]

@@ -50,12 +50,12 @@ const FAULT_KINDS: [FaultKind; 5] = [
 /// Per-step firing probabilities swept for every fault kind.
 const RATES: [f64; 3] = [0.05, 0.25, 1.0];
 
-/// Smoke-mode stand-in controllers: the [`engine::smoke_model`] (also
-/// behind `fig8_dynamic_runs --smoke`), plain and with flat 70 °C
+/// Smoke-mode stand-in controllers: the [`boreas_core::smoke_model`]
+/// (also behind `fig8_dynamic_runs --smoke`), plain and with flat 70 °C
 /// thermal thresholds as the resilient fallback, so the full
 /// plain-vs-resilient path runs in seconds.
 fn smoke_controllers(vf_len: usize) -> Vec<ControllerSpec> {
-    let (model, features) = engine::smoke_model(0);
+    let (model, features) = boreas_core::smoke_model(0);
     let thresholds = vec![Some(70.0); vf_len];
     vec![
         ControllerSpec::ml(model.clone(), &features, 0.05),

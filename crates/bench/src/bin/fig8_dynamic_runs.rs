@@ -26,11 +26,11 @@ use engine::{ControllerSpec, Scenario};
 use workloads::WorkloadSpec;
 
 /// Smoke-mode stand-ins: flat thermal thresholds and the
-/// [`engine::smoke_model`] — the paper shape does not hold under them,
-/// but every code path (thermal + ML decisions, flight events, metrics)
-/// still runs.
+/// [`boreas_core::smoke_model`] — the paper shape does not hold under
+/// them, but every code path (thermal + ML decisions, flight events,
+/// metrics) still runs.
 fn smoke_controllers(vf_len: usize, threads: usize) -> Vec<ControllerSpec> {
-    let (model, features) = engine::smoke_model(threads);
+    let (model, features) = boreas_core::smoke_model(threads);
     vec![
         ControllerSpec::thermal(vec![Some(70.0); vf_len], 0.0),
         ControllerSpec::ml(model, &features, 0.05),

@@ -1,7 +1,7 @@
 //! Integration: the fig8 `--smoke` path driven through `TrainSpec`.
 //!
-//! Reproduces the smoke-mode model ([`engine::smoke_model`]) and closed
-//! loop of `fig8_dynamic_runs --smoke` and pins its metrics, so the unified
+//! Reproduces the smoke-mode model ([`boreas_core::smoke_model`]) and
+//! closed loop of `fig8_dynamic_runs --smoke` and pins its metrics, so the unified
 //! training API cannot silently drift the CI smoke path: the tiny
 //! frequency-only GBT model must be bit-identical at 1 and 4 trainer
 //! threads, and the 2-workload closed loop must produce the same
@@ -51,7 +51,7 @@ fn loop_digest(report: &engine::SessionReport) -> String {
 
 fn run_smoke_loop(threads: usize) -> engine::SessionReport {
     let pipeline = hotgauge::PipelineConfig::paper().build().expect("pipeline");
-    let (model, features) = engine::smoke_model(threads);
+    let (model, features) = boreas_core::smoke_model(threads);
     let vf = boreas_core::VfTable::paper();
     let tests: Vec<WorkloadSpec> = WorkloadSpec::test_set().into_iter().take(2).collect();
     let controllers = vec![
@@ -82,7 +82,7 @@ fn smoke_model_is_thread_invariant_and_histogram_trained() {
         );
     }
     // The binaries' shared stand-in is this model.
-    assert_eq!(engine::smoke_model(1).0, r1.model);
+    assert_eq!(boreas_core::smoke_model(1).0, r1.model);
     // The smoke model's shape is pinned: severity ≈ f/5 over the
     // training range.
     let p = r1.model.predict(&[4.0]);

@@ -62,5 +62,5 @@ pub use resilient::{
     ControlStage, DegradationEvent, DegradationLog, ResilienceConfig, ResilientController,
 };
 pub use runner::{ClosedLoopOutcome, ObservationFilter, PassthroughFilter, RunSpec};
-pub use training::{TrainReport, TrainSpec, TrainingConfig};
+pub use training::{smoke_model, TrainReport, TrainSpec, TrainingConfig};
 pub use vf::{VfPoint, VfTable};

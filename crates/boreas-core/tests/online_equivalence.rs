@@ -26,21 +26,10 @@ fn quick_pipeline() -> Pipeline {
     cfg.build().unwrap()
 }
 
-/// The fig8 `--smoke` stand-in model: severity ≈ frequency/5, trained
-/// on a synthetic single-feature dataset (the same construction as
-/// `fig8_dynamic_runs --smoke` and `boreas_serve --smoke`).
+/// The fig8 `--smoke` ML05 stand-in: [`boreas_core::smoke_model`]
+/// behind a 5% guardband.
 fn smoke_ml_controller() -> BoreasController {
-    let mut d = gbt::Dataset::new(vec!["frequency_ghz".to_string()]);
-    for i in 0..200 {
-        let f = 2.0 + 3.0 * (i as f64 / 200.0);
-        d.push_row(&[f], f / 5.0, (i % 2) as u32).unwrap();
-    }
-    let model = gbt::TrainSpec::new(&d)
-        .params(gbt::GbtParams::default().with_estimators(30))
-        .fit()
-        .unwrap()
-        .model;
-    let features = telemetry::FeatureSet::from_names(&["frequency_ghz"]).unwrap();
+    let (model, features) = boreas_core::smoke_model(0);
     BoreasController::try_new(model, features, 0.05).unwrap()
 }
 

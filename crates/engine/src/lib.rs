@@ -64,9 +64,7 @@ pub mod supervisor;
 
 pub use cache::{ArtifactCache, CacheLookup, CACHE_DIR_ENV};
 pub use pool::JobOutcome;
-pub use scenario::{
-    smoke_model, BuiltController, ControllerSpec, FaultCell, Scenario, ScenarioKind,
-};
+pub use scenario::{BuiltController, ControllerSpec, FaultCell, Scenario, ScenarioKind};
 pub use session::{
     EngineCounters, JobResult, LoopRunResult, Session, SessionReport, SweepPointResult,
 };

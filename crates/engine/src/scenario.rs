@@ -175,34 +175,6 @@ impl ControllerSpec {
     }
 }
 
-/// The stand-in model of the smoke runs (`fig8_dynamic_runs --smoke`,
-/// `fault_campaign --smoke`, `boreas_serve --smoke`): 30 trees fitted to
-/// severity ≈ frequency/5 over 200 synthetic rows, on the one feature
-/// `frequency_ghz`. It trains in milliseconds, so CI exercises the ML
-/// decision path without the paper's training pipeline; the paper shape
-/// does not hold under it. `threads` is the trainer's thread count (`0`
-/// = every core); the model is bit-identical for every value.
-///
-/// # Panics
-///
-/// Never in practice: the synthetic dataset and parameters are valid.
-pub fn smoke_model(threads: usize) -> (GbtModel, FeatureSet) {
-    let mut d = gbt::Dataset::new(vec!["frequency_ghz".to_string()]);
-    for i in 0..200 {
-        let f = 2.0 + 3.0 * (i as f64 / 200.0);
-        d.push_row(&[f], f / 5.0, (i % 2) as u32)
-            .expect("synthetic row");
-    }
-    let model = gbt::TrainSpec::new(&d)
-        .params(gbt::GbtParams::default().with_estimators(30))
-        .threads(threads)
-        .fit()
-        .expect("smoke model")
-        .model;
-    let features = FeatureSet::from_names(&["frequency_ghz"]).expect("smoke feature");
-    (model, features)
-}
-
 /// A controller instance built from a [`ControllerSpec`], owned by one
 /// worker thread and reused across jobs.
 pub enum BuiltController {

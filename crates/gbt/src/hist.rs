@@ -12,19 +12,33 @@
 //!   path uses (squared loss ⇒ hessians are row counts, kept as exact
 //!   `u32`s).
 //!
-//! # Determinism
+//! # Parallelism and determinism
 //!
-//! Results are **bit-identical at any thread count**. Rows are cut into
-//! fixed [`BLOCK_ROWS`]-sized blocks; every block's partial histogram is
-//! computed independently (threads take blocks round-robin) and the
-//! partials are merged *in block order*, so each bin's gradient sum is
-//! always the same left-to-right float reduction regardless of how many
-//! threads produced the partials. The single-thread path runs the
-//! identical block/merge code.
+//! One fit starts one worker set ([`Workers`]): the calling thread plus
+//! `min(threads, features) − 1` scoped threads that live until the last
+//! tree is grown. Each level sends every worker the same job (the
+//! tree's gradient and the level's row→node map); worker `k` of `t`
+//! owns the contiguous features `[k·nf/t, (k+1)·nf/t)` and builds those
+//! features' bins of every node histogram. Workers never share a bin, so
+//! no thread merges another's partials; the calling thread copies each
+//! worker's slice into place.
+//!
+//! Results are **bit-identical at any thread count**, and identical to
+//! a single-threaded fit. Rows are cut into fixed [`BLOCK_ROWS`]-sized
+//! blocks; for each block, in block order, a worker accumulates the
+//! block's rows into a zeroed partial and adds the partial into its
+//! running total. Each bin's gradient sum is therefore the same float
+//! reduction whichever worker owns the bin. One thread runs the same
+//! code over all features.
 
 use crate::binned::BinnedDataset;
 use crate::params::GbtParams;
 use crate::tree::{Node, RegressionTree};
+use std::ops::Range;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::Scope;
+use std::time::Instant;
 
 /// Rows per accumulation block. Fixed — never derived from the thread
 /// count — because block boundaries define the float-merge order.
@@ -86,91 +100,148 @@ struct Best {
     n_left: u32,
 }
 
-/// Accumulates histograms for the marked rows: `row_slot[r]` selects
-/// which of the `n_slots` node histograms row `r` belongs to ([`SKIP`]
-/// for none). Returns one flat histogram of width
-/// `n_slots × total_bins`, produced by merging fixed-size block partials
-/// in block order (see module docs).
-fn accumulate(
-    binned: &BinnedDataset,
-    grad: &[f64],
-    row_slot: &[u16],
+/// One level's accumulation job, sent to every worker: the tree's
+/// gradient and the level's row→slot map (`row_slot[r]` selects which
+/// of the `n_slots` node histograms row `r` belongs to, [`SKIP`] for
+/// none).
+#[derive(Clone)]
+struct Job {
+    grad: Arc<[f64]>,
+    row_slot: Arc<[u16]>,
     n_slots: usize,
-    threads: usize,
-) -> Hist {
-    let n_rows = binned.len();
-    let n_features = binned.num_features();
-    let total_bins = binned.total_bins();
-    let width = n_slots * total_bins;
-    let offsets: Vec<u32> = (0..n_features).map(|f| binned.offset(f)).collect();
-    let n_blocks = n_rows.div_ceil(BLOCK_ROWS);
+}
 
-    let block_partial = |b: usize| -> Hist {
-        let mut part = Hist::zeroed(width);
-        let start = b * BLOCK_ROWS;
-        let end = (start + BLOCK_ROWS).min(n_rows);
-        for r in start..end {
-            let slot = row_slot[r];
+/// The features worker `k` of `t` owns: `[k·nf/t, (k+1)·nf/t)`.
+fn feature_range(k: usize, t: usize, nf: usize) -> Range<usize> {
+    k * nf / t..(k + 1) * nf / t
+}
+
+/// Accumulates `job` over one contiguous feature range. Returns the
+/// range's bins of every slot, slot-major (`slot × range_bins + local
+/// bin`). `partial` is the caller's reused block buffer.
+///
+/// Per block, in block order, the rows accumulate into a zeroed
+/// partial that is then added into the running total — each bin's sum
+/// is the same float reduction for any split of the features, and so
+/// for any worker count. Counts are integers and skip the partial.
+fn accumulate_features(
+    binned: &BinnedDataset,
+    job: &Job,
+    features: Range<usize>,
+    partial: &mut Vec<f64>,
+) -> Hist {
+    let lo = binned.offset(features.start);
+    let range_bins = (binned.offset(features.end) - lo) as usize;
+    let local: Vec<u32> = features.clone().map(|f| binned.offset(f) - lo).collect();
+    let mut total = Hist::zeroed(job.n_slots * range_bins);
+    partial.clear();
+    partial.resize(total.g.len(), 0.0);
+    let n_rows = binned.len();
+    for start in (0..n_rows).step_by(BLOCK_ROWS) {
+        partial.fill(0.0);
+        for r in start..(start + BLOCK_ROWS).min(n_rows) {
+            let slot = job.row_slot[r];
             if slot == SKIP {
                 continue;
             }
-            let g = grad[r];
-            let base = slot as usize * total_bins;
-            let codes = binned.row_codes(r);
-            for (&code, &off) in codes.iter().zip(&offsets) {
-                let idx = base + (off + code as u32) as usize;
-                part.g[idx] += g;
-                part.n[idx] += 1;
+            let g = job.grad[r];
+            let base = slot as usize * range_bins;
+            let codes = &binned.row_codes(r)[features.clone()];
+            for (&code, &off) in codes.iter().zip(&local) {
+                let idx = base + (off + u32::from(code)) as usize;
+                partial[idx] += g;
+                total.n[idx] += 1;
             }
         }
-        part
-    };
-
-    let mut total = Hist::zeroed(width);
-    let mut merge = |part: &Hist| {
-        for (a, b) in total.g.iter_mut().zip(&part.g) {
+        for (a, b) in total.g.iter_mut().zip(partial.iter()) {
             *a += b;
-        }
-        for (a, b) in total.n.iter_mut().zip(&part.n) {
-            *a += b;
-        }
-    };
-
-    if threads <= 1 || n_blocks <= 1 {
-        for b in 0..n_blocks {
-            merge(&block_partial(b));
-        }
-    } else {
-        let t = threads.min(n_blocks);
-        // Thread k takes blocks k, k+t, k+2t, … and returns the partials
-        // tagged with their block index; the merge below runs strictly
-        // in block order, so the reduction is thread-count invariant.
-        let tagged: Vec<Vec<(usize, Hist)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..t)
-                .map(|k| {
-                    let block_partial = &block_partial;
-                    scope.spawn(move || {
-                        (k..n_blocks)
-                            .step_by(t)
-                            .map(|b| (b, block_partial(b)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("histogram worker"))
-                .collect()
-        });
-        let mut by_block: Vec<Option<Hist>> = (0..n_blocks).map(|_| None).collect();
-        for (b, part) in tagged.into_iter().flatten() {
-            by_block[b] = Some(part);
-        }
-        for part in by_block.into_iter().flatten() {
-            merge(&part);
         }
     }
     total
+}
+
+/// The per-fit worker set (see the module docs). The calling thread is
+/// worker 0; workers `1..t` are scoped threads, each fed one [`Job`] per
+/// level on its own channel and answering on its own reply channel.
+///
+/// A worker that panics drops its reply sender, so the calling thread's
+/// `recv` fails and it panics in turn; unwinding drops the job senders,
+/// which ends the other workers, and the scope re-raises the panic.
+struct Workers<'a> {
+    binned: &'a BinnedDataset,
+    jobs: Vec<Sender<Job>>,
+    replies: Vec<Receiver<Hist>>,
+    /// Calling thread's reused block buffer.
+    partial: Vec<f64>,
+}
+
+impl<'a> Workers<'a> {
+    /// Starts `min(threads, n_features) − 1` workers inside `scope`.
+    fn start<'scope>(
+        scope: &'scope Scope<'scope, 'a>,
+        binned: &'a BinnedDataset,
+        threads: usize,
+    ) -> Workers<'a> {
+        let nf = binned.num_features();
+        let t = threads.min(nf).max(1);
+        let (mut jobs, mut replies) = (Vec::new(), Vec::new());
+        for k in 1..t {
+            let (job_tx, job_rx) = channel::<Job>();
+            let (reply_tx, reply_rx) = channel();
+            scope.spawn(move || {
+                let mut partial = Vec::new();
+                while let Ok(job) = job_rx.recv() {
+                    let share =
+                        accumulate_features(binned, &job, feature_range(k, t, nf), &mut partial);
+                    // Release the gradient and row map before replying, so
+                    // the next tree's gradient reuses their memory.
+                    drop(job);
+                    if reply_tx.send(share).is_err() {
+                        return;
+                    }
+                }
+            });
+            jobs.push(job_tx);
+            replies.push(reply_rx);
+        }
+        Workers {
+            binned,
+            jobs,
+            replies,
+            partial: Vec::new(),
+        }
+    }
+
+    /// Builds the `job.n_slots` node histograms of one level: every
+    /// worker accumulates its features, and the calling thread copies
+    /// each worker's slice into place.
+    fn accumulate(&mut self, job: Job) -> Vec<Hist> {
+        for tx in &self.jobs {
+            tx.send(job.clone()).expect("histogram worker died");
+        }
+        let binned = self.binned;
+        let t = self.jobs.len() + 1;
+        let nf = binned.num_features();
+        let total_bins = binned.total_bins();
+        let mut hists = vec![Hist::zeroed(total_bins); job.n_slots];
+        let own = accumulate_features(binned, &job, feature_range(0, t, nf), &mut self.partial);
+        let shares = std::iter::once(own).chain(
+            self.replies
+                .iter()
+                .map(|rx| rx.recv().expect("histogram worker died")),
+        );
+        for (k, share) in shares.enumerate() {
+            let range = feature_range(k, t, nf);
+            let lo = binned.offset(range.start) as usize;
+            let width = binned.offset(range.end) as usize - lo;
+            for (s, hist) in hists.iter_mut().enumerate() {
+                let src = s * width..(s + 1) * width;
+                hist.g[lo..lo + width].copy_from_slice(&share.g[src.clone()]);
+                hist.n[lo..lo + width].copy_from_slice(&share.n[src]);
+            }
+        }
+        hists
+    }
 }
 
 /// Scans one node's histogram for its best split (bin-boundary prefix
@@ -225,13 +296,13 @@ fn best_split(
 /// path's trees) and each row's final node id, which the boosting loop
 /// uses to update predictions without re-walking trees.
 fn grow_tree(
-    binned: &BinnedDataset,
-    grad: &[f64],
+    workers: &mut Workers,
+    grad: &Arc<[f64]>,
     params: &GbtParams,
-    threads: usize,
+    phases: &mut Phases,
 ) -> (RegressionTree, Vec<u32>) {
+    let binned = workers.binned;
     let n_rows = binned.len();
-    let total_bins = binned.total_bins();
     let lambda = params.lambda;
 
     let mut nodes: Vec<Node> = vec![Node::leaf(0.0)];
@@ -254,6 +325,7 @@ fn grow_tree(
         }
 
         // 1. Histograms: accumulate the marked nodes in one pass …
+        let mut clock = Instant::now();
         let accum: Vec<usize> = (0..frontier.len())
             .filter(|&i| frontier[i].accumulate)
             .collect();
@@ -262,17 +334,17 @@ fn grow_tree(
             for (slot, &i) in accum.iter().enumerate() {
                 slot_of_id[frontier[i].id as usize] = slot as u16;
             }
-            let row_slot: Vec<u16> = node_of_row
+            let row_slot: Arc<[u16]> = node_of_row
                 .iter()
                 .map(|&id| slot_of_id[id as usize])
                 .collect();
-            let flat = accumulate(binned, grad, &row_slot, accum.len(), threads);
-            for (slot, &i) in accum.iter().enumerate() {
-                let lo = slot * total_bins;
-                frontier[i].hist = Some(Hist {
-                    g: flat.g[lo..lo + total_bins].to_vec(),
-                    n: flat.n[lo..lo + total_bins].to_vec(),
-                });
+            let hists = workers.accumulate(Job {
+                grad: Arc::clone(grad),
+                row_slot,
+                n_slots: accum.len(),
+            });
+            for (&i, hist) in accum.iter().zip(hists) {
+                frontier[i].hist = Some(hist);
             }
         }
         // … then derive the subtract nodes from parent − sibling.
@@ -302,6 +374,7 @@ fn grow_tree(
             root.g = hist.g[..nb0].iter().sum();
             debug_assert_eq!(hist.n[..nb0].iter().sum::<u32>(), root.n);
         }
+        phases.hist_ns += lap(&mut clock);
 
         // 2. Split or finalise each frontier node.
         let mut next: Vec<FrontNode> = Vec::new();
@@ -366,6 +439,8 @@ fn grow_tree(
             }
         }
 
+        phases.split_ns += lap(&mut clock);
+
         // 3. Route rows of split nodes to their children by bin code.
         if !next.is_empty() {
             for (r, id) in node_of_row.iter_mut().enumerate() {
@@ -379,6 +454,7 @@ fn grow_tree(
                 }
             }
         }
+        phases.route_ns += lap(&mut clock);
         frontier = next;
     }
 
@@ -393,8 +469,30 @@ fn grow_tree(
     )
 }
 
+/// Wall time of each tree-growth phase, summed over a fit's levels
+/// (each phase is timed once per level, not per row).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Phases {
+    /// Histogram build: row→slot map, accumulation, subtraction.
+    pub hist_ns: u64,
+    /// Split search over every frontier node's histogram.
+    pub split_ns: u64,
+    /// Routing rows of split nodes to their children.
+    pub route_ns: u64,
+}
+
+/// Nanoseconds since `clock`, which restarts.
+fn lap(clock: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = now.duration_since(*clock).as_nanos() as u64;
+    *clock = now;
+    ns
+}
+
 /// Boosts a full ensemble on a binned dataset. Returns
-/// `(base_score, trees)`; the caller assembles the [`crate::GbtModel`].
+/// `(base_score, trees, phases)`; the caller assembles the
+/// [`crate::GbtModel`]. One [`Workers`] set of `threads` serves every
+/// level of every tree.
 ///
 /// Prediction updates route rows through the freshly grown tree by
 /// their stored node assignment, so no float comparisons are re-run;
@@ -405,32 +503,45 @@ pub(crate) fn boost(
     binned: &BinnedDataset,
     params: &GbtParams,
     threads: usize,
-) -> (f64, Vec<RegressionTree>) {
+) -> (f64, Vec<RegressionTree>, Phases) {
     let n = binned.len();
     let targets = binned.targets();
     let base_score = targets.iter().sum::<f64>() / n as f64;
 
     let mut preds = vec![base_score; n];
-    let mut grad = vec![0.0f64; n];
     let mut trees = Vec::with_capacity(params.n_estimators);
-    for _ in 0..params.n_estimators {
-        for i in 0..n {
-            grad[i] = preds[i] - targets[i];
+    let mut phases = Phases::default();
+    std::thread::scope(|scope| {
+        let mut workers = Workers::start(scope, binned, threads);
+        for _ in 0..params.n_estimators {
+            let grad: Arc<[f64]> = preds.iter().zip(targets).map(|(p, y)| p - y).collect();
+            let (tree, node_of_row) = grow_tree(&mut workers, &grad, params, &mut phases);
+            let nodes = tree.nodes();
+            for (p, &id) in preds.iter_mut().zip(&node_of_row) {
+                *p += params.learning_rate * nodes[id as usize].value;
+            }
+            trees.push(tree);
         }
-        let (tree, node_of_row) = grow_tree(binned, &grad, params, threads);
-        let nodes = tree.nodes();
-        for (p, &id) in preds.iter_mut().zip(&node_of_row) {
-            *p += params.learning_rate * nodes[id as usize].value;
-        }
-        trees.push(tree);
-    }
-    (base_score, trees)
+    });
+    (base_score, trees, phases)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+
+    /// Grows one tree on a one-worker set.
+    fn grow(
+        binned: &BinnedDataset,
+        grad: &[f64],
+        params: &GbtParams,
+    ) -> (RegressionTree, Vec<u32>) {
+        std::thread::scope(|scope| {
+            let mut workers = Workers::start(scope, binned, 1);
+            grow_tree(&mut workers, &grad.into(), params, &mut Phases::default())
+        })
+    }
 
     fn step_data() -> Dataset {
         let mut d = Dataset::new(vec!["x".into()]);
@@ -452,7 +563,7 @@ mod tests {
             ..GbtParams::default()
         };
         let grad: Vec<f64> = d.targets().iter().map(|y| -y).collect();
-        let (tree, node_of_row) = grow_tree(&binned, &grad, &params, 1);
+        let (tree, node_of_row) = grow(&binned, &grad, &params);
         assert_eq!(tree.depth(), 1);
         assert_eq!(tree.num_leaves(), 2);
         let root = tree.nodes()[0];
@@ -492,6 +603,28 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_worker_fails_the_fit_instead_of_hanging() {
+        let mut d = Dataset::new(vec!["a".into(), "b".into()]);
+        for i in 0..100 {
+            let x = i as f64;
+            d.push_row(&[x, 100.0 - x], x, 0).unwrap();
+        }
+        let binned = BinnedDataset::from_dataset(&d, 64).unwrap();
+        let grad: Vec<f64> = d.targets().iter().map(|y| -y).collect();
+        let params = GbtParams::default();
+        let fit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                let mut workers = Workers::start(scope, &binned, 2);
+                // Worker 1 stays alive; its reply channel is swapped for
+                // one whose sender is gone, as if the worker had died.
+                workers.replies[0] = channel().1;
+                grow_tree(&mut workers, &grad.into(), &params, &mut Phases::default())
+            })
+        }));
+        assert!(fit.is_err());
+    }
+
+    #[test]
     fn subtraction_trick_matches_direct_accumulation() {
         // Grow to depth 2 and verify every internal node's children
         // stats are consistent (gl + gr == g etc. exactly for counts).
@@ -503,7 +636,7 @@ mod tests {
             max_depth: 3,
             ..GbtParams::default()
         };
-        let (tree, node_of_row) = grow_tree(&binned, &grad, &params, 1);
+        let (tree, node_of_row) = grow(&binned, &grad, &params);
         // Leaf populations partition the rows.
         let mut counts = vec![0u32; tree.nodes().len()];
         for &id in &node_of_row {
@@ -528,7 +661,7 @@ mod tests {
             gamma: 1e9,
             ..GbtParams::default()
         };
-        let (tree, _) = grow_tree(&binned, &grad, &params, 1);
+        let (tree, _) = grow(&binned, &grad, &params);
         assert_eq!(tree.num_leaves(), 1);
         // The lone leaf predicts -mean(g) = mean(y) at lambda-damped rate.
     }
@@ -542,7 +675,7 @@ mod tests {
             min_child_weight: 60.0,
             ..GbtParams::default()
         };
-        let (tree, _) = grow_tree(&binned, &grad, &params, 1);
+        let (tree, _) = grow(&binned, &grad, &params);
         assert_eq!(tree.num_leaves(), 1);
     }
 }

@@ -7,9 +7,10 @@
 //!   of the targets;
 //! * **two interchangeable trainers** behind one [`TrainSpec`] builder:
 //!   the default LightGBM-style histogram path ([`binned`]) —
-//!   feature quantisation into ≤256 bins, parallel per-node histogram
-//!   accumulation with a deterministic block-ordered reduction
-//!   (bit-identical at any thread count), and the parent−sibling
+//!   feature quantisation into ≤256 bins, per-node histogram
+//!   accumulation split by feature across one worker set per fit, with
+//!   a deterministic block-ordered reduction (bit-identical at any
+//!   thread count), and the parent−sibling
 //!   subtraction trick — and the seed's exact greedy scan, kept as
 //!   [`GbtModel::train_reference`];
 //! * split finding with the second-order gain

@@ -73,6 +73,12 @@ pub struct TrainStats {
     pub bin_ns: u64,
     /// Nanoseconds spent boosting.
     pub grow_ns: u64,
+    /// Of `grow_ns`: building node histograms (0 for reference).
+    pub hist_ns: u64,
+    /// Of `grow_ns`: searching histograms for splits (0 for reference).
+    pub split_ns: u64,
+    /// Of `grow_ns`: routing rows to child nodes (0 for reference).
+    pub route_ns: u64,
 }
 
 /// A trained model plus its training statistics.
@@ -132,7 +138,9 @@ impl<'a> TrainSpec<'a> {
     }
 
     /// Attaches an observability bundle: `fit` emits `train_*` counters
-    /// and `train.bin` / `train.grow` spans through it.
+    /// and `train.bin` / `train.grow` spans through it, plus the
+    /// histogram trainer's `train.hist` / `train.split` / `train.route`
+    /// phases of `train.grow`.
     #[must_use]
     pub fn observe(mut self, obs: &obs::Obs) -> Self {
         self.obs = obs.clone();
@@ -156,13 +164,13 @@ impl<'a> TrainSpec<'a> {
             self.threads
         };
 
-        let (model, total_bins, bin_ns, grow_ns) = match self.method {
+        let (model, total_bins, bin_ns, grow_ns, phases) = match self.method {
             TrainMethod::Histogram => {
                 let t0 = Instant::now();
                 let binned = BinnedDataset::from_dataset(self.data, self.params.max_bins)?;
                 let bin_ns = t0.elapsed().as_nanos() as u64;
                 let t1 = Instant::now();
-                let (base_score, trees) = hist::boost(&binned, &self.params, threads);
+                let (base_score, trees, phases) = hist::boost(&binned, &self.params, threads);
                 let grow_ns = t1.elapsed().as_nanos() as u64;
                 let model = GbtModel::from_parts(
                     base_score,
@@ -170,12 +178,13 @@ impl<'a> TrainSpec<'a> {
                     self.params,
                     self.data.feature_names().to_vec(),
                 );
-                (model, binned.total_bins(), bin_ns, grow_ns)
+                (model, binned.total_bins(), bin_ns, grow_ns, phases)
             }
             TrainMethod::Reference => {
                 let t0 = Instant::now();
                 let model = GbtModel::train_reference(self.data, &self.params)?;
-                (model, 0, 0, t0.elapsed().as_nanos() as u64)
+                let grow_ns = t0.elapsed().as_nanos() as u64;
+                (model, 0, 0, grow_ns, hist::Phases::default())
             }
         };
 
@@ -188,6 +197,9 @@ impl<'a> TrainSpec<'a> {
             total_bins,
             bin_ns,
             grow_ns,
+            hist_ns: phases.hist_ns,
+            split_ns: phases.split_ns,
+            route_ns: phases.route_ns,
         };
         self.emit(&stats);
         Ok(TrainReport { model, stats })
@@ -209,8 +221,11 @@ impl<'a> TrainSpec<'a> {
             .metrics
             .counter("train_trees_total", "Trees grown by GBT training")
             .add(stats.trees as u64);
-        if stats.bin_ns > 0 {
+        if stats.method == TrainMethod::Histogram {
             self.obs.tracer.record("train.bin", stats.bin_ns);
+            self.obs.tracer.record("train.hist", stats.hist_ns);
+            self.obs.tracer.record("train.split", stats.split_ns);
+            self.obs.tracer.record("train.route", stats.route_ns);
         }
         self.obs.tracer.record("train.grow", stats.grow_ns);
     }

@@ -1,7 +1,7 @@
 //! Property tests for the histogram trainer: the thread-count
 //! determinism contract and exact-greedy equivalence on pre-binned data.
 
-use boreas_gbt::{Dataset, GbtModel, GbtParams, TrainMethod, TrainSpec};
+use boreas_gbt::{Dataset, GbtModel, GbtParams, TrainMethod, TrainSpec, BLOCK_ROWS};
 use common::check::{self, Gen};
 
 /// A random continuous dataset: `nf` features, `rows` rows, bounded
@@ -71,6 +71,57 @@ fn training_is_bit_identical_across_thread_counts() {
                 m4.predict(&row).to_bits(),
                 "row {r} differs between 1 and 4 threads"
             );
+        }
+    });
+}
+
+/// Row counts at the accumulation block edges.
+const EDGE_ROWS: [usize; 6] = [
+    1,
+    BLOCK_ROWS - 1,
+    BLOCK_ROWS,
+    BLOCK_ROWS + 1,
+    2 * BLOCK_ROWS,
+    2 * BLOCK_ROWS + 1,
+];
+
+/// Models trained at 2, 3, 4 and 8 threads predict every row
+/// bit-identically to the 1-thread model, on datasets of one to three
+/// accumulation blocks with fewer, as many and more features than
+/// threads. A third of the cases fill part of a third block: float
+/// addition commutes, so only three or more block partials make the
+/// order of the block merge observable.
+#[test]
+fn multi_block_training_is_bit_identical_across_thread_counts() {
+    check::cases(40, |g| {
+        let rows = match g.usize_in(0..3) {
+            0 => g.pick(&EDGE_ROWS),
+            1 => g.usize_in(1..=3 * BLOCK_ROWS),
+            _ => g.usize_in(2 * BLOCK_ROWS + 2..=3 * BLOCK_ROWS),
+        };
+        let nf = g.pick(&[1, 2, 3, 4, 5, 8, 9]);
+        let mut data = Dataset::new((0..nf).map(|f| format!("x{f}")).collect());
+        for r in 0..rows {
+            let row = g.vec(nf..=nf, |g| g.f64_in(-100.0..100.0));
+            data.push_row(&row, g.f64_in(-10.0..10.0), (r % 3) as u32)
+                .expect("finite row");
+        }
+        let params = GbtParams::default()
+            .with_depth(g.usize_in(1..4))
+            .with_estimators(g.usize_in(1..4));
+        let m1 = train_hist(&data, &params, 1);
+        let p1: Vec<u64> = (0..rows)
+            .map(|r| m1.predict(&data.row(r)).to_bits())
+            .collect();
+        for threads in [2, 3, 4, 8] {
+            let m = train_hist(&data, &params, threads);
+            for (r, &bits) in p1.iter().enumerate() {
+                assert_eq!(
+                    bits,
+                    m.predict(&data.row(r)).to_bits(),
+                    "row {r} of {rows} x {nf} differs between 1 and {threads} threads"
+                );
+            }
         }
     });
 }

@@ -11,8 +11,8 @@
 //!
 //! Run `boreas_serve --help` for the full flag list. `--smoke` serves
 //! the tiny synthetic severity ≈ frequency/5 GBT model
-//! ([`engine::smoke_model`], also behind `fig8_dynamic_runs --smoke`) as
-//! an ML05 controller, so the CI
+//! ([`boreas_core::smoke_model`], also behind `fig8_dynamic_runs
+//! --smoke`) as an ML05 controller, so the CI
 //! smoke job exercises the batched GBT inference path without a
 //! training pipeline; without it the daemon serves the flat-70 °C
 //! TH-00 thermal controller.
@@ -86,7 +86,7 @@ fn main() -> Result<()> {
 
     let vf = VfTable::paper();
     let controller = if smoke {
-        let (model, features) = engine::smoke_model(0);
+        let (model, features) = boreas_core::smoke_model(0);
         ControllerSpec::ml(model, &features, 0.05)
     } else {
         ControllerSpec::thermal(vec![Some(70.0); vf.len()], 0.0)
