@@ -488,7 +488,7 @@ fn main() -> Result<()> {
         // A baseline recorded under one ISA must never gate numbers from
         // another: the speedup ratios legitimately differ, so a silent
         // cross-ISA comparison would mask (or fake) regressions.
-        let doc = common::json::parse(&baseline)?;
+        let doc: common::json::Json = common::json::from_str(&baseline)?;
         let base_isa = doc.get("machine")?.get("simd_isa")?.as_str("simd_isa")?;
         if base_isa != "any" && base_isa != Isa::active().name() {
             eprintln!(
@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn machine_block_records_the_active_isa() {
-        let doc = common::json::parse(&render_json(&[], true)).unwrap();
+        let doc: common::json::Json = common::json::from_str(&render_json(&[], true)).unwrap();
         let machine = doc.get("machine").unwrap();
         let machine = |key| machine.get(key).unwrap().as_str(key).unwrap();
         assert_eq!(machine("simd_isa"), Isa::active().name());

@@ -192,7 +192,7 @@ fn scaling_failure(
     baseline_json: &str,
     cores: usize,
 ) -> Result<Option<String>> {
-    let min_ratio = common::json::parse(baseline_json)?
+    let min_ratio = common::json::from_str::<common::json::Json>(baseline_json)?
         .get("scaling_floor")?
         .as_f64("scaling_floor")?;
     if cores < 2 {

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 /// The `(name, speedup)` pairs of a `bench_hotpath`/`bench_training`
 /// document or committed baseline, in document order.
 pub fn baseline_speedups(doc: &str) -> Result<Vec<(String, f64)>> {
-    json::parse(doc)?
+    json::from_str::<json::Json>(doc)?
         .get("kernels")?
         .as_arr("kernels")?
         .iter()

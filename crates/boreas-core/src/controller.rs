@@ -6,6 +6,7 @@ use common::units::GigaHertz;
 use common::{Error, Result};
 use gbt::GbtModel;
 use hotgauge::StepRecord;
+use std::sync::Arc;
 use telemetry::FeatureSet;
 
 /// What a controller chose to do at a decision boundary (diagnostics).
@@ -299,13 +300,16 @@ impl Controller for ThermalController {
 /// `1 − guardband` it steps down; otherwise it re-queries the model with
 /// the features rescaled to one VF step higher and steps up when that
 /// prediction is also below the threshold.
+///
+/// Cloning is cheap: clones share the model, which is immutable, and
+/// start from the original's decision state.
 #[derive(Debug, Clone)]
 pub struct BoreasController {
-    model: GbtModel,
+    model: Arc<GbtModel>,
     /// The ensemble compiled to the flat SoA layout at construction; all
     /// per-decision queries run on this (bit-identical to the tree walk,
     /// see `gbt::FlatModel`).
-    flat: gbt::FlatModel,
+    flat: Arc<gbt::FlatModel>,
     features: FeatureSet,
     /// Severity guardband `g`: threshold is `1 − g` (0.0 / 0.05 / 0.10).
     guardband: f64,
@@ -355,8 +359,8 @@ impl BoreasController {
             ));
         }
         Ok(Self {
-            flat: model.flatten(),
-            model,
+            flat: Arc::new(model.flatten()),
+            model: Arc::new(model),
             features,
             guardband,
             sensor_idx: telemetry::MAX_SENSOR_BANK,

@@ -1,6 +1,7 @@
-//! The workspace's one JSON codec: a dependency-free reader/writer, the
-//! [`ToJson`]/[`FromJson`] trait pair and the [`json_codec!`](crate::json_codec)
-//! macro that implements both for a type from a list of its fields.
+//! The workspace's one JSON codec: a dependency-free writer and pull
+//! [`Reader`], the [`ToJson`]/[`FromJson`] trait pair and the
+//! [`json_codec!`](crate::json_codec) macro that implements both for a
+//! type from a list of its fields.
 //!
 //! Model files, artifact-cache keys and payloads, engine result rows,
 //! the serving wire protocol and the obs JSONL export all go through it.
@@ -11,30 +12,40 @@
 //! externally tagged (a unit variant is its wire name as a string, any
 //! other variant a one-key object `{"<wire name>": <body>}`).
 //!
-//! `f64` values are written in Rust's shortest round-trip form and read
-//! back with the correctly rounded `str::parse`, so they round-trip bit
-//! for bit; a NaN or infinite float fails with
-//! [`ProtocolKind::NonFinite`] instead of becoming `null`. Numbers stay
-//! raw tokens until a typed accessor reads them, so a `u64` above 2^53
-//! never passes through an `f64`, and integers are range-checked into
-//! their type. Decoding ignores unknown keys (formats can grow fields)
-//! and rejects a missing field unless the macro gives it a default.
+//! Decoding pulls: [`Reader`] is the only tokenizer, and each
+//! [`FromJson`] impl reads its value straight off the borrowed bytes,
+//! objects key by key and arrays item by item, so a typed document is
+//! decoded without building a tree. Number tokens are borrowed slices
+//! read with `str::parse`: `f64` values are correctly rounded, so they
+//! round-trip bit for bit with the writer's shortest form; a `u64` above
+//! 2^53 never passes through an `f64`; integers are range-checked into
+//! their type. On the writing side a NaN or infinite float fails with
+//! [`ProtocolKind::NonFinite`] instead of becoming `null`.
+//!
+//! Struct decoders accept keys in any order, skip unknown keys (formats
+//! can grow fields), keep the first of duplicate keys and reject a
+//! missing field unless the macro gives it a default. A syntax error
+//! anywhere in a document ([`ProtocolKind::Malformed`]) outranks a
+//! schema error ([`ProtocolKind::Schema`]): after a schema error,
+//! [`from_str`] still scans the rest of the document. [`Json`] is one
+//! more `FromJson` type, for readers of untyped documents.
 
 use crate::{Error, ProtocolKind, Result};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// Maximum nesting depth the parser accepts (the wire protocol needs 4,
+/// Maximum nesting depth the reader accepts (the wire protocol needs 4,
 /// persisted models 6).
 const MAX_DEPTH: usize = 32;
 
-/// A parsed JSON value.
+/// An untyped JSON value, for documents read without a schema.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, kept as its raw token (see the module docs).
+    /// A number, kept as its raw token so no precision is lost.
     Num(String),
     /// A string, unescaped.
     Str(String),
@@ -45,19 +56,11 @@ pub enum Json {
 }
 
 impl Json {
-    /// The object's fields, or a protocol error naming `what`.
-    pub fn as_obj(&self, what: &'static str) -> Result<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Ok(fields),
-            other => Err(type_err(what, "object", other)),
-        }
-    }
-
     /// The array's elements, or a protocol error naming `what`.
     pub fn as_arr(&self, what: &'static str) -> Result<&[Json]> {
         match self {
             Json::Arr(items) => Ok(items),
-            other => Err(type_err(what, "array", other)),
+            other => Err(type_err(what, "array", other.kind().name())),
         }
     }
 
@@ -65,81 +68,85 @@ impl Json {
     pub fn as_str(&self, what: &'static str) -> Result<&str> {
         match self {
             Json::Str(s) => Ok(s),
-            other => Err(type_err(what, "string", other)),
+            other => Err(type_err(what, "string", other.kind().name())),
         }
     }
 
     /// The number as an `f64`, or a protocol error naming `what`.
     pub fn as_f64(&self, what: &'static str) -> Result<f64> {
         match self {
-            Json::Num(tok) => tok.parse::<f64>().map_err(|_| {
-                Error::protocol(
-                    ProtocolKind::Malformed,
-                    what,
-                    format!("bad number token `{tok}`"),
-                )
-            }),
-            other => Err(type_err(what, "number", other)),
+            Json::Num(tok) => parse_f64(tok, what),
+            other => Err(type_err(what, "number", other.kind().name())),
         }
     }
 
-    /// The number as an integer of type `T` (integer tokens in `T`'s
-    /// range only), or a protocol error naming `what`.
-    pub fn as_int<T: std::str::FromStr>(&self, what: &'static str) -> Result<T> {
-        match self {
-            Json::Num(tok) => tok.parse::<T>().map_err(|_| {
-                let want = std::any::type_name::<T>();
-                schema_error(what, format!("expected {want}, got `{tok}`"))
-            }),
-            other => Err(type_err(what, "number", other)),
-        }
-    }
-
-    /// Looks up a required object field.
+    /// Looks up a required object field (the first, if repeated).
     pub fn get(&self, key: &'static str) -> Result<&Json> {
-        self.get_opt(key)?
+        let Json::Obj(fields) = self else {
+            return Err(type_err(key, "object", self.kind().name()));
+        };
+        fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
             .ok_or_else(|| schema_error(key, "missing field".to_string()))
     }
 
-    /// Looks up an optional object field (`None` when absent).
-    pub fn get_opt(&self, key: &'static str) -> Result<Option<&Json>> {
-        let fields = self.as_obj(key)?;
-        Ok(fields.iter().find(|(k, _)| k == key).map(|(_, v)| v))
-    }
-
-    /// Splits an externally tagged enum value into its wire name and,
-    /// for struct and newtype variants, its body.
-    pub fn as_variant(&self, what: &'static str) -> Result<(&str, Option<&Json>)> {
+    fn kind(&self) -> Kind {
         match self {
-            Json::Str(tag) => Ok((tag, None)),
-            Json::Obj(fields) if fields.len() == 1 => Ok((&fields[0].0, Some(&fields[0].1))),
-            other => Err(type_err(what, "enum variant", other)),
+            Json::Null => Kind::Null,
+            Json::Bool(_) => Kind::Bool,
+            Json::Num(_) => Kind::Num,
+            Json::Str(_) => Kind::Str,
+            Json::Arr(_) => Kind::Arr,
+            Json::Obj(_) => Kind::Obj,
         }
     }
 }
 
-fn type_err(what: &'static str, want: &str, got: &Json) -> Error {
-    let kind = match got {
-        Json::Null => "null",
-        Json::Bool(_) => "bool",
-        Json::Num(_) => "number",
-        Json::Str(_) => "string",
-        Json::Arr(_) => "array",
-        Json::Obj(_) => "object",
-    };
-    schema_error(what, format!("expected {want}, got {kind}"))
+/// The type of a JSON value, as told by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Null,
+    Bool,
+    Num,
+    Str,
+    Arr,
+    Obj,
 }
 
-/// A [`ProtocolKind::Schema`] error: the document parsed, but `what`
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Null => "null",
+            Kind::Bool => "bool",
+            Kind::Num => "number",
+            Kind::Str => "string",
+            Kind::Arr => "array",
+            Kind::Obj => "object",
+        }
+    }
+}
+
+fn type_err(what: &'static str, want: &str, got: &str) -> Error {
+    schema_error(what, format!("expected {want}, got {got}"))
+}
+
+/// A [`ProtocolKind::Schema`] error: the document parses, but `what`
 /// does not have the shape its type needs.
 pub fn schema_error(what: &'static str, detail: String) -> Error {
     Error::protocol(ProtocolKind::Schema, what, detail)
 }
 
-/// The body of a struct or newtype enum variant, which a bare wire name
-/// lacks.
-pub fn variant_body<'a>(body: Option<&'a Json>, what: &'static str) -> Result<&'a Json> {
-    body.ok_or_else(|| schema_error(what, "variant without a body".to_string()))
+#[inline]
+fn parse_f64(tok: &str, what: &'static str) -> Result<f64> {
+    tok.parse::<f64>().map_err(|_| {
+        Error::protocol(
+            ProtocolKind::Malformed,
+            what,
+            format!("bad number token `{tok}`"),
+        )
+    })
 }
 
 // ---------------------------------------------------------------- writer
@@ -184,135 +191,249 @@ pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-// ---------------------------------------------------------------- parser
+// ---------------------------------------------------------------- reader
 
-/// Parses one JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Json> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing bytes after document"));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one borrowed JSON document: the codec's only
+/// tokenizer.
+///
+/// Containers are walked in place ([`Reader::object`] and
+/// [`Reader::key`], [`Reader::array`] and [`Reader::item`]); values are
+/// read by their [`FromJson`] impls, which check the next value's type
+/// and consume it. A wrong type is a [`ProtocolKind::Schema`] error that
+/// consumes nothing, broken syntax a [`ProtocolKind::Malformed`] one.
+///
+/// ```
+/// use boreas_common::json::{FromJson, Reader};
+///
+/// let mut r = Reader::new(r#"{"xs": [1, 2.5], "skipped": {"a": null}}"#);
+/// r.object("doc").unwrap();
+/// let mut xs = Vec::new();
+/// while let Some(key) = r.key().unwrap() {
+///     if key == "xs" {
+///         r.array("xs").unwrap();
+///         while r.item().unwrap() {
+///             xs.push(f64::read_json(&mut r, "x").unwrap());
+///         }
+///     } else {
+///         r.skip().unwrap();
+///     }
+/// }
+/// r.finish().unwrap();
+/// assert_eq!(xs, [1.0, 2.5]);
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Containers entered and not yet left.
+    depth: usize,
+    /// The innermost container was just entered: its first key or
+    /// item needs no comma before it.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, msg: impl Into<String>) -> Error {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    fn err(&self, msg: &str) -> Error {
+        self.err_at(self.pos, msg)
+    }
+
+    /// A [`ProtocolKind::Malformed`] error at byte `at`.
+    #[cold]
+    fn err_at(&self, at: usize, msg: &str) -> Error {
         Error::protocol(
             ProtocolKind::Malformed,
             "json",
-            format!("{} at byte {}", msg.into(), self.pos),
+            format!("{msg} at byte {at}"),
         )
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json> {
-        if depth > MAX_DEPTH {
+    /// Moves to the next value and names its type; fails on anything
+    /// that cannot start a value, or beyond [`MAX_DEPTH`].
+    #[inline]
+    fn start_value(&mut self) -> Result<Kind> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'n') if self.eat_lit("null") => Ok(Json::Null),
-            Some(b't') if self.eat_lit("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_lit("false") => Ok(Json::Bool(false)),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Num),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
+    /// Moves to the next value, which must be a `want`.
+    #[inline]
+    fn expect_value(&mut self, want: Kind, what: &'static str) -> Result<()> {
+        match self.start_value()? {
+            got if got == want => Ok(()),
+            got => Err(type_err(what, want.name(), got.name())),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
+    fn literal(&mut self, lit: &str) -> Result<()> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err(self.err("expected a JSON value"))
         }
     }
 
-    fn string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    /// Consumes a `null` and returns `true`, or returns `false` and
+    /// leaves any other value in place.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Malformed`] when no value follows.
+    #[inline]
+    fn null(&mut self) -> Result<bool> {
+        if self.start_value()? != Kind::Null {
+            return Ok(false);
+        }
+        self.literal("null")?;
+        Ok(true)
+    }
+
+    /// Reads a `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Schema`] for another type; `what` names the
+    /// value.
+    fn bool(&mut self, what: &'static str) -> Result<bool> {
+        self.expect_value(Kind::Bool, what)?;
+        let b = self.peek() == Some(b't');
+        self.literal(if b { "true" } else { "false" })?;
+        Ok(b)
+    }
+
+    /// Reads a number and returns its raw token.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Schema`] for another type,
+    /// [`ProtocolKind::Malformed`] for a token outside the JSON number
+    /// grammar.
+    #[inline]
+    fn number(&mut self, what: &'static str) -> Result<&'a str> {
+        self.expect_value(Kind::Num, what)?;
+        let bytes = self.text.as_bytes();
+        let digits_from =
+            |i: usize| i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+        let start = self.pos;
+        let mut end = start + usize::from(bytes[start] == b'-');
+        // Integer part: `0` or a nonzero-led digit run.
+        end = match bytes.get(end) {
+            Some(b'0') => end + 1,
+            Some(b'1'..=b'9') => digits_from(end + 1),
+            _ => return Err(self.err_at(end, "malformed number")),
+        };
+        if bytes.get(end) == Some(&b'.') {
+            let frac = end + 1;
+            end = digits_from(frac);
+            if end == frac {
+                return Err(self.err_at(end, "malformed number fraction"));
+            }
+        }
+        if matches!(bytes.get(end), Some(b'e' | b'E')) {
+            let sign = usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
+            let exp = end + 1 + sign;
+            end = digits_from(exp);
+            if end == exp {
+                return Err(self.err_at(end, "malformed number exponent"));
+            }
+        }
+        self.pos = end;
+        Ok(&self.text[start..end])
+    }
+
+    /// Reads a number as an `f64`, correctly rounded.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::number`].
+    #[inline]
+    fn f64(&mut self, what: &'static str) -> Result<f64> {
+        let tok = self.number(what)?;
+        parse_f64(tok, what)
+    }
+
+    /// Reads a number as an integer of type `T`: integer tokens in
+    /// `T`'s range only.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::number`], plus [`ProtocolKind::Schema`] for a
+    /// fraction, an exponent, a sign `T` lacks or a value out of range.
+    #[inline]
+    fn int<T: std::str::FromStr>(&mut self, what: &'static str) -> Result<T> {
+        let tok = self.number(what)?;
+        tok.parse::<T>().map_err(|_| {
+            let want = std::any::type_name::<T>();
+            schema_error(what, format!("expected {want}, got `{tok}`"))
+        })
+    }
+
+    /// Reads a string, borrowed from the document unless it holds
+    /// escapes.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Schema`] for another type,
+    /// [`ProtocolKind::Malformed`] for a bad escape, a raw control byte
+    /// or a missing closing quote.
+    fn string(&mut self, what: &'static str) -> Result<Cow<'a, str>> {
+        self.expect_value(Kind::Str, what)?;
+        self.string_token()
+    }
+
+    /// Reads the string token at the cursor's `"`.
+    #[inline]
+    fn string_token(&mut self) -> Result<Cow<'a, str>> {
+        if self.peek() != Some(b'"') {
+            return Err(self.err("expected `\"`"));
+        }
+        self.pos += 1;
+        let start = self.pos;
+        let run_end = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..run_end]));
+        }
+        self.unescape(start).map(Cow::Owned)
+    }
+
+    /// The rest of a string token that holds escapes (or is broken),
+    /// unescaped into an owned copy; `start` is its first content byte.
+    fn unescape(&mut self, start: usize) -> Result<String> {
+        let mut out = self.text[start..self.pos].to_string();
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
@@ -339,39 +460,46 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
                 Some(_) => {
-                    // Copy one whole UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xc0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
+                    let from = self.pos;
+                    let to = self.plain_run();
+                    out.push_str(&self.text[from..to]);
                 }
             }
         }
     }
 
+    /// Advances over string bytes that need no unescaping, stopping at
+    /// a quote, a backslash, a raw control byte or the end, and returns
+    /// where the run ends. The text is `&str` and every stop is ASCII,
+    /// so the run is whole UTF-8.
+    #[inline]
+    fn plain_run(&mut self) -> usize {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .unwrap_or(rest.len());
+        self.pos
+    }
+
     fn unicode_escape(&mut self) -> Result<char> {
-        let hex4 = |p: &mut Self| -> Result<u32> {
-            let end = p.pos + 4;
-            if end > p.bytes.len() {
-                return Err(p.err("truncated \\u escape"));
-            }
-            let s = std::str::from_utf8(&p.bytes[p.pos..end])
-                .map_err(|_| p.err("invalid \\u escape"))?;
-            let v = u32::from_str_radix(s, 16).map_err(|_| p.err("invalid \\u escape"))?;
-            p.pos = end;
+        let hex4 = |r: &mut Self| -> Result<u32> {
+            let end = r.pos + 4;
+            let s = r
+                .text
+                .get(r.pos..end)
+                .ok_or_else(|| r.err("truncated \\u escape"))?;
+            let v = u32::from_str_radix(s, 16).map_err(|_| r.err("invalid \\u escape"))?;
+            r.pos = end;
             Ok(v)
         };
         let hi = hex4(self)?;
         if (0xd800..0xdc00).contains(&hi) {
             // Surrogate pair: expect a low surrogate as `\uXXXX`.
-            if !(self.eat_lit("\\u")) {
+            if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                 return Err(self.err("unpaired high surrogate"));
             }
+            self.pos += 2;
             let lo = hex4(self)?;
             if !(0xdc00..0xe000).contains(&lo) {
                 return Err(self.err("invalid low surrogate"));
@@ -385,46 +513,180 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        // Integer part: `0` or a nonzero-led digit run.
+    /// Enters an object; read its members with [`Reader::key`].
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Schema`] for another type.
+    #[inline]
+    pub fn object(&mut self, what: &'static str) -> Result<()> {
+        self.expect_value(Kind::Obj, what)?;
+        self.enter();
+        Ok(())
+    }
+
+    /// The next key of the object being read, with the cursor on its
+    /// value (which the caller must read or [`skip`](Reader::skip)),
+    /// or `None` once the object is closed.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Malformed`] for broken object syntax.
+    #[inline]
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.fresh, false);
         match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
+            Some(b'}') => {
+                self.leave();
+                return Ok(None);
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ if !first => return Err(self.err("expected `,` or `}`")),
+            _ => {}
+        }
+        let key = self.string_token()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(self.err("expected `:`"));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Enters an array; step through its items with [`Reader::item`].
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Schema`] for another type.
+    #[inline]
+    pub fn array(&mut self, what: &'static str) -> Result<()> {
+        self.expect_value(Kind::Arr, what)?;
+        self.enter();
+        Ok(())
+    }
+
+    /// `true` with the cursor on the next item of the array being read
+    /// (which the caller must read or [`skip`](Reader::skip)), `false`
+    /// once the array is closed.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Malformed`] for broken array syntax.
+    #[inline]
+    pub fn item(&mut self) -> Result<bool> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.fresh, false);
+        match self.peek() {
+            Some(b']') => {
+                self.leave();
+                Ok(false)
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ if !first => Err(self.err("expected `,` or `]`")),
+            _ => Ok(true),
+        }
+    }
+
+    #[inline]
+    fn enter(&mut self) {
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+    }
+
+    #[inline]
+    fn leave(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+    }
+
+    /// Consumes the next value of any type, checking its syntax.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Malformed`] for broken syntax or nesting beyond
+    /// the reader's depth limit.
+    pub fn skip(&mut self) -> Result<()> {
+        match self.start_value()? {
+            Kind::Obj => {
+                self.enter();
+                while self.key()?.is_some() {
+                    self.skip()?;
                 }
             }
-            _ => return Err(self.err("malformed number")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("malformed number fraction"));
+            Kind::Arr => {
+                self.enter();
+                while self.item()? {
+                    self.skip()?;
+                }
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            Kind::Str => {
+                self.string_token()?;
             }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
+            Kind::Num => {
+                self.number("value")?;
             }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("malformed number exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            Kind::Null => self.literal("null")?,
+            Kind::Bool => {
+                self.bool("value")?;
             }
         }
-        let tok = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII number token")
-            .to_string();
-        Ok(Json::Num(tok))
+        Ok(())
+    }
+
+    /// Splits an externally tagged enum value into its wire name and
+    /// whether a body follows; with a body, the cursor is on it, and
+    /// [`Reader::variant_end`] closes the wrapping object once it has
+    /// been read.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Schema`] for a value that is neither a string
+    /// nor a non-empty object.
+    pub fn variant(&mut self, what: &'static str) -> Result<(Cow<'a, str>, bool)> {
+        match self.start_value()? {
+            Kind::Str => Ok((self.string_token()?, false)),
+            Kind::Obj => {
+                self.enter();
+                match self.key()? {
+                    Some(tag) => Ok((tag, true)),
+                    None => Err(type_err(what, "enum variant", "object")),
+                }
+            }
+            got => Err(type_err(what, "enum variant", got.name())),
+        }
+    }
+
+    /// Closes the one-key object around a variant body.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Schema`] when the object holds a second key.
+    pub fn variant_end(&mut self, what: &'static str) -> Result<()> {
+        match self.key()? {
+            None => Ok(()),
+            Some(_) => Err(type_err(what, "enum variant", "object with several keys")),
+        }
+    }
+
+    /// Checks that nothing but whitespace follows the document.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolKind::Malformed`] for trailing bytes.
+    pub fn finish(&mut self) -> Result<()> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing bytes after document"));
+        }
+        Ok(())
     }
 }
 
@@ -440,8 +702,9 @@ pub trait ToJson {
 
 /// A value readable from its [`ToJson`] encoding.
 pub trait FromJson: Sized {
-    /// Reads `v`; `what` names it in [`ProtocolKind::Schema`] errors.
-    fn read_json(v: &Json, what: &'static str) -> Result<Self>;
+    /// Reads one value off `r`; `what` names it in
+    /// [`ProtocolKind::Schema`] errors.
+    fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self>;
 }
 
 /// Encodes `value` as a JSON document.
@@ -451,9 +714,35 @@ pub fn to_string<T: ToJson + ?Sized>(value: &T) -> Result<String> {
     Ok(out)
 }
 
-/// Parses a JSON document into a `T`.
+/// Reads a JSON document as a `T`.
+///
+/// # Errors
+///
+/// [`ProtocolKind::Malformed`] when the document does not parse, wherever
+/// the fault sits; otherwise [`ProtocolKind::Schema`] (or whatever `T`'s
+/// reader reports) when it does not hold a `T`.
 pub fn from_str<T: FromJson>(text: &str) -> Result<T> {
-    T::read_json(&parse(text)?, "value")
+    from_str_as(text, "value")
+}
+
+/// [`from_str`], naming the document `what` in its errors.
+///
+/// # Errors
+///
+/// As [`from_str`].
+pub fn from_str_as<T: FromJson>(text: &str, what: &'static str) -> Result<T> {
+    let mut r = Reader::new(text);
+    let read = T::read_json(&mut r, what).and_then(|v| r.finish().map(|()| v));
+    match read {
+        Err(e) if e.protocol_kind() != Some(ProtocolKind::Malformed) => {
+            // The reader stopped early: a syntax error further on must
+            // still win, as it would for a parse-then-check reader.
+            let mut rest = Reader::new(text);
+            rest.skip().and_then(|()| rest.finish())?;
+            Err(e)
+        }
+        read => read,
+    }
 }
 
 impl ToJson for bool {
@@ -464,11 +753,9 @@ impl ToJson for bool {
 }
 
 impl FromJson for bool {
-    fn read_json(v: &Json, what: &'static str) -> Result<Self> {
-        match v {
-            Json::Bool(b) => Ok(*b),
-            other => Err(type_err(what, "bool", other)),
-        }
+    #[inline]
+    fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
+        r.bool(what)
     }
 }
 
@@ -482,8 +769,9 @@ macro_rules! integer {
         }
 
         impl FromJson for $t {
-            fn read_json(v: &Json, what: &'static str) -> Result<Self> {
-                v.as_int(what)
+            #[inline]
+            fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
+                r.int(what)
             }
         }
     )+};
@@ -498,8 +786,9 @@ impl ToJson for f64 {
 }
 
 impl FromJson for f64 {
-    fn read_json(v: &Json, what: &'static str) -> Result<Self> {
-        v.as_f64(what)
+    #[inline]
+    fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
+        r.f64(what)
     }
 }
 
@@ -517,8 +806,9 @@ impl ToJson for String {
 }
 
 impl FromJson for String {
-    fn read_json(v: &Json, what: &'static str) -> Result<Self> {
-        v.as_str(what).map(str::to_string)
+    #[inline]
+    fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
+        r.string(what).map(Cow::into_owned)
     }
 }
 
@@ -541,10 +831,11 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn read_json(v: &Json, what: &'static str) -> Result<Self> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::read_json(other, what).map(Some),
+    fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::read_json(r, what).map(Some)
         }
     }
 }
@@ -570,11 +861,13 @@ impl<T: ToJson> ToJson for Vec<T> {
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn read_json(v: &Json, what: &'static str) -> Result<Self> {
-        v.as_arr(what)?
-            .iter()
-            .map(|item| T::read_json(item, what))
-            .collect()
+    fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
+        r.array(what)?;
+        let mut items = Vec::new();
+        while r.item()? {
+            items.push(T::read_json(r, what)?);
+        }
+        Ok(items)
     }
 }
 
@@ -585,14 +878,16 @@ impl<T: ToJson, const N: usize> ToJson for [T; N] {
 }
 
 impl<T: FromJson, const N: usize> FromJson for [T; N] {
-    fn read_json(v: &Json, what: &'static str) -> Result<Self> {
-        let items = Vec::<T>::read_json(v, what)?;
+    fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
+        let items = Vec::<T>::read_json(r, what)?;
         let len = items.len();
         items.try_into().map_err(|_| wrong_len(what, N, len))
     }
 }
 
-fn wrong_len(what: &'static str, expected: usize, actual: usize) -> Error {
+/// A [`ProtocolKind::Schema`] error for an array of `actual` elements
+/// where `expected` were needed.
+pub fn wrong_len(what: &'static str, expected: usize, actual: usize) -> Error {
     schema_error(what, format!("expected {expected} elements, got {actual}"))
 }
 
@@ -613,12 +908,23 @@ macro_rules! tuple {
         }
 
         impl<$($t: FromJson),+> FromJson for ($($t,)+) {
-            fn read_json(v: &Json, what: &'static str) -> Result<Self> {
-                let items = v.as_arr(what)?;
-                if items.len() != $n {
-                    return Err(wrong_len(what, $n, items.len()));
+            fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
+                r.array(what)?;
+                let value = ($({
+                    if !r.item()? {
+                        return Err(wrong_len(what, $n, $i));
+                    }
+                    $t::read_json(r, what)?
+                },)+);
+                let mut len = $n;
+                while r.item()? {
+                    r.skip()?;
+                    len += 1;
                 }
-                Ok(($($t::read_json(&items[$i], what)?,)+))
+                if len != $n {
+                    return Err(wrong_len(what, $n, len));
+                }
+                Ok(value)
             }
         }
     };
@@ -631,6 +937,36 @@ tuple!(5: A 0, B 1, C 2, D 3, E 4);
 tuple!(6: A 0, B 1, C 2, D 3, E 4, F 5);
 tuple!(7: A 0, B 1, C 2, D 3, E 4, F 5, G 6);
 
+impl FromJson for Json {
+    fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
+        Ok(match r.start_value()? {
+            Kind::Null => {
+                r.literal("null")?;
+                Json::Null
+            }
+            Kind::Bool => Json::Bool(r.bool(what)?),
+            Kind::Num => Json::Num(r.number(what)?.to_string()),
+            Kind::Str => Json::Str(r.string(what)?.into_owned()),
+            Kind::Arr => {
+                r.array(what)?;
+                let mut items = Vec::new();
+                while r.item()? {
+                    items.push(Json::read_json(r, what)?);
+                }
+                Json::Arr(items)
+            }
+            Kind::Obj => {
+                r.object(what)?;
+                let mut fields = Vec::new();
+                while let Some(key) = r.key()? {
+                    fields.push((key.into_owned(), Json::read_json(r, what)?));
+                }
+                Json::Obj(fields)
+            }
+        })
+    }
+}
+
 /// Implements [`ToJson`] and [`FromJson`] for a type by listing its
 /// fields or variants, next to the type's definition:
 ///
@@ -638,14 +974,17 @@ tuple!(7: A 0, B 1, C 2, D 3, E 4, F 5, G 6);
 ///   named-field struct, encoded as an object. The encoder destructures
 ///   `Self { a, b, c }` and the decoder builds it, so a field missing
 ///   from the list is a compile error: a new field can never silently
-///   drop out of a cache key. `= expr` is the value used when the field
-///   is absent from a document.
+///   drop out of a cache key. The decoder takes keys in any order,
+///   skips unknown ones and keeps the first of duplicates; `= expr` is
+///   the value used when the field is absent from a document, and any
+///   other absent field is a [`ProtocolKind::Schema`] error.
 /// * `json_codec! { newtype Name }` — a one-field tuple struct, encoded
 ///   as its bare inner value.
 /// * `json_codec! { enum Name { Unit = "unit", Shaped { a, b } = "shaped",
 ///   Wrapped(inner) = "wrapped" } }` — an externally tagged enum, each
 ///   variant listed with its wire name. The encoder matches
-///   exhaustively, so a new variant must be listed too.
+///   exhaustively, so a new variant must be listed too; the decoder
+///   wants a wire name, or an object with exactly one key, a wire name.
 ///
 /// `write struct` and `write enum` implement [`ToJson`] only, for
 /// borrowed descriptions that are hashed but never read back; these may
@@ -657,11 +996,12 @@ macro_rules! json_codec {
 
         impl $crate::json::FromJson for $ty {
             fn read_json(
-                v: &$crate::json::Json,
-                _what: &'static str,
+                r: &mut $crate::json::Reader<'_>,
+                what: &'static str,
             ) -> $crate::Result<Self> {
+                $crate::json_codec!(@fields r, what; $($field),+);
                 ::std::result::Result::Ok($ty {
-                    $($field: $crate::json_codec!(@field v, $field $(, $default)?),)+
+                    $($field: $crate::json_codec!(@take $field $(, $default)?),)+
                 })
             }
         }
@@ -684,8 +1024,11 @@ macro_rules! json_codec {
         }
 
         impl $crate::json::FromJson for $ty {
-            fn read_json(v: &$crate::json::Json, what: &'static str) -> $crate::Result<Self> {
-                $crate::json::FromJson::read_json(v, what).map($ty)
+            fn read_json(
+                r: &mut $crate::json::Reader<'_>,
+                what: &'static str,
+            ) -> $crate::Result<Self> {
+                $crate::json::FromJson::read_json(r, what).map($ty)
             }
         }
     };
@@ -697,13 +1040,20 @@ macro_rules! json_codec {
         });
 
         impl $crate::json::FromJson for $ty {
-            fn read_json(v: &$crate::json::Json, what: &'static str) -> $crate::Result<Self> {
-                let (tag, body) = v.as_variant(what)?;
+            fn read_json(
+                r: &mut $crate::json::Reader<'_>,
+                what: &'static str,
+            ) -> $crate::Result<Self> {
+                let (tag, body) = r.variant(what)?;
                 $(
                     if tag == $wire {
-                        return $crate::json_codec!(
-                            @variant body, what, $ty::$variant $(, { $($f),+ })? $(, ($inner))?
+                        let value = $crate::json_codec!(
+                            @variant r, body, what, $ty::$variant $(, { $($f),+ })? $(, ($inner))?
                         );
+                        if body {
+                            r.variant_end(what)?;
+                        }
+                        return ::std::result::Result::Ok(value);
                     }
                 )+
                 ::std::result::Result::Err($crate::json::schema_error(
@@ -740,15 +1090,39 @@ macro_rules! json_codec {
         )*
         $out.push('}');
     };
-    // Reads one struct field, falling back to its default when absent.
-    (@field $v:ident, $field:ident) => {
-        $crate::json::FromJson::read_json($v.get(stringify!($field))?, stringify!($field))?
+    // Reads an object into one `Option` binding per field: the first
+    // occurrence of a listed key fills its binding, every other key is
+    // skipped.
+    (@fields $r:ident, $what:ident; $($field:ident),+) => {
+        $(let mut $field = ::std::option::Option::None;)+
+        $r.object($what)?;
+        while let ::std::option::Option::Some(key) = $r.key()? {
+            $(
+                if $field.is_none() && key == stringify!($field) {
+                    $field = ::std::option::Option::Some(
+                        $crate::json::FromJson::read_json($r, stringify!($field))?,
+                    );
+                    continue;
+                }
+            )+
+            $r.skip()?;
+        }
     };
-    (@field $v:ident, $field:ident, $default:expr) => {
-        match $v.get_opt(stringify!($field))? {
-            ::std::option::Option::Some(x) => {
-                $crate::json::FromJson::read_json(x, stringify!($field))?
+    // One field's value: read, defaulted, or missing.
+    (@take $field:ident) => {
+        match $field {
+            ::std::option::Option::Some(v) => v,
+            ::std::option::Option::None => {
+                return ::std::result::Result::Err($crate::json::schema_error(
+                    stringify!($field),
+                    "missing field".to_string(),
+                ))
             }
+        }
+    };
+    (@take $field:ident, $default:expr) => {
+        match $field {
+            ::std::option::Option::Some(v) => v,
             ::std::option::Option::None => $default,
         }
     };
@@ -766,37 +1140,54 @@ macro_rules! json_codec {
         $crate::json::ToJson::write_json($inner, $out, $wire)?;
         $out.push('}');
     };
-    // Reads one enum variant from its body (`None` for a bare name).
-    (@variant $body:ident, $what:ident, $ty:ident::$variant:ident) => {
-        match $body {
-            ::std::option::Option::None => ::std::result::Result::Ok($ty::$variant),
-            ::std::option::Option::Some(_) => ::std::result::Result::Err(
-                $crate::json::schema_error($what, "unit variant with a body".to_string()),
-            ),
+    // Reads one enum variant; `$body` says whether a body follows.
+    (@variant $r:ident, $body:ident, $what:ident, $ty:ident::$variant:ident) => {{
+        if $body {
+            return ::std::result::Result::Err($crate::json::schema_error(
+                $what,
+                "unit variant with a body".to_string(),
+            ));
         }
-    };
-    (@variant $body:ident, $what:ident, $ty:ident::$variant:ident, { $($f:ident),+ }) => {{
-        let b = $crate::json::variant_body($body, $what)?;
-        ::std::result::Result::Ok($ty::$variant {
-            $($f: $crate::json_codec!(@field b, $f),)+
-        })
+        $ty::$variant
     }};
-    (@variant $body:ident, $what:ident, $ty:ident::$variant:ident, ($inner:ident)) => {{
-        let b = $crate::json::variant_body($body, $what)?;
-        $crate::json::FromJson::read_json(b, stringify!($inner)).map($ty::$variant)
+    (@variant $r:ident, $body:ident, $what:ident, $ty:ident::$variant:ident, { $($f:ident),+ }) => {{
+        if !$body {
+            return ::std::result::Result::Err($crate::json::schema_error(
+                $what,
+                "variant without a body".to_string(),
+            ));
+        }
+        $crate::json_codec!(@fields $r, $what; $($f),+);
+        $ty::$variant {
+            $($f: $crate::json_codec!(@take $f),)+
+        }
+    }};
+    (@variant $r:ident, $body:ident, $what:ident, $ty:ident::$variant:ident, ($inner:ident)) => {{
+        if !$body {
+            return ::std::result::Result::Err($crate::json::schema_error(
+                $what,
+                "variant without a body".to_string(),
+            ));
+        }
+        $ty::$variant($crate::json::FromJson::read_json($r, stringify!($inner))?)
     }};
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check;
+
+    fn parse(text: &str) -> Result<Json> {
+        from_str(text)
+    }
 
     #[test]
     fn parses_the_basic_shapes() {
         let v = parse(r#"{"a":[1,2.5,-3e2],"b":"x\ny","c":null,"d":true}"#).unwrap();
         assert_eq!(v.get("b").unwrap().as_str("b").unwrap(), "x\ny");
         let arr = v.get("a").unwrap().as_arr("a").unwrap();
-        assert_eq!(arr[0].as_int::<u64>("a0").unwrap(), 1);
+        assert_eq!(arr[0], Json::Num("1".to_string()));
         assert_eq!(arr[1].as_f64("a1").unwrap(), 2.5);
         assert_eq!(arr[2].as_f64("a2").unwrap(), -300.0);
         assert_eq!(*v.get("c").unwrap(), Json::Null);
@@ -815,7 +1206,7 @@ mod tests {
         ] {
             let mut s = String::new();
             push_f64(&mut s, v, "t").unwrap();
-            let back = parse(&s).unwrap().as_f64("t").unwrap();
+            let back: f64 = from_str(&s).unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "token {s}");
         }
     }
@@ -823,8 +1214,10 @@ mod tests {
     #[test]
     fn u64_survives_above_f64_precision() {
         let big = u64::MAX - 1;
+        let v: Vec<u64> = from_str(&format!("[{big}]")).unwrap();
+        assert_eq!(v, [big]);
         let v = parse(&format!("{{\"seq\":{big}}}")).unwrap();
-        assert_eq!(v.get("seq").unwrap().as_int::<u64>("seq").unwrap(), big);
+        assert_eq!(*v.get("seq").unwrap(), Json::Num(big.to_string()));
     }
 
     #[test]
@@ -842,11 +1235,11 @@ mod tests {
         }
     }
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     struct Meters(f64);
     crate::json_codec! { newtype Meters }
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     enum Shape {
         Point,
         Circle { r: Meters, label: Option<String> },
@@ -860,7 +1253,7 @@ mod tests {
         }
     }
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     struct Scene {
         id: u64,
         shapes: Vec<Shape>,
@@ -869,6 +1262,10 @@ mod tests {
     }
     crate::json_codec! { struct Scene { id, shapes, scale, hidden = false } }
 
+    fn kind_of<T: FromJson>(text: &str) -> Option<ProtocolKind> {
+        from_str::<T>(text).err().and_then(|e| e.protocol_kind())
+    }
+
     #[test]
     fn codec_macro_covers_every_shape() {
         let text = r#"{"id":18446744073709551615,"shapes":["point",{"circle":{"r":0.25,"label":null}},{"path":[[0,-1.5],[0.0000001,2]]}],"scale":[1,0.5],"hidden":true}"#;
@@ -876,25 +1273,125 @@ mod tests {
         assert_eq!(scene.id, u64::MAX);
         assert_eq!(scene.shapes[2], Shape::Path(vec![(0.0, -1.5), (1e-7, 2.0)]));
         assert_eq!(to_string(&scene).unwrap(), text);
-        // Defaults fill absent fields; unknown keys are ignored.
+        // Defaults fill absent fields; unknown keys are skipped, keys
+        // come in any order, and the first of duplicate keys wins.
         let old: Scene = from_str(r#"{"id":1,"shapes":[],"scale":[0,0],"extra":{}}"#).unwrap();
         assert!(!old.hidden);
+        let shuffled: Scene =
+            from_str(r#"{"scale":[0,0],"id":2,"id":"x","shapes":[],"hidden":true}"#).unwrap();
+        assert_eq!((shuffled.id, shuffled.hidden), (2, true));
         for bad in [
             r#"{"shapes":[],"scale":[0,0]}"#,
             r#"{"id":-1,"shapes":[],"scale":[0,0]}"#,
+            r#"{"id":"x","id":1,"shapes":[],"scale":[0,0]}"#,
             r#"{"id":1,"shapes":["square"],"scale":[0,0]}"#,
             r#"{"id":1,"shapes":[{"point":1}],"scale":[0,0]}"#,
             r#"{"id":1,"shapes":["circle"],"scale":[0,0]}"#,
+            r#"{"id":1,"shapes":[{}],"scale":[0,0]}"#,
+            r#"{"id":1,"shapes":[{"path":[],"point":null}],"scale":[0,0]}"#,
             r#"{"id":1,"shapes":[],"scale":[0]}"#,
+            r#"{"id":1,"shapes":[],"scale":[0,0,0]}"#,
             r#"{"id":1,"shapes":[{"path":[[1]]}],"scale":[0,0]}"#,
+            r#"{"id":1,"shapes":[{"path":[[1,2,3]]}],"scale":[0,0]}"#,
+            r#"[]"#,
         ] {
-            let err = from_str::<Scene>(bad).unwrap_err();
+            assert_eq!(kind_of::<Scene>(bad), Some(ProtocolKind::Schema), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_syntax_error_anywhere_outranks_a_schema_error() {
+        for bad in [
+            // The schema error comes first, the syntax error later.
+            r#"{"id":"x","shapes":[],"scale":[0,0]"#,
+            r#"{"id":[1],"shapes":[],"scale":[0,0]} x"#,
+            r#"{"shapes":[],"scale":[0,0],"extra":[1,]}"#,
+            r#"{"id":1,"shapes":["square",nul],"scale":[0,0]}"#,
+            // Unknown keys and losing duplicates are still checked.
+            r#"{"id":1,"shapes":[],"scale":[0,0],"extra":01}"#,
+            r#"{"id":1,"id":"\q","shapes":[],"scale":[0,0]}"#,
+        ] {
             assert_eq!(
-                err.protocol_kind(),
-                Some(ProtocolKind::Schema),
-                "{bad}: {err}"
+                kind_of::<Scene>(bad),
+                Some(ProtocolKind::Malformed),
+                "{bad}"
             );
         }
+        let deep = format!("{{\"id\":[1],\"x\":{}{}}}", "[".repeat(40), "]".repeat(40));
+        assert_eq!(kind_of::<Scene>(&deep), Some(ProtocolKind::Malformed));
+    }
+
+    /// Writes `scene` with its keys in a random order, plus unknown keys
+    /// and ill-typed duplicates of known ones after them (which must
+    /// lose).
+    fn scrambled(g: &mut check::Gen, scene: &Scene) -> String {
+        let mut members = vec![
+            format!("\"id\":{}", to_string(&scene.id).unwrap()),
+            format!("\"shapes\":{}", to_string(&scene.shapes).unwrap()),
+            format!("\"scale\":{}", to_string(&scene.scale).unwrap()),
+            format!("\"hidden\":{}", to_string(&scene.hidden).unwrap()),
+        ];
+        for i in (1..members.len()).rev() {
+            members.swap(i, g.usize_in(0..=i));
+        }
+        let mut out = Vec::new();
+        for m in members {
+            let key = m[..m.find(':').unwrap()].to_string();
+            out.push(m);
+            if g.pick(&[true, false]) {
+                out.push(format!("{key}:{{\"dup\":[true,null]}}"));
+            }
+            if g.pick(&[true, false]) {
+                out.push("\"unknown\":{\"a\":[1,-2.5e3,\"\\u00e9\"]}".to_string());
+            }
+        }
+        format!("{{{}}}", out.join(","))
+    }
+
+    fn random_scene(g: &mut check::Gen) -> Scene {
+        // Any finite bit pattern: subnormals, -0.0 and extremes included.
+        let float = |g: &mut check::Gen| {
+            let v = f64::from_bits(g.u64());
+            if v.is_finite() {
+                v
+            } else {
+                -0.0
+            }
+        };
+        Scene {
+            id: g.u64(),
+            shapes: g.vec(0..5, |g| match g.usize_in(0..3) {
+                0 => Shape::Point,
+                1 => Shape::Circle {
+                    r: Meters(float(g)),
+                    label: g.option(|g| "é\"\\\n".repeat(g.usize_in(0..3))),
+                },
+                _ => Shape::Path(g.vec(0..4, |g| (float(g), float(g)))),
+            }),
+            scale: [float(g), float(g)],
+            hidden: g.pick(&[true, false]),
+        }
+    }
+
+    /// Random scenes round-trip bit for bit through the canonical
+    /// encoding and through scrambled key orders with unknown and
+    /// duplicate keys.
+    #[test]
+    fn scenes_round_trip_through_any_key_order() {
+        check::cases(128, |g| {
+            let scene = random_scene(g);
+            let text = to_string(&scene).unwrap();
+            let back: Scene = from_str(&text).unwrap();
+            assert_eq!(back, scene);
+            assert_eq!(
+                to_string(&back).unwrap(),
+                text,
+                "re-encodes to the same bytes"
+            );
+            let messy = scrambled(g, &scene);
+            let back: Scene = from_str(&messy).unwrap();
+            assert_eq!(to_string(&back).unwrap(), text, "{messy}");
+        });
     }
 
     #[test]
@@ -902,12 +1399,15 @@ mod tests {
         let original = "quote\" slash\\ newline\n tab\t nul\u{01} é 日本 \u{1f600}";
         let mut s = String::new();
         push_str(&mut s, original);
-        assert_eq!(parse(&s).unwrap().as_str("s").unwrap(), original);
+        assert_eq!(from_str::<String>(&s).unwrap(), original);
         // Surrogate-pair escapes decode too.
         assert_eq!(
-            parse("\"\\ud83d\\ude00\"").unwrap().as_str("s").unwrap(),
+            from_str::<String>("\"\\ud83d\\ude00\"").unwrap(),
             "\u{1f600}"
         );
+        // Escaped keys match their plain spelling.
+        let v: Scene = from_str(r#"{"\u0069d":3,"shapes":[],"scale":[0,0]}"#).unwrap();
+        assert_eq!(v.id, 3);
     }
 
     #[test]
@@ -924,8 +1424,22 @@ mod tests {
             "nul",
             "[1] x",
             r#""\ud800""#,
+            "[1,]",
+            "{\"a\":1,}",
+            "{,}",
+            "\"tab\there\"",
         ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
+            assert_eq!(
+                parse(bad).unwrap_err().protocol_kind(),
+                Some(ProtocolKind::Malformed),
+                "{bad:?}"
+            );
         }
+        // 33 levels parse; one more is too deep, even for a scalar.
+        let nest = |n: usize, inner: &str| format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(33, "")).is_ok());
+        assert!(parse(&nest(32, "1")).is_ok());
+        assert!(parse(&nest(33, "1")).is_err());
+        assert!(parse(&nest(34, "")).is_err());
     }
 }

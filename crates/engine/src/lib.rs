@@ -64,7 +64,9 @@ pub mod supervisor;
 
 pub use cache::{ArtifactCache, CacheLookup, CACHE_DIR_ENV};
 pub use pool::JobOutcome;
-pub use scenario::{BuiltController, ControllerSpec, FaultCell, Scenario, ScenarioKind};
+pub use scenario::{
+    BuiltController, ControllerFactory, ControllerSpec, FaultCell, Scenario, ScenarioKind,
+};
 pub use session::{
     EngineCounters, JobResult, LoopRunResult, Session, SessionReport, SweepPointResult,
 };

@@ -135,42 +135,75 @@ impl ControllerSpec {
     ///
     /// Returns an error for unknown feature names or invalid guardbands.
     pub fn build(&self) -> Result<BuiltController> {
-        match self {
-            ControllerSpec::Global { idx } => Ok(BuiltController::Simple(Box::new(
-                GlobalVfController::new(*idx),
-            ))),
+        Ok(ControllerFactory::new(self)?.build())
+    }
+}
+
+/// Builds any number of controllers from one [`ControllerSpec`]: the
+/// spec is checked and its model compiled once, and every controller
+/// built afterwards shares that model. A serving daemon holds one
+/// controller per die; a private copy of ML05's model per die would
+/// cost about 0.2 MB each.
+#[derive(Debug, Clone)]
+pub struct ControllerFactory(Template);
+
+/// A freshly built controller, cloned for each [`ControllerFactory::build`].
+#[derive(Debug, Clone)]
+enum Template {
+    Global(GlobalVfController),
+    Thermal(ThermalController),
+    Ml(BoreasController),
+    ResilientMl(Box<ResilientController<BoreasController>>),
+}
+
+impl ControllerFactory {
+    /// Checks `spec` and builds the template its controllers are cloned
+    /// from.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for unknown feature names or invalid guardbands.
+    pub fn new(spec: &ControllerSpec) -> Result<ControllerFactory> {
+        let ml = |model: &GbtModel, features: &[String], guardband: f64| {
+            let names: Vec<&str> = features.iter().map(String::as_str).collect();
+            let fs = FeatureSet::from_names(&names)?;
+            BoreasController::try_new(model.clone(), fs, guardband)
+        };
+        Ok(ControllerFactory(match spec {
+            ControllerSpec::Global { idx } => Template::Global(GlobalVfController::new(*idx)),
             ControllerSpec::Thermal {
                 thresholds,
                 relax_c,
-            } => Ok(BuiltController::Simple(Box::new(
-                ThermalController::from_thresholds(thresholds.clone(), *relax_c),
-            ))),
+            } => Template::Thermal(ThermalController::from_thresholds(
+                thresholds.clone(),
+                *relax_c,
+            )),
             ControllerSpec::Ml {
                 model,
                 features,
                 guardband,
-            } => {
-                let names: Vec<&str> = features.iter().map(String::as_str).collect();
-                let fs = FeatureSet::from_names(&names)?;
-                Ok(BuiltController::Simple(Box::new(
-                    BoreasController::try_new(model.clone(), fs, *guardband)?,
-                )))
-            }
+            } => Template::Ml(ml(model, features, *guardband)?),
             ControllerSpec::ResilientMl {
                 model,
                 features,
                 guardband,
                 fallback,
                 safe_idx,
-            } => {
-                let names: Vec<&str> = features.iter().map(String::as_str).collect();
-                let fs = FeatureSet::from_names(&names)?;
-                let inner = BoreasController::try_new(model.clone(), fs, *guardband)?;
-                let fb = ThermalController::from_thresholds(fallback.clone(), 0.0);
-                Ok(BuiltController::Resilient(Box::new(
-                    ResilientController::new(inner, fb, *safe_idx),
-                )))
-            }
+            } => Template::ResilientMl(Box::new(ResilientController::new(
+                ml(model, features, *guardband)?,
+                ThermalController::from_thresholds(fallback.clone(), 0.0),
+                *safe_idx,
+            ))),
+        }))
+    }
+
+    /// A new controller instance, in the state a freshly built one has.
+    pub fn build(&self) -> BuiltController {
+        match &self.0 {
+            Template::Global(c) => BuiltController::Simple(Box::new(c.clone())),
+            Template::Thermal(c) => BuiltController::Simple(Box::new(c.clone())),
+            Template::Ml(c) => BuiltController::Simple(Box::new(c.clone())),
+            Template::ResilientMl(c) => BuiltController::Resilient(c.clone()),
         }
     }
 }

@@ -6,7 +6,7 @@
 //! (`ROB_reads`, `cdb_alu_accesses`, `MUL_cdb_duty_cycle`, …) appear
 //! verbatim.
 
-use common::json::{FromJson, Json};
+use common::json::{self, FromJson, Reader};
 use std::fmt;
 
 macro_rules! counters {
@@ -222,13 +222,32 @@ pub struct IntervalCounters {
 common::json_codec! { write struct IntervalCounters { values } }
 
 /// Reads back exactly [`NUM_COUNTERS`] values: counter sets arrive from
-/// outside the process on the serving wire.
+/// outside the process on the serving wire. The object follows the
+/// `json_codec!` struct rules (keys in any order, unknown keys skipped,
+/// the first `values` kept); the values go straight into a buffer of
+/// the exact size.
 impl FromJson for IntervalCounters {
-    fn read_json(v: &Json, _what: &'static str) -> common::Result<Self> {
-        let values: [f64; NUM_COUNTERS] = FromJson::read_json(v.get("values")?, "counters")?;
-        Ok(IntervalCounters {
-            values: values.to_vec(),
-        })
+    fn read_json(r: &mut Reader<'_>, what: &'static str) -> common::Result<Self> {
+        let mut values: Option<Vec<f64>> = None;
+        r.object(what)?;
+        while let Some(key) = r.key()? {
+            if values.is_some() || key != "values" {
+                r.skip()?;
+                continue;
+            }
+            let mut v = Vec::with_capacity(NUM_COUNTERS);
+            r.array("counters")?;
+            while r.item()? {
+                v.push(f64::read_json(r, "counters")?);
+            }
+            if v.len() != NUM_COUNTERS {
+                return Err(json::wrong_len("counters", NUM_COUNTERS, v.len()));
+            }
+            values = Some(v);
+        }
+        let values =
+            values.ok_or_else(|| json::schema_error("values", "missing field".to_string()))?;
+        Ok(IntervalCounters { values })
     }
 }
 

@@ -521,7 +521,7 @@ fn main() -> Result<()> {
     if let Some(baseline_path) = check_path {
         let baseline = std::fs::read_to_string(&baseline_path)
             .map_err(|e| Error::io("read serving baseline", e.to_string()))?;
-        let doc = json::parse(&baseline)?;
+        let doc: json::Json = json::from_str(&baseline)?;
         let limits = doc.get("limits")?;
         let limit = |key| limits.get(key)?.as_f64(key);
         let (min_fps, max_p99) = (limit("min_throughput_fps")?, limit("max_p99_ms")?);

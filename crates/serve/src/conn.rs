@@ -6,7 +6,8 @@
 //!
 //! * inbound, a [`FrameDecoder`] accumulates whatever byte runs
 //!   `epoll` delivers — partial prefixes, split bodies, several
-//!   coalesced messages — and yields complete frame bodies;
+//!   coalesced messages — and hands each complete frame body, borrowed
+//!   from its buffer, to the reactor's callback;
 //! * outbound, a ring of encoded response bytes ([`Conn::out`]) holds
 //!   whatever the socket would not take, so a slow client consumes
 //!   buffer space instead of a thread.
@@ -64,10 +65,9 @@ impl Outbox {
     }
 }
 
-/// What one readiness-driven read pass observed.
+/// What one readiness-driven read pass observed (its frames went to
+/// the pass's callback).
 pub(crate) struct ReadPass {
-    /// Complete frame bodies decoded this pass, in arrival order.
-    pub frames: Vec<Vec<u8>>,
     /// The peer half-closed its send direction (clean EOF).
     pub eof: bool,
     /// Any byte arrived (resets the idle clock).
@@ -107,15 +107,17 @@ impl Conn {
     }
 
     /// Reads until the socket would block or [`READ_BUDGET`] bytes have
-    /// arrived, feeding the framing state machine.
+    /// arrived, feeding the framing state machine and passing each
+    /// complete frame body to `on_frame`, in arrival order, as soon as
+    /// its last byte lands. The body is borrowed from the decoder's
+    /// buffer: no per-frame copy.
     ///
     /// # Errors
     ///
     /// A framing violation (oversized prefix) or a hard socket error;
     /// either way the connection is beyond recovery.
-    pub fn read_ready(&mut self) -> common::Result<ReadPass> {
+    pub fn read_ready(&mut self, mut on_frame: impl FnMut(&[u8])) -> common::Result<ReadPass> {
         let mut pass = ReadPass {
-            frames: Vec::new(),
             eof: false,
             progress: false,
         };
@@ -132,18 +134,20 @@ impl Conn {
                     pass.progress = true;
                     budget -= n;
                     self.decoder.push(&chunk[..n]);
-                    while let Some(body) = self.next_frame()? {
-                        pass.frames.push(body);
+                    let peer = self.peer;
+                    while let Some(body) =
+                        self.decoder.next_frame().map_err(|e| attribute(peer, e))?
+                    {
+                        on_frame(body);
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) => {
-                    return Err(self.attribute(common::Error::server(
-                        common::ServerKind::Io,
-                        "read_ready",
-                        e.to_string(),
-                    )))
+                    return Err(attribute(
+                        self.peer,
+                        common::Error::server(common::ServerKind::Io, "read_ready", e.to_string()),
+                    ))
                 }
             }
         }
@@ -151,21 +155,6 @@ impl Conn {
             self.last_activity = Instant::now();
         }
         Ok(pass)
-    }
-
-    fn next_frame(&mut self) -> common::Result<Option<Vec<u8>>> {
-        let peer = self.peer;
-        self.decoder.next_frame().map_err(|e| match peer {
-            Some(p) => e.with_peer(p),
-            None => e,
-        })
-    }
-
-    fn attribute(&self, e: common::Error) -> common::Error {
-        match self.peer {
-            Some(p) => e.with_peer(p),
-            None => e,
-        }
     }
 
     /// Moves worker responses into the write ring and flushes as much
@@ -182,11 +171,14 @@ impl Conn {
             let (head, _) = self.out.as_slices();
             match self.stream.write(head) {
                 Ok(0) => {
-                    return Err(self.attribute(common::Error::server(
-                        common::ServerKind::Io,
-                        "pump_out",
-                        "socket accepted zero bytes".to_string(),
-                    )))
+                    return Err(attribute(
+                        self.peer,
+                        common::Error::server(
+                            common::ServerKind::Io,
+                            "pump_out",
+                            "socket accepted zero bytes".to_string(),
+                        ),
+                    ))
                 }
                 Ok(n) => {
                     self.out.drain(..n);
@@ -195,11 +187,10 @@ impl Conn {
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) => {
-                    return Err(self.attribute(common::Error::server(
-                        common::ServerKind::Io,
-                        "pump_out",
-                        e.to_string(),
-                    )))
+                    return Err(attribute(
+                        self.peer,
+                        common::Error::server(common::ServerKind::Io, "pump_out", e.to_string()),
+                    ))
                 }
             }
         }
@@ -227,6 +218,14 @@ impl Conn {
     /// connection (the reactor's own `Arc` is then the only one).
     pub fn no_inflight_jobs(&self) -> bool {
         Arc::strong_count(&self.outbox) == 1
+    }
+}
+
+/// Tags `e` with the peer address, when known.
+fn attribute(peer: Option<SocketAddr>, e: common::Error) -> common::Error {
+    match peer {
+        Some(p) => e.with_peer(p),
+        None => e,
     }
 }
 
@@ -276,13 +275,14 @@ mod tests {
         let mut got = Vec::new();
         let mut first = true;
         loop {
-            let pass = conn.read_ready().unwrap();
+            let mut frames = Vec::new();
+            let pass = conn.read_ready(|body| frames.push(body.to_vec())).unwrap();
             if first && pass.progress {
-                assert!(wire_len(&pass.frames) <= READ_BUDGET);
+                assert!(wire_len(&frames) <= READ_BUDGET);
                 assert!(!pass.eof, "one pass must not take the whole burst");
                 first = false;
             }
-            got.extend(pass.frames);
+            got.extend(frames);
             if pass.eof {
                 break;
             }

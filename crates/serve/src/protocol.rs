@@ -14,10 +14,12 @@
 //! the bytes are canonical, so golden-file tests pin them. `f64` values
 //! round-trip bit-exactly, so a frame that crossed a socket decides
 //! identically to one that never left the process. Non-finite floats
-//! have no JSON encoding and are rejected at the sender; on decode,
-//! integers are range-checked (a `shard` above `u32::MAX` is an error),
-//! the counter vector must hold exactly `NUM_COUNTERS` values, and
-//! unknown object keys are ignored, so the format can grow fields
+//! have no JSON encoding and are rejected at the sender. Decoding pulls
+//! each value straight off the body's bytes, with no JSON tree in
+//! between; integers are range-checked (a `shard` above `u32::MAX` is
+//! an error), the counter vector must hold exactly `NUM_COUNTERS`
+//! values, keys may come in any order, the first of duplicate keys
+//! wins, and unknown keys are skipped, so the format can grow fields
 //! without breaking old readers.
 
 use boreas_core::{ControlDecision, TelemetryFrame};
@@ -155,24 +157,28 @@ impl FrameDecoder {
 
     /// Appends bytes read off the socket.
     pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing: once the consumed prefix dominates,
-        // shift the live tail down instead of extending forever.
-        if self.start > 4096 && self.start * 2 >= self.buf.len() {
+        // Compact before growing: start over once every buffered frame
+        // has been taken, and once the consumed prefix dominates, shift
+        // the live tail down instead of extending forever.
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start > 4096 && self.start * 2 >= self.buf.len() {
             self.buf.drain(..self.start);
             self.start = 0;
         }
         self.buf.extend_from_slice(bytes);
     }
 
-    /// The next complete message body, `None` when more bytes are
-    /// needed.
+    /// The next complete message body, borrowed from the decoder's
+    /// buffer until the next call, `None` when more bytes are needed.
     ///
     /// # Errors
     ///
     /// [`Error::Protocol`] when the buffered length prefix exceeds
     /// [`MAX_FRAME_BYTES`] — nothing sensible can follow on this byte
     /// stream.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>> {
         let avail = self.buf.len() - self.start;
         if avail < 4 {
             return Ok(None);
@@ -191,13 +197,9 @@ impl FrameDecoder {
         if avail < 4 + len {
             return Ok(None);
         }
-        let body = self.buf[self.start + 4..self.start + 4 + len].to_vec();
-        self.start += 4 + len;
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        }
-        Ok(Some(body))
+        let body = self.start + 4..self.start + 4 + len;
+        self.start = body.end;
+        Ok(Some(&self.buf[body]))
     }
 
     /// `true` when bytes of an incomplete message are buffered — EOF in
@@ -318,7 +320,7 @@ fn decode<T: FromJson>(body: &[u8], what: &'static str) -> Result<T> {
             "body is not UTF-8".to_string(),
         )
     })?;
-    T::read_json(&json::parse(text)?, what)
+    json::from_str_as(text, what)
 }
 
 #[cfg(test)]
@@ -433,7 +435,7 @@ mod tests {
         for b in &wire {
             d.push(std::slice::from_ref(b));
             while let Some(frame) = d.next_frame().unwrap() {
-                got.push(frame);
+                got.push(frame.to_vec());
             }
         }
         assert_eq!(got, vec![b"hello".to_vec(), Vec::new(), b"world!".to_vec()]);

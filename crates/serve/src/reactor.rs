@@ -11,8 +11,9 @@
 //! * **inbound** — readiness on a socket triggers a read of at most a
 //!   fixed byte budget into the connection's [`FrameDecoder`] (epoll is
 //!   level-triggered, so the rest is reported again); every
-//!   complete frame routes to its shard worker through
-//!   [`route_frame`] (`try_send` backpressure, rejections answered);
+//!   complete frame is decoded straight from the decoder's buffer and
+//!   routed to its shard worker through [`route_frame`] (`try_send`
+//!   backpressure, rejections answered);
 //! * **outbound** — shard workers push encoded responses into the
 //!   connection's [`Outbox`] and wake the reactor via a self-pipe; the
 //!   reactor moves bytes into the write ring and registers `EPOLLOUT`
@@ -320,18 +321,15 @@ impl Reactor {
             return;
         }
         if mask & (EPOLLIN | EPOLLRDHUP) != 0 && conn.read_open {
-            match conn.read_ready() {
+            let sink = ReplySink {
+                outbox: conn.outbox.clone(),
+                waker: self.waker.clone(),
+            };
+            let (senders, metrics) = (&self.senders, &self.metrics);
+            match conn.read_ready(|body| route_frame(body, senders, metrics, &sink)) {
                 Ok(pass) => {
                     if pass.eof {
                         conn.read_open = false;
-                    }
-                    let frames = pass.frames;
-                    let sink = ReplySink {
-                        outbox: conn.outbox.clone(),
-                        waker: self.waker.clone(),
-                    };
-                    for body in frames {
-                        route_frame(&body, &self.senders, &self.metrics, &sink);
                     }
                 }
                 // Framing violation or hard I/O error: nothing sensible

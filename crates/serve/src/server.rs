@@ -25,7 +25,8 @@
 //! * **Shard workers** own the control loops: worker `w` holds one
 //!   [`OnlineController`] per die id `d` with `d % workers == w`, so
 //!   each die's frames are processed in order by exactly one thread.
-//!   Workers drain their queue in *tick batches*: every frame available
+//!   The loops' controllers come from one [`ControllerFactory`] and
+//!   share its compiled model. Workers drain their queue in *tick batches*: every frame available
 //!   at wake-up is processed before sleeping again, and each completed
 //!   interval's GBT inference runs both decision candidates through one
 //!   [`gbt::FlatModel::predict_batch`] pass (see
@@ -46,7 +47,7 @@
 
 use boreas_core::{Controller, OnlineController, VfTable};
 use common::{Error, Result, ServerKind};
-use engine::ControllerSpec;
+use engine::{ControllerFactory, ControllerSpec};
 use obs::{Counter, Gauge, Histogram, Registry};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -496,8 +497,9 @@ impl Server {
     /// invalid controller recipe (the recipe is validated once up
     /// front, not per die).
     pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> Result<Server> {
-        // Fail fast on an unbuildable controller instead of per shard.
-        config.controller.build()?;
+        // Fail fast on an unbuildable controller instead of per die; the
+        // dies' controllers then share the factory's model.
+        let factory = ControllerFactory::new(&config.controller)?;
         #[cfg(not(target_os = "linux"))]
         {
             let _ = addr;
@@ -530,11 +532,14 @@ impl Server {
                 let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth);
                 senders.push(tx);
                 let worker_cfg = config.clone();
+                let worker_factory = factory.clone();
                 let worker_metrics = metrics.clone();
                 workers.push(
                     thread::Builder::new()
                         .name(format!("serve-shard-{w}"))
-                        .spawn(move || shard_worker(&rx, &worker_cfg, &worker_metrics))
+                        .spawn(move || {
+                            shard_worker(&rx, &worker_cfg, &worker_factory, &worker_metrics)
+                        })
                         .map_err(|e| {
                             Error::server(ServerKind::Spawn, "spawn worker", e.to_string())
                         })?,
@@ -679,16 +684,21 @@ fn accept_loop(
 }
 
 /// Builds one boxed controller instance from the shared recipe.
-fn build_controller(spec: &ControllerSpec) -> Result<Box<dyn Controller + Send>> {
-    Ok(match spec.build()? {
+fn build_controller(factory: &ControllerFactory) -> Box<dyn Controller + Send> {
+    match factory.build() {
         engine::BuiltController::Simple(c) => c,
         engine::BuiltController::Resilient(r) => r,
-    })
+    }
 }
 
 /// One shard worker: owns the control loops of every die id mapped to
 /// it and processes its queue in tick batches.
-fn shard_worker(rx: &Receiver<Job>, config: &ServeConfig, metrics: &Metrics) {
+fn shard_worker(
+    rx: &Receiver<Job>,
+    config: &ServeConfig,
+    factory: &ControllerFactory,
+    metrics: &Metrics,
+) {
     let mut loops: HashMap<u32, OnlineController<Box<dyn Controller + Send>>> = HashMap::new();
     let mut batch: Vec<Job> = Vec::new();
     loop {
@@ -711,18 +721,7 @@ fn shard_worker(rx: &Receiver<Job>, config: &ServeConfig, metrics: &Metrics) {
             let online = match loops.entry(die) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    let Ok(controller) = build_controller(&config.controller) else {
-                        // Validated in `Server::bind`; per-die failure
-                        // here means the spec regressed — reject.
-                        metrics.rejected.inc();
-                        job.reply.send(Response::Rejected {
-                            shard: die,
-                            seq: job.frame.seq,
-                            reason: "controller construction failed".to_string(),
-                        });
-                        continue;
-                    };
-                    let built = OnlineController::new(controller, config.vf.clone())
+                    let built = OnlineController::new(build_controller(factory), config.vf.clone())
                         .and_then(|o| o.start(config.start_idx))
                         .map(|o| o.sensor(config.sensor_idx));
                     match built {
@@ -740,11 +739,12 @@ fn shard_worker(rx: &Receiver<Job>, config: &ServeConfig, metrics: &Metrics) {
                 }
             };
             metrics.frames.inc();
-            if let Some(decision) = online.observe(&job.frame) {
+            let seq = job.frame.seq;
+            if let Some(decision) = online.observe_record(job.frame.record) {
                 metrics.decisions.inc();
                 job.reply.send(Response::Decision {
                     shard: die,
-                    seq: job.frame.seq,
+                    seq,
                     decision,
                 });
             }

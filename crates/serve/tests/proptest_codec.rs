@@ -1,0 +1,161 @@
+//! Property tests for the wire codec on the pull decoder: random frames
+//! and responses round-trip bit for bit and re-encode to the same
+//! bytes, and damaged copies of the golden frame (every truncation
+//! length, random single-byte flips) decode without panicking — and
+//! whatever they decode to is itself a well-formed frame.
+
+use boreas_core::{ControlDecision, ControlDiagnostics, ControlStage, Decision, TelemetryFrame};
+use boreas_serve::protocol::{
+    decode_frame, decode_response, encode_frame, encode_response, Response,
+};
+use common::check::{self, Gen};
+use common::time::SimTime;
+use common::units::{Celsius, GigaHertz, Volts, Watts};
+use common::ProtocolKind;
+use hotgauge::{Severity, StepRecord};
+use perfsim::{CounterId, IntervalCounters};
+
+/// Any finite `f64` bit pattern: subnormals, `-0.0` and the extremes
+/// included.
+fn finite(g: &mut Gen) -> f64 {
+    let v = f64::from_bits(g.u64());
+    if v.is_finite() {
+        v
+    } else {
+        -0.0
+    }
+}
+
+fn random_frame(g: &mut Gen) -> TelemetryFrame {
+    let mut counters = IntervalCounters::zeroed();
+    for id in CounterId::ALL {
+        counters.set(id, finite(g));
+    }
+    let record = StepRecord {
+        time: SimTime::from_micros(g.u64()),
+        counters,
+        sensor_temps: g.vec(0..6, |g| Celsius::new(finite(g))),
+        max_temp: Celsius::new(finite(g)),
+        max_severity: Severity::new(g.f64_in(0.0..=1.0)),
+        max_severity_raw: finite(g),
+        hotspot_xy: (finite(g), finite(g)),
+        total_power: Watts::new(finite(g)),
+        frequency: GigaHertz::new(finite(g)),
+        voltage: Volts::new(finite(g)),
+    };
+    TelemetryFrame::new(g.u64() as u32, g.u64(), record)
+}
+
+fn random_response(g: &mut Gen) -> Response {
+    let (shard, seq) = (g.u64() as u32, g.u64());
+    if g.pick(&[true, false]) {
+        let reason = g
+            .vec(0..12, |g| {
+                g.pick(&['a', '"', '\\', '\n', '\u{1}', 'é', '日', '\u{1f600}'])
+            })
+            .into_iter()
+            .collect();
+        return Response::Rejected { shard, seq, reason };
+    }
+    let decision = ControlDecision {
+        interval: g.u64(),
+        from_idx: g.usize_in(0..64),
+        to_idx: g.usize_in(0..64),
+        decision: g.pick(&[Decision::StepUp, Decision::Hold, Decision::StepDown]),
+        frequency_ghz: finite(g),
+        voltage_v: finite(g),
+        diagnostics: ControlDiagnostics {
+            predicted_severity: g.option(finite),
+            guardband: g.option(finite),
+            stage: g.option(|g| {
+                g.pick(&[
+                    ControlStage::Primary,
+                    ControlStage::Fallback,
+                    ControlStage::Safe,
+                ])
+            }),
+            quality: g.option(finite),
+        },
+    };
+    Response::Decision {
+        shard,
+        seq,
+        decision,
+    }
+}
+
+/// Random frames decode to the identical frame (`Debug` spells every
+/// `f64` bit-distinctly, `-0.0` included) and re-encode to the same
+/// bytes.
+#[test]
+fn random_frames_round_trip_bit_for_bit() {
+    check::cases(128, |g| {
+        let frame = random_frame(g);
+        let body = encode_frame(&frame).unwrap();
+        let back = decode_frame(&body).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{frame:?}"));
+        assert_eq!(encode_frame(&back).unwrap(), body);
+    });
+}
+
+#[test]
+fn random_responses_round_trip_bit_for_bit() {
+    check::cases(256, |g| {
+        let resp = random_response(g);
+        let body = encode_response(&resp).unwrap();
+        let back = decode_response(&body).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{resp:?}"));
+        assert_eq!(encode_response(&back).unwrap(), body);
+    });
+}
+
+fn golden_body() -> Vec<u8> {
+    let wire = std::fs::read(
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/frame_v1.bin"),
+    )
+    .expect("golden frame");
+    wire[4..].to_vec()
+}
+
+/// A damaged body may decode or fail, but never panic; a frame it
+/// decodes to re-encodes to a body that decodes to the same frame. (A
+/// damaged exponent can overflow to infinity, which the decoder accepts
+/// and the encoder refuses.)
+fn decodes_sanely(body: &[u8]) {
+    let Ok(frame) = decode_frame(body) else {
+        return;
+    };
+    match encode_frame(&frame) {
+        Ok(again) => {
+            let back = decode_frame(&again).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{frame:?}"));
+        }
+        Err(e) => assert_eq!(e.protocol_kind(), Some(ProtocolKind::NonFinite), "{e}"),
+    }
+}
+
+#[test]
+fn every_truncation_of_the_golden_frame_fails_cleanly() {
+    let body = golden_body();
+    for len in 0..body.len() {
+        let err = decode_frame(&body[..len]).expect_err("a truncated body cannot decode");
+        assert_eq!(
+            err.protocol_kind(),
+            Some(ProtocolKind::Malformed),
+            "length {len}"
+        );
+    }
+}
+
+#[test]
+fn single_byte_flips_of_the_golden_frame_never_panic() {
+    let body = golden_body();
+    check::cases(512, |g| {
+        let mut damaged = body.clone();
+        let at = g.usize_in(0..damaged.len());
+        damaged[at] = g.u8();
+        let cut = g.usize_in(0..=damaged.len());
+        decodes_sanely(&damaged);
+        decodes_sanely(&damaged[..cut]);
+    });
+}

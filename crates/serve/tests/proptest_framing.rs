@@ -33,7 +33,7 @@ fn decode_chunked(wire: &[u8], cuts: &[usize]) -> Vec<Vec<u8>> {
         let end = (pos + step).min(wire.len());
         dec.push(&wire[pos..end]);
         while let Some(body) = dec.next_frame().expect("legal stream") {
-            out.push(body);
+            out.push(body.to_vec());
         }
         pos = end;
     }
@@ -77,7 +77,7 @@ fn decoder_agrees_with_blocking_read_frame() {
         dec.push(&wire);
         let mut pushed = Vec::new();
         while let Some(body) = dec.next_frame().expect("legal stream") {
-            pushed.push(body);
+            pushed.push(body.to_vec());
         }
 
         let mut cursor = std::io::Cursor::new(wire);
