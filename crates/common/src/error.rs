@@ -70,7 +70,7 @@ pub enum Error {
         detail: String,
     },
     /// A serving-daemon failure outside the wire protocol itself:
-    /// binding a socket, spawning a shard worker, shutting down.
+    /// binding a socket, spawning a reactor, shutting down.
     Server {
         /// Which daemon subsystem failed.
         kind: ServerKind,

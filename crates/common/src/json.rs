@@ -19,8 +19,10 @@
 //! read with `str::parse`: `f64` values are correctly rounded, so they
 //! round-trip bit for bit with the writer's shortest form; a `u64` above
 //! 2^53 never passes through an `f64`; integers are range-checked into
-//! their type. On the writing side a NaN or infinite float fails with
-//! [`ProtocolKind::NonFinite`] instead of becoming `null`.
+//! their type. A NaN or infinite float fails with
+//! [`ProtocolKind::NonFinite`] both ways: the writer refuses to write
+//! one instead of writing `null`, and the reader refuses a number token
+//! that overflows to infinity.
 //!
 //! Struct decoders accept keys in any order, skip unknown keys (formats
 //! can grow fields), keep the first of duplicate keys and reject a
@@ -138,15 +140,26 @@ pub fn schema_error(what: &'static str, detail: String) -> Error {
     Error::protocol(ProtocolKind::Schema, what, detail)
 }
 
+/// Parses a number token as an `f64`. A token too large for an `f64`
+/// (`1e999`) is refused with [`ProtocolKind::NonFinite`], as the writer
+/// refuses to encode the infinity it would round to.
 #[inline]
 fn parse_f64(tok: &str, what: &'static str) -> Result<f64> {
-    tok.parse::<f64>().map_err(|_| {
+    let v = tok.parse::<f64>().map_err(|_| {
         Error::protocol(
             ProtocolKind::Malformed,
             what,
             format!("bad number token `{tok}`"),
         )
-    })
+    })?;
+    if !v.is_finite() {
+        return Err(Error::protocol(
+            ProtocolKind::NonFinite,
+            what,
+            format!("number token `{tok}` overflows an f64"),
+        ));
+    }
+    Ok(v)
 }
 
 // ---------------------------------------------------------------- writer
@@ -1218,6 +1231,22 @@ mod tests {
         assert_eq!(v, [big]);
         let v = parse(&format!("{{\"seq\":{big}}}")).unwrap();
         assert_eq!(*v.get("seq").unwrap(), Json::Num(big.to_string()));
+    }
+
+    #[test]
+    fn numbers_overflowing_an_f64_are_rejected_on_decode() {
+        let kind = |r: Result<f64>| r.unwrap_err().protocol_kind();
+        assert_eq!(kind(from_str("1e999")), Some(ProtocolKind::NonFinite));
+        assert_eq!(kind(from_str("-1e999")), Some(ProtocolKind::NonFinite));
+        let nested = from_str::<Vec<f64>>("[0.5,1e400]").unwrap_err();
+        assert_eq!(nested.protocol_kind(), Some(ProtocolKind::NonFinite));
+        let untyped = parse("{\"f\":1e999}").unwrap();
+        assert_eq!(
+            kind(untyped.get("f").unwrap().as_f64("f")),
+            Some(ProtocolKind::NonFinite)
+        );
+        // Underflow rounds to a finite zero and is kept.
+        assert_eq!(from_str::<f64>("1e-999").unwrap(), 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! runs one measurement per entry in `--connections` (e.g.
 //! `--connections 1,64,256`). Each run opens that many sockets; every
 //! connection streams its own disjoint set of die ids (so per-die
-//! frame order is preserved — the invariant the daemon's shard routing
+//! frame order is preserved — the invariant each die's control loop
 //! relies on) and matches each [`Response::Decision`] back to the send
 //! instant of the interval-completing frame. Results — throughput,
 //! p50/p95/p99 decision latency and a served-decision digest — go to
@@ -17,8 +17,8 @@
 //! bodies, sorted by `(die, seq)` with die ids normalized to run-local
 //! indices. Decisions do not depend on how the daemon spreads work, so
 //! every daemon serving the same traces must print the same digest —
-//! CI diffs it between daemons started with 1 and with 2 shards and
-//! reactor threads.
+//! CI diffs it between daemons started with 1 and with 2 reactor
+//! threads.
 //!
 //! Run `boreas_loadgen --help` for the flag list. `--smoke` is the
 //! CI-sized run; `--check BASELINE` compares every run against the

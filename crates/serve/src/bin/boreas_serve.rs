@@ -1,13 +1,14 @@
 //! The Boreas serving daemon: streaming telemetry in, V/f decisions out.
 //!
-//! Listens for length-prefixed JSON `TelemetryFrame`s, shards them
-//! across independent per-die control loops, answers each completed
-//! 960 µs interval with a decision, and exposes its metrics registry
-//! over HTTP. SIGTERM/SIGINT drain cleanly: every accepted frame is
-//! processed and every pending decision flushed before exit.
+//! Listens for length-prefixed JSON `TelemetryFrame`s, feeds each to
+//! its die's control loop, answers each completed 960 µs interval with
+//! a decision, and exposes its metrics registry over HTTP.
+//! SIGTERM/SIGINT drain cleanly: every frame read is answered and every
+//! pending decision flushed before exit.
 //!
 //! A few epoll reactor threads (`--io-threads`) multiplex every
-//! connection, so the daemon runs on Linux only.
+//! connection and serve each frame on the thread that read it, so the
+//! daemon runs on Linux only.
 //!
 //! Run `boreas_serve --help` for the full flag list. `--smoke` serves
 //! the tiny synthetic severity ≈ frequency/5 GBT model
@@ -45,13 +46,6 @@ fn spec() -> Spec {
         Some("127.0.0.1:7071"),
         "GET /metrics and /healthz",
     )
-    .value_flag::<usize>("shards", "n", Some("2"), "shard worker threads")
-    .value_flag::<usize>(
-        "queue-depth",
-        "n",
-        Some("64"),
-        "bounded per-shard queue; full queues reject, not block",
-    )
     .value_flag::<usize>("io-threads", "n", Some("1"), "epoll reactor threads")
     .value_flag::<usize>(
         "max-connections",
@@ -77,8 +71,6 @@ fn main() -> Result<()> {
 
     let addr = args.value::<String>("addr");
     let metrics_addr = args.value::<String>("metrics-addr");
-    let shards = args.value::<usize>("shards");
-    let queue_depth = args.value::<usize>("queue-depth");
     let io_threads = args.value::<usize>("io-threads");
     let max_connections = args.value::<usize>("max-connections");
     let idle_ms = args.value::<u64>("idle-timeout-ms");
@@ -94,8 +86,6 @@ fn main() -> Result<()> {
 
     let registry = Registry::new();
     let config = ServeConfig::builder()
-        .shards(shards)
-        .queue_depth(queue_depth)
         .io_threads(io_threads)
         .max_connections(max_connections)
         .idle_timeout(Duration::from_millis(idle_ms))
@@ -112,11 +102,10 @@ fn main() -> Result<()> {
         http::spawn_metrics_server(metrics_listener, registry.clone(), metrics_stop.clone());
 
     println!(
-        "boreas-serve listening on {} ({} shard worker{}, queue depth {}, {} controller); metrics on http://{}/metrics",
+        "boreas-serve listening on {} ({} reactor thread{}, {} controller); metrics on http://{}/metrics",
         server.local_addr(),
-        shards,
-        if shards == 1 { "" } else { "s" },
-        queue_depth,
+        io_threads,
+        if io_threads == 1 { "" } else { "s" },
         if smoke { "smoke ML05" } else { "TH-00" },
         metrics_addr,
     );

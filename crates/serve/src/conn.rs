@@ -1,28 +1,23 @@
 //! Per-connection state for the reactors: non-blocking read and write
 //! buffering around the framing state machine.
 //!
-//! A [`Conn`] owns one non-blocking socket and the two buffers the
-//! readiness model requires:
+//! A [`Conn`] owns one non-blocking socket and the state its frames are
+//! served with, all of it touched by the owning reactor thread only:
 //!
 //! * inbound, a [`FrameDecoder`] accumulates whatever byte runs
 //!   `epoll` delivers — partial prefixes, split bodies, several
 //!   coalesced messages — and hands each complete frame body, borrowed
 //!   from its buffer, to the reactor's callback;
-//! * outbound, a ring of encoded response bytes ([`Conn::out`]) holds
-//!   whatever the socket would not take, so a slow client consumes
-//!   buffer space instead of a thread.
-//!
-//! Shard workers never touch the socket: they push encoded responses
-//! into the connection's [`Outbox`] (a mutex-guarded queue shared via
-//! `Arc`) and wake the owning reactor, which moves the bytes into the
-//! write ring and flushes. The `Arc` on the outbox doubles as the
-//! in-flight-job count: a connection is only closed once the reactor
-//! holds the last reference, i.e. no queued job can still reply.
+//! * outbound, the write ring holds the encoded responses the socket
+//!   has not taken yet. The callback encodes into it while the frames
+//!   of a read pass are served, and the reactor flushes it at the end
+//!   of the pass. While more than [`WRITE_CAP`] bytes wait in it, the
+//!   reactor stops reading the connection, so a peer that does not
+//!   read its decisions is slowed by TCP instead of growing the ring.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::protocol::FrameDecoder;
@@ -34,40 +29,21 @@ const READ_CHUNK: usize = 16 * 1024;
 /// level-triggered here, so whatever the pass leaves stays readable and
 /// the next `epoll_wait` reports it again, after the reactor's other
 /// ready connections have had their turn. The cap bounds the frames one
-/// pass holds (a saturating client would otherwise hand over its whole
+/// pass serves (a saturating client would otherwise hand over its whole
 /// burst at once) and leaves the rest in the socket, where TCP flow
 /// control pushes back on the sender.
 const READ_BUDGET: usize = 4 * READ_CHUNK;
 
-/// A queue of encoded, length-prefixed response byte strings, filled
-/// by shard workers and drained by the owning reactor.
-#[derive(Debug, Default)]
-pub(crate) struct Outbox {
-    queue: Mutex<Vec<Vec<u8>>>,
-}
-
-impl Outbox {
-    /// Appends one encoded response (a poisoned mutex means the peer
-    /// thread panicked mid-push; the response is dropped — delivery is
-    /// best-effort, like a write to a gone client).
-    pub fn push(&self, bytes: Vec<u8>) {
-        if let Ok(mut q) = self.queue.lock() {
-            q.push(bytes);
-        }
-    }
-
-    /// Takes everything queued so far, preserving push order.
-    pub fn take(&self) -> Vec<Vec<u8>> {
-        self.queue
-            .lock()
-            .map(|mut q| std::mem::take(&mut *q))
-            .unwrap_or_default()
-    }
-}
+/// Unflushed response bytes beyond which the reactor stops reading a
+/// connection until its write ring drains. One read pass can add at
+/// most the responses to [`READ_BUDGET`] bytes of frames on top.
+pub(crate) const WRITE_CAP: usize = 256 * 1024;
 
 /// What one readiness-driven read pass observed (its frames went to
 /// the pass's callback).
 pub(crate) struct ReadPass {
+    /// Complete frames handed to the callback.
+    pub frames: usize,
     /// The peer half-closed its send direction (clean EOF).
     pub eof: bool,
     /// Any byte arrived (resets the idle clock).
@@ -79,10 +55,9 @@ pub(crate) struct Conn {
     stream: TcpStream,
     peer: Option<SocketAddr>,
     decoder: FrameDecoder,
-    /// Encoded bytes accepted for write but not yet taken by the socket.
+    /// Encoded responses accepted for write but not yet taken by the
+    /// socket.
     out: VecDeque<u8>,
-    /// Worker-facing response queue; see the module docs.
-    pub outbox: Arc<Outbox>,
     /// Last instant the peer showed signs of life.
     pub last_activity: Instant,
     /// The peer may still send frames (false after EOF or drain).
@@ -99,7 +74,6 @@ impl Conn {
             peer,
             decoder: FrameDecoder::new(),
             out: VecDeque::new(),
-            outbox: Arc::new(Outbox::default()),
             last_activity: Instant::now(),
             read_open: true,
             registered_interest: 0,
@@ -109,15 +83,19 @@ impl Conn {
     /// Reads until the socket would block or [`READ_BUDGET`] bytes have
     /// arrived, feeding the framing state machine and passing each
     /// complete frame body to `on_frame`, in arrival order, as soon as
-    /// its last byte lands. The body is borrowed from the decoder's
-    /// buffer: no per-frame copy.
+    /// its last byte lands, together with this connection's write ring.
+    /// The body is borrowed from the decoder's buffer: no per-frame copy.
     ///
     /// # Errors
     ///
     /// A framing violation (oversized prefix) or a hard socket error;
     /// either way the connection is beyond recovery.
-    pub fn read_ready(&mut self, mut on_frame: impl FnMut(&[u8])) -> common::Result<ReadPass> {
+    pub fn read_ready(
+        &mut self,
+        mut on_frame: impl FnMut(&[u8], &mut VecDeque<u8>),
+    ) -> common::Result<ReadPass> {
         let mut pass = ReadPass {
+            frames: 0,
             eof: false,
             progress: false,
         };
@@ -138,7 +116,8 @@ impl Conn {
                     while let Some(body) =
                         self.decoder.next_frame().map_err(|e| attribute(peer, e))?
                     {
-                        on_frame(body);
+                        pass.frames += 1;
+                        on_frame(body, &mut self.out);
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -157,16 +136,12 @@ impl Conn {
         Ok(pass)
     }
 
-    /// Moves worker responses into the write ring and flushes as much
-    /// as the socket accepts.
+    /// Flushes as much of the write ring as the socket accepts.
     ///
     /// # Errors
     ///
     /// A hard write error — the peer is gone.
     pub fn pump_out(&mut self) -> common::Result<()> {
-        for bytes in self.outbox.take() {
-            self.out.extend(bytes);
-        }
         while !self.out.is_empty() {
             let (head, _) = self.out.as_slices();
             match self.stream.write(head) {
@@ -203,21 +178,9 @@ impl Conn {
         !self.out.is_empty()
     }
 
-    /// Nothing pending in either the write ring or the worker outbox.
-    pub fn flushed(&self) -> bool {
-        self.out.is_empty()
-            && self
-                .outbox
-                .queue
-                .lock()
-                .map(|q| q.is_empty())
-                .unwrap_or(true)
-    }
-
-    /// No queued shard job still holds a reply handle to this
-    /// connection (the reactor's own `Arc` is then the only one).
-    pub fn no_inflight_jobs(&self) -> bool {
-        Arc::strong_count(&self.outbox) == 1
+    /// More than [`WRITE_CAP`] bytes wait in the write ring.
+    pub fn over_cap(&self) -> bool {
+        self.out.len() > WRITE_CAP
     }
 }
 
@@ -276,7 +239,9 @@ mod tests {
         let mut first = true;
         loop {
             let mut frames = Vec::new();
-            let pass = conn.read_ready(|body| frames.push(body.to_vec())).unwrap();
+            let pass = conn
+                .read_ready(|body, _| frames.push(body.to_vec()))
+                .unwrap();
             if first && pass.progress {
                 assert!(wire_len(&frames) <= READ_BUDGET);
                 assert!(!pass.eof, "one pass must not take the whole burst");

@@ -7,11 +7,12 @@
 //!
 //! * [`Server`] / [`ServeConfig`] ([`server`]) — a long-running daemon
 //!   that accepts length-prefixed JSON [`boreas_core::TelemetryFrame`]s
-//!   over TCP, shards them across independent control loops (one per
-//!   die id), applies backpressure with bounded per-shard queues and
-//!   drains cleanly on SIGTERM. A few epoll reactor threads multiplex
-//!   every connection, so serving is Linux-only; elsewhere the crate
-//!   builds and [`Server::bind`] returns an error;
+//!   over TCP, feeds each to its die's control loop (one per die id,
+//!   shared by every connection) on the epoll reactor thread that read
+//!   it, pauses reading a connection whose responses pile up, and
+//!   drains cleanly on SIGTERM. The reactors multiplex every
+//!   connection, so serving is Linux-only; elsewhere the crate builds
+//!   and [`Server::bind`] returns an error;
 //! * [`protocol`] — the wire codec: canonical JSON bodies behind 4-byte
 //!   big-endian length prefixes, with bit-exact `f64` round trips;
 //! * [`http`] — a tiny `GET /metrics` responder exposing the shared
@@ -24,7 +25,7 @@
 //! README "serving quickstart" and DESIGN §15–16.
 
 // Off Linux `Server::bind` refuses before starting anything, leaving
-// the routing and worker code unreachable there.
+// the frame-serving code unreachable there.
 #![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 mod conn;

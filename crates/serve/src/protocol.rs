@@ -44,7 +44,8 @@ pub enum Response {
         /// The decision itself.
         decision: ControlDecision,
     },
-    /// A frame the server refused (backpressure or a malformed body).
+    /// A frame the server refused (a malformed body, or a control step
+    /// that failed).
     Rejected {
         /// Shard of the rejected frame (0 when undecodable).
         shard: u32,

@@ -1,5 +1,6 @@
 //! The serving I/O path: one thread per reactor drives every
-//! connection assigned to it through epoll readiness events.
+//! connection assigned to it through epoll readiness events, and serves
+//! each frame it reads to completion.
 //!
 //! # Why a reactor
 //!
@@ -10,26 +11,31 @@
 //!
 //! * **inbound** — readiness on a socket triggers a read of at most a
 //!   fixed byte budget into the connection's [`FrameDecoder`] (epoll is
-//!   level-triggered, so the rest is reported again); every
-//!   complete frame is decoded straight from the decoder's buffer and
-//!   routed to its shard worker through [`route_frame`] (`try_send`
-//!   backpressure, rejections answered);
-//! * **outbound** — shard workers push encoded responses into the
-//!   connection's [`Outbox`] and wake the reactor via a self-pipe; the
-//!   reactor moves bytes into the write ring and registers `EPOLLOUT`
-//!   only while the socket refuses bytes (write-interest toggling);
+//!   level-triggered, so the rest is reported again); every complete
+//!   frame is served in place by [`serve_frame`]: decoded from the
+//!   decoder's buffer, observed on its die's loop from the shared
+//!   [`DieTable`], and answered into the connection's write ring;
+//! * **outbound** — at the end of the read pass the reactor flushes
+//!   the ring, and registers `EPOLLOUT` only while the socket refuses
+//!   bytes (write-interest toggling). No other thread writes to a
+//!   connection, so there is nothing to wake the reactor for;
+//! * **write cap** — while more than `WRITE_CAP` response bytes wait,
+//!   the reactor drops `EPOLLIN` for the connection and restores it
+//!   once the ring has drained, so a peer that does not read its
+//!   decisions stalls in its own socket;
 //! * **idle timeout** — a connection with no traffic for
 //!   `idle_timeout` is reaped, so dead peers cannot pin buffers
 //!   forever;
-//! * **drain** — on shutdown the reactor stops reading, drops its
-//!   queue senders, flushes every pending response (including those
-//!   still being computed by workers: the outbox `Arc` count tracks
-//!   in-flight jobs), then closes everything and exits.
+//! * **drain** — on shutdown the reactor stops reading, flushes every
+//!   write ring, then closes everything and exits.
 //!
-//! The syscall surface (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
-//! `pipe2`, `read`, `write`, `close`) is declared directly, the same
-//! zero-dependency idiom as [`crate::signal`]. Linux only; elsewhere
-//! [`crate::Server::bind`] fails.
+//! The self-pipe [`Waker`] only announces new sockets in the intake and
+//! the shutdown. The syscall surface (`epoll_create1`, `epoll_ctl`,
+//! `epoll_wait`, `pipe2`, `read`, `write`, `close`) is declared
+//! directly, the same zero-dependency idiom as [`crate::signal`]. Linux
+//! only; elsewhere [`crate::Server::bind`] fails.
+//!
+//! [`FrameDecoder`]: crate::protocol::FrameDecoder
 
 #![cfg(target_os = "linux")]
 
@@ -38,7 +44,6 @@ use std::net::TcpStream;
 use std::os::raw::{c_int, c_void};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -46,7 +51,7 @@ use std::time::Duration;
 use common::{Error, Result, ServerKind};
 
 use crate::conn::Conn;
-use crate::server::{route_frame, Job, Metrics, ReplySink};
+use crate::server::{serve_frame, DieTable, Metrics};
 
 // ---------------------------------------------------------------- FFI
 
@@ -108,8 +113,8 @@ impl Drop for OwnedFd {
 }
 
 /// Wakes a reactor's `epoll_wait` from another thread by writing one
-/// byte into its self-pipe. Cheap to clone; safe to call from shard
-/// workers, the accept loop and `request_shutdown`.
+/// byte into its self-pipe. Cheap to clone; the accept loop calls it
+/// after handing over a socket, `request_shutdown` to start the drain.
 #[derive(Clone, Debug)]
 pub(crate) struct Waker {
     pipe_write: Arc<OwnedFd>,
@@ -136,7 +141,7 @@ impl Waker {
 const WAKE_TOKEN: u64 = u64::MAX;
 
 /// How long one `epoll_wait` sleeps at most, bounding the latency of
-/// shutdown checks, idle reaping and in-flight-drain detection.
+/// idle reaping.
 const WAIT_MS: c_int = 50;
 
 /// Per-`epoll_wait` event capacity.
@@ -166,7 +171,7 @@ pub(crate) struct ReactorHandle {
 /// fails.
 pub(crate) fn spawn_reactor(
     index: usize,
-    senders: Vec<SyncSender<Job>>,
+    dies: Arc<DieTable>,
     idle_timeout: Duration,
     metrics: Metrics,
     shutdown: Arc<AtomicBool>,
@@ -193,16 +198,14 @@ pub(crate) fn spawn_reactor(
     let intake: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
     let thread = {
         let intake = intake.clone();
-        let waker = waker.clone();
         thread::Builder::new()
             .name(format!("serve-reactor-{index}"))
             .spawn(move || {
                 let mut reactor = Reactor {
                     epfd,
                     pipe_read,
-                    waker,
                     conns: HashMap::new(),
-                    senders,
+                    dies,
                     intake,
                     idle_timeout,
                     metrics,
@@ -235,13 +238,8 @@ fn ctl(epfd: &OwnedFd, op: c_int, fd: RawFd, events: u32, data: u64) -> Result<(
 struct Reactor {
     epfd: OwnedFd,
     pipe_read: OwnedFd,
-    /// Clone of the handle's waker, handed to every reply sink so
-    /// shard workers can nudge this reactor after pushing a response.
-    waker: Waker,
     conns: HashMap<RawFd, Conn>,
-    /// Queue senders; cleared when the drain starts so shard workers
-    /// can observe disconnection and exit.
-    senders: Vec<SyncSender<Job>>,
+    dies: Arc<DieTable>,
     intake: Arc<Mutex<Vec<TcpStream>>>,
     idle_timeout: Duration,
     metrics: Metrics,
@@ -287,7 +285,6 @@ impl Reactor {
                 }
             }
             self.admit_new_connections();
-            self.pump_all();
             if self.shutdown.load(Ordering::SeqCst) && !self.draining {
                 self.begin_drain();
             }
@@ -320,14 +317,13 @@ impl Reactor {
             self.close_conn(fd);
             return;
         }
-        if mask & (EPOLLIN | EPOLLRDHUP) != 0 && conn.read_open {
-            let sink = ReplySink {
-                outbox: conn.outbox.clone(),
-                waker: self.waker.clone(),
-            };
-            let (senders, metrics) = (&self.senders, &self.metrics);
-            match conn.read_ready(|body| route_frame(body, senders, metrics, &sink)) {
+        if mask & (EPOLLIN | EPOLLRDHUP) != 0 && conn.read_open && !self.draining {
+            let (dies, metrics) = (&*self.dies, &self.metrics);
+            match conn.read_ready(|body, out| serve_frame(body, dies, metrics, out)) {
                 Ok(pass) => {
+                    if pass.frames > 0 {
+                        metrics.batch.observe(pass.frames as f64);
+                    }
                     if pass.eof {
                         conn.read_open = false;
                     }
@@ -340,13 +336,46 @@ impl Reactor {
                 }
             }
         }
-        if mask & EPOLLOUT != 0 {
-            if let Some(conn) = self.conns.get_mut(&fd) {
-                if conn.pump_out().is_err() {
-                    self.close_conn(fd);
-                }
-            }
+        self.settle(fd);
+    }
+
+    /// Flushes `fd`'s write ring, registers the interest its state
+    /// needs, and closes it once it will neither read nor write again.
+    fn settle(&mut self, fd: RawFd) {
+        let Some(conn) = self.conns.get_mut(&fd) else {
+            return;
+        };
+        if conn.pump_out().is_err() {
+            self.close_conn(fd);
+            return;
         }
+        let reading = conn.read_open && !self.draining;
+        if !reading && !conn.wants_write() {
+            self.close_conn(fd);
+            return;
+        }
+        // Past the cap reads pause, and they stay paused until the ring
+        // is empty.
+        let was_reading = conn.registered_interest & EPOLLIN != 0;
+        let paused = reading && (conn.over_cap() || (!was_reading && conn.wants_write()));
+        let mut interest = 0u32;
+        if reading && !paused {
+            interest |= EPOLLIN | EPOLLRDHUP;
+        }
+        if conn.wants_write() {
+            interest |= EPOLLOUT;
+        }
+        if interest == conn.registered_interest {
+            return;
+        }
+        if paused && was_reading {
+            self.metrics.read_paused.inc();
+        }
+        if ctl(&self.epfd, EPOLL_CTL_MOD, fd, interest, fd as u64).is_err() {
+            self.close_conn(fd);
+            return;
+        }
+        conn.registered_interest = interest;
     }
 
     fn admit_new_connections(&mut self) {
@@ -382,49 +411,11 @@ impl Reactor {
         }
     }
 
-    /// Moves worker responses to sockets, toggles write interest, and
-    /// closes connections that finished their lifecycle.
-    fn pump_all(&mut self) {
-        let mut dead = Vec::new();
-        for (&fd, conn) in &mut self.conns {
-            if conn.pump_out().is_err() {
-                dead.push(fd);
-                continue;
-            }
-            let mut interest = 0u32;
-            if conn.read_open && !self.draining {
-                interest |= EPOLLIN | EPOLLRDHUP;
-            }
-            if conn.wants_write() {
-                interest |= EPOLLOUT;
-            }
-            if interest != conn.registered_interest {
-                if ctl(&self.epfd, EPOLL_CTL_MOD, fd, interest, fd as u64).is_err() {
-                    dead.push(fd);
-                    continue;
-                }
-                conn.registered_interest = interest;
-            }
-            // Lifecycle end: the peer finished sending (or we are
-            // draining), every response is flushed, and no queued shard
-            // job can produce another one.
-            let finished = !conn.read_open || self.draining;
-            if finished && conn.flushed() && conn.no_inflight_jobs() {
-                dead.push(fd);
-            }
-        }
-        for fd in dead {
-            self.close_conn(fd);
-        }
-    }
-
     fn begin_drain(&mut self) {
         self.draining = true;
-        // Dropping the senders lets shard workers observe disconnection
-        // once the accept loop's master clones are gone too.
-        self.senders.clear();
-        for conn in self.conns.values_mut() {
-            conn.read_open = false;
+        let fds: Vec<RawFd> = self.conns.keys().copied().collect();
+        for fd in fds {
+            self.settle(fd);
         }
     }
 
@@ -454,5 +445,148 @@ impl Reactor {
                 .connections_active
                 .set(self.active.load(Ordering::SeqCst) as f64);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{self, Incoming, Response};
+    use boreas_core::{
+        ControlContext, Controller, OnlineController, TelemetryFrame, ThermalController, VfTable,
+    };
+    use common::units::{GigaHertz, Volts};
+    use std::net::TcpListener;
+
+    /// A controller that panics on every decision.
+    struct Faulty;
+
+    impl Controller for Faulty {
+        fn name(&self) -> String {
+            "faulty".to_string()
+        }
+
+        fn decide(&mut self, _ctx: &ControlContext<'_>) -> usize {
+            panic!("controller fault")
+        }
+    }
+
+    fn thermal() -> ThermalController {
+        ThermalController::from_thresholds(vec![Some(70.0); VfTable::paper().len()], 0.0)
+    }
+
+    /// A die's loop over the paper VF table; die 1's controller panics.
+    fn build(die: u32) -> common::Result<crate::server::DieLoop> {
+        let controller: Box<dyn Controller + Send> = if die == 1 {
+            Box::new(Faulty)
+        } else {
+            Box::new(thermal())
+        };
+        OnlineController::new(controller, VfTable::paper())
+    }
+
+    #[test]
+    fn a_panicking_die_is_rejected_while_its_neighbours_are_served() {
+        let mut cfg = hotgauge::PipelineConfig::paper();
+        cfg.grid = floorplan::GridSpec::new(8, 6).unwrap();
+        let steps = 36;
+        let trace = cfg
+            .build()
+            .unwrap()
+            .run_fixed(
+                &workloads::WorkloadSpec::by_name("gcc").unwrap(),
+                GigaHertz::new(3.75),
+                Volts::new(0.925),
+                steps,
+            )
+            .unwrap()
+            .records;
+
+        let registry = obs::Registry::new();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let reactor = spawn_reactor(
+            0,
+            Arc::new(DieTable::new(build)),
+            Duration::from_secs(60),
+            Metrics::new(&registry),
+            shutdown.clone(),
+            Arc::new(AtomicUsize::new(1)),
+        )
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        reactor.intake.lock().unwrap().push(served);
+        reactor.waker.wake();
+
+        // Dies 0, 1 and 2 interleaved on one connection, three intervals
+        // each: die 1 panics at every interval end.
+        for (t, record) in trace.iter().enumerate() {
+            for die in 0..3 {
+                let frame = TelemetryFrame::new(die, t as u64, record.clone());
+                protocol::write_frame(&mut client, &protocol::encode_frame(&frame).unwrap())
+                    .unwrap();
+            }
+        }
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let want = 3 * steps / 12;
+        let responses: Vec<Response> = (0..want)
+            .map(|_| match protocol::read_frame(&mut client).unwrap() {
+                Incoming::Frame(body) => protocol::decode_response(&body).unwrap(),
+                other => panic!("expected a response, got {other:?}"),
+            })
+            .collect();
+
+        let mut replay = OnlineController::new(thermal(), VfTable::paper()).unwrap();
+        let expected: Vec<_> = trace
+            .iter()
+            .enumerate()
+            .filter_map(|(t, r)| Some((t as u64, replay.observe_record(r.clone())?)))
+            .collect();
+        for die in [0, 2] {
+            let served: Vec<_> = responses
+                .iter()
+                .filter_map(|r| match r {
+                    Response::Decision {
+                        shard,
+                        seq,
+                        decision,
+                    } if *shard == die => Some((*seq, decision.clone())),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(served, expected, "die {die} equals its offline replay");
+        }
+        let rejected: Vec<_> = responses
+            .iter()
+            .filter_map(|r| match r {
+                Response::Rejected { shard, seq, reason } => {
+                    assert_eq!(reason, "internal error");
+                    Some((*shard, *seq))
+                }
+                Response::Decision { .. } => None,
+            })
+            .collect();
+        assert_eq!(
+            rejected,
+            [(1, 11), (1, 23), (1, 35)],
+            "rebuilt, panics again"
+        );
+        let count = |name: &str| match registry.snapshot().family(name).map(|f| &f.value) {
+            Some(obs::MetricValue::Counter(v)) => *v,
+            other => panic!("{name}: expected a counter, got {other:?}"),
+        };
+        assert_eq!(count("boreas_serve_panics_total"), 3);
+        assert_eq!(count("boreas_serve_rejected_total"), 3);
+        assert_eq!(count("boreas_serve_frames_total"), 3 * steps as u64 - 3);
+
+        shutdown.store(true, Ordering::SeqCst);
+        reactor.waker.wake();
+        reactor
+            .thread
+            .join()
+            .expect("the reactor survives the panics");
     }
 }

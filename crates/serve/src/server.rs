@@ -1,46 +1,51 @@
-//! The serving daemon core: epoll reactors in front of shard workers,
-//! backpressure, clean drain.
+//! The serving daemon core: epoll reactors that serve every frame to
+//! completion on the thread that read it, one table of per-die
+//! control loops, clean drain.
 //!
 //! # Architecture
 //!
 //! ```text
 //!  accept thread ── cap check ──► reactor 0..R   (epoll_wait each)
-//!                                   │ Job (decoded frame)  ▲
-//!                                   ▼                      │ outbox + wake
-//!                              shard worker 0..N ──Response┘
+//!                                   │  per frame, on the reactor:
+//!                                   │  read → decode → observe → encode → write
+//!                                   ▼
+//!                              die table: die id → Mutex<OnlineController>
 //! ```
 //!
 //! * One **accept thread** polls a non-blocking listener so it can
 //!   observe the shutdown flag; it enforces the connection cap, hands
 //!   each accepted socket to a reactor round-robin and never does
-//!   per-frame work, so a full shard queue cannot stall new
-//!   connections.
-//! * **Reactors** (`reactor.rs`, Linux) multiplex every
-//!   connection over `epoll_wait` on `io_threads` threads: they turn
-//!   socket bytes into decoded frames, route them, and flush the
-//!   responses the workers push back.
-//! * **Routing** (`route_frame`): decode, pick worker `shard % N`,
-//!   `try_send` with bounded-queue backpressure, answer `Rejected` on
-//!   a full queue or a malformed body.
-//! * **Shard workers** own the control loops: worker `w` holds one
-//!   [`OnlineController`] per die id `d` with `d % workers == w`, so
-//!   each die's frames are processed in order by exactly one thread.
-//!   The loops' controllers come from one [`ControllerFactory`] and
-//!   share its compiled model. Workers drain their queue in *tick batches*: every frame available
-//!   at wake-up is processed before sleeping again, and each completed
-//!   interval's GBT inference runs both decision candidates through one
-//!   [`gbt::FlatModel::predict_batch`] pass (see
-//!   `BoreasController::predict_candidates`).
-//! * **Backpressure**: shard queues are bounded
-//!   ([`ServeConfigBuilder::queue_depth`]). A full queue rejects the
-//!   frame immediately — counted in `boreas_serve_rejected_total` and
-//!   answered with [`Response::Rejected`] — and never blocks a reactor
-//!   or the accept loop.
-//! * **Drain**: [`Server::request_shutdown`] stops the accept loop and
-//!   the reactors' ingest; the reactors drop their queue senders,
-//!   workers finish every frame already queued, pending responses
-//!   flush, then [`Server::join`] returns. Nothing accepted is thrown
-//!   away.
+//!   per-frame work.
+//! * **Reactors** (`reactor.rs`, Linux) multiplex every connection
+//!   over `epoll_wait` on `io_threads` threads and serve each frame
+//!   start to finish on the reactor that read it (`serve_frame`):
+//!   decode the body in place from the read buffer, observe it on the
+//!   die's control loop (an interval-completing frame runs the
+//!   controller's decision, the GBT predict included), and encode any
+//!   response into the connection's write ring, which is flushed at the
+//!   end of the connection's read pass. No frame and no response
+//!   crosses a thread.
+//! * The **die table** (`DieTable`) holds one [`OnlineController`]
+//!   per die id, shared by every reactor, so a die that reconnects on
+//!   another socket — served by another reactor — carries on its loop.
+//!   Each frame looks its die up in the table, then locks the die's own
+//!   mutex, which is uncontended unless one die streams over two live
+//!   connections at once. Every loop's controller comes from one
+//!   [`ControllerFactory`] and shares its compiled model.
+//! * **Panic isolation**: each frame's observe runs under
+//!   `catch_unwind`. A panic answers [`Response::Rejected`] with reason
+//!   `internal error` and counts in `boreas_serve_panics_total`; the
+//!   die's loop, its mutex poisoned, is rebuilt on the die's next
+//!   frame, and the reactor goes on serving every other die.
+//! * **Backpressure** is TCP's own: a connection whose unflushed
+//!   responses exceed a fixed cap is not read again until its peer has
+//!   taken them (`boreas_serve_read_paused_total` counts the pauses),
+//!   so a sender that outruns its own reading blocks in its socket.
+//!   Nothing is rejected for load.
+//! * **Drain**: [`Server::request_shutdown`] stops the accept loop;
+//!   each reactor stops reading, flushes every write ring, closes each
+//!   connection and exits, then [`Server::join`] returns. Every frame
+//!   that was read has been answered.
 //!
 //! Serving is Linux-only: on other targets the crate compiles, and
 //! [`Server::bind`] returns [`Error::Server`].
@@ -49,24 +54,20 @@ use boreas_core::{Controller, OnlineController, VfTable};
 use common::{Error, Result, ServerKind};
 use engine::{ControllerFactory, ControllerSpec};
 use obs::{Counter, Gauge, Histogram, Registry};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::protocol::{self, Response};
 
-/// How often polling loops re-check the shutdown flag.
+/// How often the accept loop re-checks the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
 
-/// Upper bound on one worker tick's batch, so a hot shard cannot
-/// starve the response path indefinitely.
-const MAX_TICK_BATCH: usize = 256;
-
-/// The I/O path between sockets and shard workers. Serving has one:
+/// The I/O path between sockets and control loops. Serving has one:
 /// epoll reactors.
 ///
 /// The type and [`ServeConfigBuilder::backend`] stay so that callers
@@ -82,14 +83,12 @@ pub enum Backend {
 /// Validated configuration for [`Server::bind`].
 ///
 /// Constructed through [`ServeConfig::builder`], which rejects
-/// out-of-range values (zero shards, zero queue depth, …) at build
-/// time instead of panicking — or silently clamping — at runtime.
-/// [`ServeConfig::default`] is the paper setup (TH-00 flat-70 °C
-/// controller over the paper VF table) for tests and examples.
+/// out-of-range values (zero reactor threads, zero connection cap, …)
+/// at build time instead of panicking — or silently clamping — at
+/// runtime. [`ServeConfig::default`] is the paper setup (TH-00 flat-70
+/// °C controller over the paper VF table) for tests and examples.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    pub(crate) shards: usize,
-    pub(crate) queue_depth: usize,
     pub(crate) io_threads: usize,
     pub(crate) max_connections: usize,
     pub(crate) idle_timeout: Duration,
@@ -101,22 +100,12 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A builder seeded with the paper defaults: 2 shard workers, queue
-    /// depth 64, 1 reactor thread, 1024-connection cap, 60 s idle
-    /// timeout, the TH-00 flat-70 °C controller on the paper VF table,
-    /// the 3.75 GHz baseline start index and the bank-maximum sensor.
+    /// A builder seeded with the paper defaults: 1 reactor thread,
+    /// 1024-connection cap, 60 s idle timeout, the TH-00 flat-70 °C
+    /// controller on the paper VF table, the 3.75 GHz baseline start
+    /// index and the bank-maximum sensor.
     pub fn builder() -> ServeConfigBuilder {
         ServeConfigBuilder::new()
-    }
-
-    /// Shard worker threads.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Bounded per-shard queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth
     }
 
     /// Reactor I/O threads.
@@ -146,8 +135,6 @@ impl Default for ServeConfig {
 /// Builder for [`ServeConfig`]; see [`ServeConfig::builder`].
 #[derive(Debug, Clone)]
 pub struct ServeConfigBuilder {
-    shards: usize,
-    queue_depth: usize,
     io_threads: usize,
     max_connections: usize,
     idle_timeout: Duration,
@@ -167,8 +154,6 @@ impl Default for ServeConfigBuilder {
 impl ServeConfigBuilder {
     fn new() -> ServeConfigBuilder {
         ServeConfigBuilder {
-            shards: 2,
-            queue_depth: 64,
             io_threads: 1,
             max_connections: 1024,
             idle_timeout: Duration::from_secs(60),
@@ -188,17 +173,21 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the shard worker count (≥ 1).
+    /// Changes nothing. Frames are served on the reactor that reads
+    /// them, so there are no shard workers to count; the setter stays
+    /// so that callers setting it (the `perfbench` serving workload)
+    /// build unchanged.
     #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
-    /// Sets the per-shard bounded queue depth (≥ 1).
+    /// Changes nothing. No queue sits between a reactor and the control
+    /// loops; a connection whose responses pile up is paused instead
+    /// (see the [module docs](self)). The setter stays so that callers
+    /// setting it (the `perfbench` serving workload) build unchanged.
     #[must_use]
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
+    pub fn queue_depth(self, _depth: usize) -> Self {
         self
     }
 
@@ -268,16 +257,10 @@ impl ServeConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for zero shards, zero queue depth,
-    /// zero reactor threads, a zero connection cap, a zero idle
-    /// timeout, an empty VF table or an out-of-range start index.
+    /// [`Error::InvalidConfig`] for zero reactor threads, a zero
+    /// connection cap, a zero idle timeout, an empty VF table or an
+    /// out-of-range start index.
     pub fn build(self) -> Result<ServeConfig> {
-        if self.shards == 0 {
-            return Err(Error::invalid_config("shards", "must be at least 1"));
-        }
-        if self.queue_depth == 0 {
-            return Err(Error::invalid_config("queue_depth", "must be at least 1"));
-        }
         if self.io_threads == 0 {
             return Err(Error::invalid_config("io_threads", "must be at least 1"));
         }
@@ -310,8 +293,6 @@ impl ServeConfigBuilder {
             .controller
             .unwrap_or_else(|| ControllerSpec::thermal(vec![Some(70.0); vf.len()], 0.0));
         Ok(ServeConfig {
-            shards: self.shards,
-            queue_depth: self.queue_depth,
             io_threads: self.io_threads,
             max_connections: self.max_connections,
             idle_timeout: self.idle_timeout,
@@ -331,22 +312,23 @@ pub(crate) struct Metrics {
     pub frames: Counter,
     pub decisions: Counter,
     pub rejected: Counter,
+    pub panics: Counter,
     pub connections: Counter,
     pub connections_active: Gauge,
     pub connections_rejected: Counter,
     pub idle_reaped: Counter,
-    pub shards: Gauge,
+    pub read_paused: Counter,
     pub batch: Histogram,
     pub epoll_wakeups: Counter,
     pub epoll_events: Histogram,
 }
 
 impl Metrics {
-    fn new(registry: &Registry) -> Self {
+    pub(crate) fn new(registry: &Registry) -> Self {
         Metrics {
             frames: registry.counter(
                 "boreas_serve_frames_total",
-                "Telemetry frames processed by shard workers",
+                "Telemetry frames observed by a die's control loop",
             ),
             decisions: registry.counter(
                 "boreas_serve_decisions_total",
@@ -354,7 +336,11 @@ impl Metrics {
             ),
             rejected: registry.counter(
                 "boreas_serve_rejected_total",
-                "Frames rejected (backpressure or malformed)",
+                "Frames answered with a rejection (malformed, or the control step failed)",
+            ),
+            panics: registry.counter(
+                "boreas_serve_panics_total",
+                "Frames whose control step panicked; each is also a rejection",
             ),
             connections: registry.counter(
                 "boreas_serve_connections_total",
@@ -372,10 +358,13 @@ impl Metrics {
                 "boreas_serve_idle_reaped_total",
                 "Connections reaped by the idle timeout",
             ),
-            shards: registry.gauge("boreas_serve_shards", "Shard worker threads"),
+            read_paused: registry.counter(
+                "boreas_serve_read_paused_total",
+                "Times a connection stopped being read because its unflushed responses passed the write cap",
+            ),
             batch: registry.histogram(
                 "boreas_serve_batch_frames",
-                "Frames drained per worker tick",
+                "Frames served per read pass",
                 &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0],
             ),
             epoll_wakeups: registry.counter(
@@ -391,92 +380,116 @@ impl Metrics {
     }
 }
 
-/// One unit of shard work: a decoded frame plus the way back to the
-/// client that sent it.
-pub(crate) struct Job {
-    pub frame: boreas_core::TelemetryFrame,
-    pub reply: ReplySink,
+/// One die's control loop.
+pub(crate) type DieLoop = OnlineController<Box<dyn Controller + Send>>;
+
+/// Builds a die's loop from its id.
+type BuildLoop = dyn Fn(u32) -> Result<DieLoop> + Send + Sync;
+
+/// Every die's control loop, by die id, shared by all reactors; see the
+/// [module docs](self).
+pub(crate) struct DieTable {
+    loops: Mutex<HashMap<u32, Arc<Mutex<DieLoop>>>>,
+    build: Box<BuildLoop>,
 }
 
-/// The way a response reaches its connection: the shard worker encodes
-/// it, pushes the wire bytes into the connection's outbox and wakes the
-/// owning reactor, which flushes them.
-#[derive(Clone)]
-pub(crate) struct ReplySink {
-    pub outbox: Arc<crate::conn::Outbox>,
-    #[cfg(target_os = "linux")]
-    pub waker: crate::reactor::Waker,
-}
-
-impl ReplySink {
-    /// Delivers one response; best-effort (a gone client drops it).
-    pub fn send(&self, resp: Response) {
-        let Ok(body) = protocol::encode_response(&resp) else {
-            return;
-        };
-        let mut wire = Vec::with_capacity(4 + body.len());
-        wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        wire.extend_from_slice(&body);
-        self.outbox.push(wire);
-        #[cfg(target_os = "linux")]
-        self.waker.wake();
+impl DieTable {
+    /// An empty table whose loops `build` makes, each on its die's
+    /// first frame.
+    pub fn new(build: impl Fn(u32) -> Result<DieLoop> + Send + Sync + 'static) -> DieTable {
+        DieTable {
+            loops: Mutex::new(HashMap::new()),
+            build: Box::new(build),
+        }
     }
-}
 
-/// Frame routing: decode, pick the shard worker, `try_send` with
-/// backpressure, answer rejections.
-pub(crate) fn route_frame(
-    body: &[u8],
-    senders: &[SyncSender<Job>],
-    metrics: &Metrics,
-    sink: &ReplySink,
-) {
-    match protocol::decode_frame(body) {
-        Ok(frame) => {
-            let worker = (frame.shard as usize) % senders.len();
-            let (shard, seq) = (frame.shard, frame.seq);
-            let job = Job {
-                frame,
-                reply: sink.clone(),
-            };
-            match senders[worker].try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    metrics.rejected.inc();
-                    sink.send(Response::Rejected {
-                        shard,
-                        seq,
-                        reason: "shard queue full".to_string(),
-                    });
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    metrics.rejected.inc();
-                    sink.send(Response::Rejected {
-                        shard,
-                        seq,
-                        reason: "server draining".to_string(),
-                    });
-                }
+    /// `die`'s loop: built on the die's first frame, and built afresh
+    /// if a panic has poisoned it.
+    ///
+    /// # Errors
+    ///
+    /// Whatever building the loop reports.
+    fn get(&self, die: u32) -> Result<Arc<Mutex<DieLoop>>> {
+        // Nothing panics while the table lock is held except a loop
+        // build, which leaves the map as it was.
+        let mut loops = self.loops.lock().unwrap_or_else(PoisonError::into_inner);
+        match loops.get(&die) {
+            Some(online) if !online.is_poisoned() => Ok(online.clone()),
+            _ => {
+                let online = Arc::new(Mutex::new((self.build)(die)?));
+                loops.insert(die, online.clone());
+                Ok(online)
             }
         }
-        Err(e) => {
-            metrics.rejected.inc();
-            sink.send(Response::Rejected {
-                shard: 0,
-                seq: 0,
-                reason: e.to_string(),
-            });
+    }
+}
+
+/// Serves one frame body to completion: decodes it, observes it on its
+/// die's loop and encodes the response, if any, into the write ring
+/// `out`.
+pub(crate) fn serve_frame(body: &[u8], dies: &DieTable, metrics: &Metrics, out: &mut VecDeque<u8>) {
+    let frame = match protocol::decode_frame(body) {
+        Ok(frame) => frame,
+        Err(e) => return reject(metrics, out, 0, 0, e.to_string()),
+    };
+    let (die, seq) = (frame.shard, frame.seq);
+    // Err carries the rejection's reason.
+    let observed = catch_unwind(AssertUnwindSafe(|| -> std::result::Result<_, String> {
+        let online = dies.get(die).map_err(|e| e.to_string())?;
+        // Poisoned since `get` only if another connection's frame for
+        // this die panicked in between.
+        let mut online = online.lock().map_err(|_| INTERNAL_ERROR.to_string())?;
+        Ok(online.observe_record(frame.record))
+    }));
+    match observed {
+        Ok(Ok(decision)) => {
+            metrics.frames.inc();
+            if let Some(decision) = decision {
+                metrics.decisions.inc();
+                push_response(
+                    out,
+                    &Response::Decision {
+                        shard: die,
+                        seq,
+                        decision,
+                    },
+                );
+            }
+        }
+        Ok(Err(reason)) => reject(metrics, out, die, seq, reason),
+        // A panic in observe leaves the die's mutex poisoned, so the
+        // die's next frame, on any connection, rebuilds the loop.
+        Err(_) => {
+            metrics.panics.inc();
+            reject(metrics, out, die, seq, INTERNAL_ERROR.to_string());
         }
     }
+}
+
+/// The rejection reason for a frame whose control step panicked.
+const INTERNAL_ERROR: &str = "internal error";
+
+fn reject(metrics: &Metrics, out: &mut VecDeque<u8>, shard: u32, seq: u64, reason: String) {
+    metrics.rejected.inc();
+    push_response(out, &Response::Rejected { shard, seq, reason });
+}
+
+/// Appends `resp`'s length-prefixed wire bytes to `out`; best-effort,
+/// like any write to a client.
+fn push_response(out: &mut VecDeque<u8>, resp: &Response) {
+    let Ok(body) = protocol::encode_response(resp) else {
+        return;
+    };
+    out.extend((body.len() as u32).to_be_bytes());
+    out.extend(body);
 }
 
 /// A running serving daemon. See the [module docs](self) for the
-/// thread/queue layout.
+/// thread layout.
 pub struct Server {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     #[cfg(target_os = "linux")]
     reactors: Vec<crate::reactor::ReactorHandle>,
     /// The open-connection count the accept loop and reactors keep;
@@ -487,13 +500,12 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:7070"`, or port 0 for an
-    /// ephemeral port) and starts the accept loop, the reactors and the
-    /// shard workers.
+    /// ephemeral port) and starts the accept loop and the reactors.
     ///
     /// # Errors
     ///
     /// [`Error::Server`] when the bind fails or the target is not
-    /// Linux, or whatever [`ControllerSpec::build`] reports for an
+    /// Linux, or whatever [`ControllerFactory::new`] reports for an
     /// invalid controller recipe (the recipe is validated once up
     /// front, not per die).
     pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> Result<Server> {
@@ -502,7 +514,7 @@ impl Server {
         let factory = ControllerFactory::new(&config.controller)?;
         #[cfg(not(target_os = "linux"))]
         {
-            let _ = addr;
+            let _ = (addr, factory);
             Err(Error::server(
                 ServerKind::Reactor,
                 "bind",
@@ -521,45 +533,31 @@ impl Server {
                 .map_err(|e| Error::server(ServerKind::Bind, "set_nonblocking", e.to_string()))?;
 
             let metrics = Metrics::new(&config.registry);
-            metrics.shards.set(config.shards as f64);
-
             let shutdown = Arc::new(AtomicBool::new(false));
             let active_connections = Arc::new(AtomicUsize::new(0));
 
-            let mut senders = Vec::with_capacity(config.shards);
-            let mut workers = Vec::with_capacity(config.shards);
-            for w in 0..config.shards {
-                let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth);
-                senders.push(tx);
-                let worker_cfg = config.clone();
-                let worker_factory = factory.clone();
-                let worker_metrics = metrics.clone();
-                workers.push(
-                    thread::Builder::new()
-                        .name(format!("serve-shard-{w}"))
-                        .spawn(move || {
-                            shard_worker(&rx, &worker_cfg, &worker_factory, &worker_metrics)
-                        })
-                        .map_err(|e| {
-                            Error::server(ServerKind::Spawn, "spawn worker", e.to_string())
-                        })?,
-                );
-            }
-
-            // Each reactor holds its own queue senders and drops them
-            // when it drains; workers exit once every reactor has.
+            let dies = {
+                let (vf, start_idx, sensor_idx) =
+                    (config.vf.clone(), config.start_idx, config.sensor_idx);
+                Arc::new(DieTable::new(move |_die| {
+                    Ok(
+                        OnlineController::new(build_controller(&factory), vf.clone())?
+                            .start(start_idx)?
+                            .sensor(sensor_idx),
+                    )
+                }))
+            };
             let mut reactors = Vec::with_capacity(config.io_threads);
             for r in 0..config.io_threads {
                 reactors.push(crate::reactor::spawn_reactor(
                     r,
-                    senders.clone(),
+                    dies.clone(),
                     config.idle_timeout,
                     metrics.clone(),
                     shutdown.clone(),
                     active_connections.clone(),
                 )?);
             }
-            drop(senders);
 
             let accept = {
                 let shutdown = shutdown.clone();
@@ -597,7 +595,6 @@ impl Server {
                 local_addr,
                 shutdown,
                 accept: Some(accept),
-                workers,
                 reactors,
                 #[cfg(test)]
                 active_connections,
@@ -610,9 +607,9 @@ impl Server {
         self.local_addr
     }
 
-    /// Begins a clean drain: stop accepting, stop ingesting frames,
-    /// let workers empty their queues, flush pending responses.
-    /// Returns immediately; call [`Server::join`] to wait.
+    /// Begins a clean drain: stop accepting, stop reading frames, flush
+    /// every pending response. Returns immediately; call
+    /// [`Server::join`] to wait.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         #[cfg(target_os = "linux")]
@@ -621,9 +618,9 @@ impl Server {
         }
     }
 
-    /// Waits until the drain completes: the accept loop, every reactor
-    /// and every shard worker has exited. A reactor closes all of its
-    /// connections before it returns, so none is left to wait for.
+    /// Waits until the drain completes: the accept loop and every
+    /// reactor has exited. A reactor closes all of its connections
+    /// before it returns, so none is left to wait for.
     ///
     /// # Errors
     ///
@@ -639,9 +636,6 @@ impl Server {
         for r in self.reactors.drain(..) {
             r.waker.wake();
             r.thread.join().map_err(|_| join_err("reactor thread"))?;
-        }
-        for handle in self.workers.drain(..) {
-            handle.join().map_err(|_| join_err("shard worker"))?;
         }
         Ok(())
     }
@@ -691,75 +685,13 @@ fn build_controller(factory: &ControllerFactory) -> Box<dyn Controller + Send> {
     }
 }
 
-/// One shard worker: owns the control loops of every die id mapped to
-/// it and processes its queue in tick batches.
-fn shard_worker(
-    rx: &Receiver<Job>,
-    config: &ServeConfig,
-    factory: &ControllerFactory,
-    metrics: &Metrics,
-) {
-    let mut loops: HashMap<u32, OnlineController<Box<dyn Controller + Send>>> = HashMap::new();
-    let mut batch: Vec<Job> = Vec::new();
-    loop {
-        // Block for the first job of a tick, then drain whatever else
-        // is already queued (bounded, so the response path stays live).
-        match rx.recv_timeout(POLL) {
-            Ok(job) => batch.push(job),
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-        while batch.len() < MAX_TICK_BATCH {
-            match rx.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
-        }
-        metrics.batch.observe(batch.len() as f64);
-        for job in batch.drain(..) {
-            let die = job.frame.shard;
-            let online = match loops.entry(die) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let built = OnlineController::new(build_controller(factory), config.vf.clone())
-                        .and_then(|o| o.start(config.start_idx))
-                        .map(|o| o.sensor(config.sensor_idx));
-                    match built {
-                        Ok(o) => e.insert(o),
-                        Err(_) => {
-                            metrics.rejected.inc();
-                            job.reply.send(Response::Rejected {
-                                shard: die,
-                                seq: job.frame.seq,
-                                reason: "control loop construction failed".to_string(),
-                            });
-                            continue;
-                        }
-                    }
-                }
-            };
-            metrics.frames.inc();
-            let seq = job.frame.seq;
-            if let Some(decision) = online.observe_record(job.frame.record) {
-                metrics.decisions.inc();
-                job.reply.send(Response::Decision {
-                    shard: die,
-                    seq,
-                    decision,
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn builder_rejects_out_of_range_values() {
-        assert!(ServeConfig::builder().shards(0).build().is_err());
-        assert!(ServeConfig::builder().queue_depth(0).build().is_err());
         assert!(ServeConfig::builder().io_threads(0).build().is_err());
         assert!(ServeConfig::builder().max_connections(0).build().is_err());
         assert!(ServeConfig::builder()
@@ -775,8 +707,6 @@ mod tests {
     #[test]
     fn builder_defaults_are_the_paper_setup() {
         let c = ServeConfig::default();
-        assert_eq!(c.shards(), 2);
-        assert_eq!(c.queue_depth(), 64);
         assert_eq!(c.io_threads(), 1);
         assert_eq!(c.max_connections(), 1024);
         assert_eq!(c.idle_timeout(), Duration::from_secs(60));

@@ -14,8 +14,6 @@ const BINARIES: &[(&str, &[&str])] = &[
         &[
             "addr",
             "metrics-addr",
-            "shards",
-            "queue-depth",
             "io-threads",
             "max-connections",
             "idle-timeout-ms",
@@ -105,7 +103,7 @@ fn bad_arguments_exit_2_before_any_work() {
         let help = run(bin, &["--help"]);
         assert_rejected(bin, &["--bogus"]);
         assert_rejected(bin, &["--threads", "banana"]);
-        assert_rejected(bin, &["--shards", "banana"]);
+        assert_rejected(bin, &["--io-threads", "banana"]);
         for (flag, takes_value) in usage_flags(&String::from_utf8_lossy(&help.stdout)) {
             if takes_value {
                 // Given last, with no value.

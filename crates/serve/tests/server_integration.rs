@@ -72,8 +72,6 @@ fn served_decisions_match_offline_replay_over(traces: &[Vec<StepRecord>], connec
     let vf = VfTable::paper();
     let registry = obs::Registry::new();
     let config = base_config()
-        .shards(2)
-        .queue_depth(256)
         .io_threads(2)
         .registry(registry.clone())
         .build()
@@ -112,7 +110,7 @@ fn served_decisions_match_offline_replay_over(traces: &[Vec<StepRecord>], connec
     assert_eq!(
         responses.len(),
         expected,
-        "{connections} connection(s): no frame may be dropped at this depth"
+        "{connections} connection(s): no frame may be dropped"
     );
 
     // Offline replay of the identical frames, per die.
@@ -202,22 +200,25 @@ fn malformed_frame_rejects_without_dropping_the_connection() {
     server.join().unwrap();
 }
 
+/// The counter `name` in `registry` (0 before it is first touched).
+fn counter(registry: &obs::Registry, name: &str) -> u64 {
+    match registry.snapshot().family(name).map(|f| &f.value) {
+        Some(obs::MetricValue::Counter(v)) => *v,
+        _ => 0,
+    }
+}
+
 #[test]
-fn backpressure_accounting_balances_under_a_tiny_queue() {
+fn accounting_balances_when_responses_are_read_after_eof() {
     let registry = obs::Registry::new();
-    let config = base_config()
-        .shards(1)
-        .queue_depth(1)
-        .registry(registry.clone())
-        .build()
-        .unwrap();
+    let config = base_config().registry(registry.clone()).build().unwrap();
     let server = Server::bind("127.0.0.1:0", config).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
 
-    // Blast ten intervals at a depth-1 queue without reading
-    // responses; whatever the timing, every frame is either observed
-    // or rejected.
+    // Send ten intervals and half-close before reading any response;
+    // every frame is either observed or rejected. Their responses stay
+    // far below the write cap (the pause test covers that).
     let tr = trace("gromacs", 12);
     let sent = 120usize;
     for t in 0..sent {
@@ -230,11 +231,7 @@ fn backpressure_accounting_balances_under_a_tiny_queue() {
     server.request_shutdown();
     server.join().unwrap();
 
-    let snap = registry.snapshot();
-    let count = |name: &str| match snap.family(name).map(|f| &f.value) {
-        Some(obs::MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
+    let count = |name: &str| counter(&registry, name);
     let observed = count("boreas_serve_frames_total");
     let rejected = count("boreas_serve_rejected_total");
     assert_eq!(
@@ -255,6 +252,116 @@ fn backpressure_accounting_balances_under_a_tiny_queue() {
         observed / 12,
         "one decision per fully observed interval"
     );
+}
+
+#[test]
+fn a_peer_that_does_not_read_pauses_its_connection_until_it_does() {
+    let registry = obs::Registry::new();
+    let config = base_config().registry(registry.clone()).build().unwrap();
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+
+    // Ten intervals of die 0, each frame followed by a burst of
+    // malformed ones. Every malformed frame is answered with a
+    // rejection several times its size, so the responses outgrow the
+    // socket buffers and the server's write cap long before the last
+    // frame is sent.
+    let tr = trace("gromacs", 12);
+    let (intervals, junk_per_frame) = (10usize, 1000usize);
+    let sent = intervals * 12 * (1 + junk_per_frame);
+    let mut wire = Vec::new();
+    for t in 0..intervals * 12 {
+        let frame = TelemetryFrame::new(0, t as u64, tr[t % 12].clone());
+        protocol::write_frame(&mut wire, &protocol::encode_frame(&frame).unwrap()).unwrap();
+        for _ in 0..junk_per_frame {
+            protocol::write_frame(&mut wire, b"{\"shard\":1}").unwrap();
+        }
+    }
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        std::io::Write::write_all(&mut writer, &wire).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+    });
+
+    // The sender may block in its socket once the server stops reading.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counter(&registry, "boreas_serve_read_paused_total") == 0 {
+        assert!(Instant::now() < deadline, "the connection never paused");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let responses = read_responses(&mut stream, usize::MAX);
+    sender.join().unwrap();
+    drop(stream);
+    server.request_shutdown();
+    server.join().unwrap();
+
+    let decisions: Vec<u64> = responses
+        .iter()
+        .filter_map(|r| match r {
+            Response::Decision { shard: 0, seq, .. } => Some(*seq),
+            _ => None,
+        })
+        .collect();
+    let every_interval: Vec<u64> = (0..intervals as u64).map(|i| 12 * i + 11).collect();
+    assert_eq!(
+        decisions, every_interval,
+        "every decision arrives, in order"
+    );
+    let count = |name: &str| counter(&registry, name);
+    assert_eq!(
+        count("boreas_serve_frames_total") + count("boreas_serve_rejected_total"),
+        sent as u64,
+        "every frame is accounted exactly once"
+    );
+    assert_eq!(responses.len(), decisions.len() + sent - intervals * 12);
+}
+
+/// A die's loop lives in the server, not in a connection: frames 0..18
+/// on one socket and 18..48 on a second, served by the other reactor,
+/// decide exactly as one uninterrupted stream would.
+#[test]
+fn a_die_that_reconnects_carries_on_its_loop() {
+    let config = base_config().io_threads(2).build().unwrap();
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    let tr = trace("gcc", 48);
+
+    let mut served = Vec::new();
+    // Connections go to the reactors round-robin, so the second socket
+    // lands on the other reactor.
+    for range in [0..18, 18..48] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        for t in range {
+            let frame = TelemetryFrame::new(0, t as u64, tr[t].clone());
+            protocol::write_frame(&mut stream, &protocol::encode_frame(&frame).unwrap()).unwrap();
+        }
+        // Reading to EOF means the server has served every frame sent.
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        served.extend(read_responses(&mut stream, usize::MAX));
+    }
+    server.request_shutdown();
+    server.join().unwrap();
+
+    let mut online = OnlineController::new(
+        ThermalController::from_thresholds(thresholds(), 0.0),
+        VfTable::paper(),
+    )
+    .unwrap();
+    let expected: Vec<Response> = tr
+        .iter()
+        .enumerate()
+        .filter_map(|(t, r)| {
+            let decision = online.observe(&TelemetryFrame::new(0, t as u64, r.clone()))?;
+            Some(Response::Decision {
+                shard: 0,
+                seq: t as u64,
+                decision,
+            })
+        })
+        .collect();
+    assert_eq!(served, expected);
 }
 
 #[test]
