@@ -13,9 +13,11 @@
 //!
 //! Beside timing, the run *asserts* the determinism contract: the three
 //! thread counts must produce bit-identical predictions on every
-//! training row. Each configuration also prints its median sample's
-//! phases (binning, histogram build, split search, row routing) and
-//! their sum against the fit's measured binning + boosting time.
+//! training row, and prints the 1-thread model's prediction digest (CI
+//! pins the smoke value). Each configuration also prints its median
+//! sample's phases (binning, histogram build, split search, row
+//! routing) and their sum against the fit's measured binning + boosting
+//! time, and one line gives each phase's 1t/2t speedup.
 //!
 //! Usage: `bench_training [--smoke] [--out PATH] [--check BASELINE]
 //! [--metrics-out BASE]`. `--smoke` swaps the pipeline extraction for a
@@ -124,6 +126,31 @@ fn phase_line(s: &gbt::TrainStats) -> String {
         ms(sum),
         ms(whole),
         100.0 * sum as f64 / whole as f64
+    )
+}
+
+/// FNV-1a digest of `model`'s prediction bits on every row of `data`,
+/// in row order: equal digests mean bit-identical predictions.
+fn prediction_digest(model: &GbtModel, data: &Dataset) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in 0..data.len() {
+        for byte in model.predict(&data.row(r)).to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// How many times faster each phase ran in `fast` than in `slow`.
+fn phase_speedups(slow: &gbt::TrainStats, fast: &gbt::TrainStats) -> String {
+    let x = |slow: u64, fast: u64| slow as f64 / fast as f64;
+    format!(
+        "bin {:.2}x, hist {:.2}x, split {:.2}x, route {:.2}x",
+        x(slow.bin_ns, fast.bin_ns),
+        x(slow.hist_ns, fast.hist_ns),
+        x(slow.split_ns, fast.split_ns),
+        x(slow.route_ns, fast.route_ns)
     )
 }
 
@@ -246,6 +273,7 @@ fn main() -> Result<()> {
     assert_bit_identical(&data, &m1, &m2, "1 vs 2 threads");
     assert_bit_identical(&data, &m1, &m4, "1 vs 4 threads");
     println!("  determinism: 1/2/4-thread models bit-identical on every training row");
+    println!("prediction digest: {:016x}", prediction_digest(&m1, &data));
 
     // Each timing starts with an untimed warm-up. The histogram
     // configurations run in rounds of one training each, so drift on a
@@ -294,6 +322,10 @@ fn main() -> Result<()> {
         );
         println!("  {:<14} {}", "", phase_line(stats));
     }
+    println!(
+        "  phases, 1t vs 2t (median fits): {}",
+        phase_speedups(&phases[0], &phases[1])
+    );
     println!(
         "  fastest fits: 2t {:.2}x and 4t {:.2}x as fast as 1t",
         fastest_ns[0] / fastest_ns[1],

@@ -13,6 +13,16 @@
 //! *pre-binned* data explores the identical split space. Features with
 //! more distinct values get quantile cuts (equal-rank spacing over the
 //! sorted column).
+//!
+//! There is one binning path, `bin_column`: one radix sort of the
+//! column's rows by value, the cuts from its distinct values, and one
+//! walk of the sorted order that codes every row with a single pointer
+//! into the cuts. A fit runs it on its worker set, each worker
+//! over its own features (`crate::hist`), and the calling thread then
+//! assembles the row-major matrix. [`BinnedDataset::build`] starts a
+//! worker set for binning alone; [`BinnedDataset::from_dataset`] and
+//! [`BinCuts::fit`] are its one-thread wrappers. Cuts and codes are
+//! the same for every thread count.
 
 use crate::dataset::Dataset;
 use common::{Error, Result};
@@ -29,26 +39,15 @@ pub struct BinCuts {
 }
 
 impl BinCuts {
-    /// Learns cut points from every feature column of `data`.
+    /// Learns cut points from every feature column of `data`: the cuts
+    /// of [`BinnedDataset::from_dataset`], which bins on one thread.
     ///
     /// # Errors
     ///
     /// Returns [`Error::EmptyDataset`] for an empty dataset and
     /// [`Error::InvalidConfig`] when `max_bins` is outside `2..=256`.
     pub fn fit(data: &Dataset, max_bins: usize) -> Result<BinCuts> {
-        if !(2..=MAX_BINS_LIMIT).contains(&max_bins) {
-            return Err(Error::invalid_config(
-                "binning",
-                format!("max_bins must be in 2..={MAX_BINS_LIMIT}, got {max_bins}"),
-            ));
-        }
-        if data.is_empty() {
-            return Err(Error::EmptyDataset("binning input"));
-        }
-        let cuts = (0..data.num_features())
-            .map(|f| feature_cuts(data.column(f), max_bins))
-            .collect();
-        Ok(BinCuts { cuts, max_bins })
+        Ok(BinnedDataset::from_dataset(data, max_bins)?.cuts)
     }
 
     /// Number of features covered.
@@ -71,6 +70,11 @@ impl BinCuts {
         (0..self.num_features()).map(|f| self.num_bins(f)).sum()
     }
 
+    /// Feature `f`'s cuts, strictly increasing.
+    pub fn feature_cuts(&self, f: usize) -> &[f64] {
+        &self.cuts[f]
+    }
+
     /// The threshold realising a split that sends bins `0..=b` of
     /// feature `f` left: rows with `x < threshold(f, b)` are exactly the
     /// rows coded `<= b`.
@@ -81,41 +85,140 @@ impl BinCuts {
     pub fn threshold(&self, f: usize, b: usize) -> f64 {
         self.cuts[f][b]
     }
+}
 
-    /// Bin code of value `x` under feature `f`'s cuts: the number of
-    /// cuts `<= x`, consistent with the strict `<` used by tree descent.
-    pub fn bin(&self, f: usize, x: f64) -> u8 {
-        debug_assert!(self.cuts[f].len() < MAX_BINS_LIMIT);
-        self.cuts[f].partition_point(|&c| c <= x) as u8
+/// Buffers for binning a run of columns, reused across them: the radix
+/// sort's two row buffers.
+#[derive(Default)]
+pub(crate) struct BinBuffers {
+    rows: [Vec<u32>; 2],
+}
+
+impl BinBuffers {
+    /// Buffers sized for columns of `rows` values.
+    pub(crate) fn with_rows(rows: usize) -> BinBuffers {
+        BinBuffers {
+            rows: [Vec::with_capacity(rows), Vec::with_capacity(rows)],
+        }
     }
 }
 
-/// Cuts for one column: midpoints between consecutive distinct values
-/// when there are at most `max_bins` of them, quantile midpoints
-/// otherwise. Cuts are strictly increasing.
-fn feature_cuts(col: &[f64], max_bins: usize) -> Vec<f64> {
-    let mut sorted = col.to_vec();
-    sorted.sort_by(|a, b| {
-        a.partial_cmp(b)
-            .expect("dataset rejects non-finite features")
-    });
-    sorted.dedup();
-    let distinct = sorted.len();
-    let mut cuts = Vec::new();
-    if distinct <= max_bins {
-        for w in sorted.windows(2) {
-            cuts.push(midpoint(w[0], w[1]));
+/// Bins one column — the only binning path — into `codes` (one per
+/// row) and returns its cuts. Sorts the column's rows once by value
+/// ([`sort_rows`]), takes the cuts from the distinct sorted values
+/// ([`cuts_of`]), then codes every row in one walk of the sorted order
+/// with a single pointer into the cuts: a row's code is the number of
+/// cuts `<= x`. A code depends only on the value, so the order among
+/// equal values does not matter.
+pub(crate) fn bin_column(
+    col: &[f64],
+    max_bins: usize,
+    codes: &mut [u8],
+    buffers: &mut BinBuffers,
+) -> Vec<f64> {
+    let order = sort_rows(col, &mut buffers.rows);
+    let cuts = cuts_of(col, order, max_bins);
+    assert!(
+        cuts.len() < MAX_BINS_LIMIT,
+        "{} cuts overflow a u8 bin code",
+        cuts.len()
+    );
+    let mut code = 0;
+    for &r in order {
+        let x = col[r as usize];
+        while code < cuts.len() && cuts[code] <= x {
+            code += 1;
         }
+        codes[r as usize] = code as u8;
+    }
+    cuts
+}
+
+/// Bits of the radix sort's digits: six passes cover a 64-bit key.
+const DIGIT_BITS: u32 = 11;
+
+/// `x`'s sort key: unsigned integer order of keys is `f64::total_cmp`
+/// order, which puts `-0.0` right before `0.0`.
+fn key_of(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
     } else {
-        // Quantile cuts over the distinct values: even rank spacing keeps
-        // every bin populated regardless of the value distribution.
-        for b in 1..max_bins {
-            let rank = b * distinct / max_bins;
-            let cut = midpoint(sorted[rank - 1], sorted[rank]);
+        bits | 1 << 63
+    }
+}
+
+/// Sorts `col`'s row indices by value: a least-significant-digit radix
+/// sort on [`key_of`] that skips every digit all keys share. Returns the
+/// sorted rows, which live in one of `buffers`.
+fn sort_rows<'b>(col: &[f64], buffers: &'b mut [Vec<u32>; 2]) -> &'b [u32] {
+    const PASSES: usize = 64_usize.div_ceil(DIGIT_BITS as usize);
+    let digit = |r: u32, pass: usize| {
+        (key_of(col[r as usize]) >> (pass as u32 * DIGIT_BITS)) as usize & ((1 << DIGIT_BITS) - 1)
+    };
+    let [rows, spare] = buffers;
+    rows.clear();
+    rows.extend(0..col.len() as u32);
+    spare.resize(rows.len(), 0);
+    let mut counts = [[0u32; 1 << DIGIT_BITS]; PASSES];
+    for &r in rows.iter() {
+        for (pass, count) in counts.iter_mut().enumerate() {
+            count[digit(r, pass)] += 1;
+        }
+    }
+    for (pass, count) in counts.iter_mut().enumerate() {
+        if count.iter().any(|&n| n as usize == rows.len()) {
+            continue;
+        }
+        let mut at = 0;
+        for n in count.iter_mut() {
+            (*n, at) = (at, at + *n);
+        }
+        for &r in rows.iter() {
+            let slot = &mut count[digit(r, pass)];
+            spare[*slot as usize] = r;
+            *slot += 1;
+        }
+        std::mem::swap(rows, spare);
+    }
+    rows
+}
+
+/// `col`'s distinct values in ascending order, given its rows in that
+/// order. `==` merges `-0.0` and `0.0`, as `Vec::dedup` does; which
+/// zero stands for both cannot change a midpoint with a non-zero
+/// neighbour.
+fn distinct<'a>(col: &'a [f64], order: &'a [u32]) -> impl Iterator<Item = f64> + 'a {
+    let mut last = None;
+    order
+        .iter()
+        .map(|&r| col[r as usize])
+        .filter(move |&x| last.replace(x) != Some(x))
+}
+
+/// Cuts for one column, given its rows in ascending value order:
+/// midpoints between consecutive distinct values when there are at most
+/// `max_bins` of them, quantile midpoints otherwise. Cuts are strictly
+/// increasing.
+fn cuts_of(col: &[f64], order: &[u32], max_bins: usize) -> Vec<f64> {
+    let count = distinct(col, order).count();
+    let mut cuts = Vec::new();
+    let mut prev = None;
+    let mut b = 1;
+    for (i, x) in distinct(col, order).enumerate() {
+        if count <= max_bins {
+            cuts.extend(prev.map(|p| midpoint(p, x)));
+        } else if b < max_bins && i == b * count / max_bins {
+            // Quantile cuts over the distinct values: even rank spacing
+            // keeps every bin populated regardless of the value
+            // distribution. The ranks ascend strictly, as count > max_bins.
+            let cut = midpoint(prev.expect("rank ≥ 1"), x);
             if cuts.last().is_none_or(|&last| cut > last) {
                 cuts.push(cut);
             }
+            b += 1;
         }
+        prev = Some(x);
     }
     cuts
 }
@@ -125,9 +228,9 @@ fn midpoint(a: f64, b: f64) -> f64 {
     (a + b) / 2.0
 }
 
-/// A dataset quantised against a [`BinCuts`]: one `u8` code per
-/// (row, feature), stored row-major so the histogram accumulation inner
-/// loop streams each row's codes sequentially.
+/// A dataset quantised against its fitted [`BinCuts`]: one `u8` code
+/// per (row, feature), stored row-major so the histogram accumulation
+/// inner loop streams each row's codes sequentially.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedDataset {
     cuts: BinCuts,
@@ -141,33 +244,65 @@ pub struct BinnedDataset {
 }
 
 impl BinnedDataset {
-    /// Quantises `data` with freshly fitted cuts.
+    /// Quantises `data` with freshly fitted cuts, on the calling thread.
     ///
     /// # Errors
     ///
-    /// Propagates [`BinCuts::fit`] errors.
+    /// Returns [`Error::EmptyDataset`] for an empty dataset and
+    /// [`Error::InvalidConfig`] when `max_bins` is outside `2..=256`.
     pub fn from_dataset(data: &Dataset, max_bins: usize) -> Result<BinnedDataset> {
-        let cuts = BinCuts::fit(data, max_bins)?;
-        Ok(Self::with_cuts(data, cuts))
+        Self::build(data, max_bins, 1)
     }
 
-    /// Quantises `data` against existing cuts (feature arity must
-    /// match; values outside the fitted range land in the edge bins).
+    /// Quantises `data` on a worker set of `threads` (`min(threads,
+    /// features)` threads, the calling thread included; worker `k` of
+    /// `t` bins the features `[k·nf/t, (k+1)·nf/t)`), as a fit does
+    /// before it grows trees. The cuts and codes are bit-identical for
+    /// every thread count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cuts` covers a different number of features.
-    pub fn with_cuts(data: &Dataset, cuts: BinCuts) -> BinnedDataset {
-        let n_rows = data.len();
-        let n_features = data.num_features();
-        assert_eq!(cuts.num_features(), n_features, "cuts/features arity");
-        let mut codes = vec![0u8; n_rows * n_features];
-        for f in 0..n_features {
-            let col = data.column(f);
-            for (r, &x) in col.iter().enumerate() {
-                codes[r * n_features + f] = cuts.bin(f, x);
-            }
+    /// As [`BinnedDataset::from_dataset`].
+    pub fn build(data: &Dataset, max_bins: usize, threads: usize) -> Result<BinnedDataset> {
+        if !(2..=MAX_BINS_LIMIT).contains(&max_bins) {
+            return Err(Error::invalid_config(
+                "binning",
+                format!("max_bins must be in 2..={MAX_BINS_LIMIT}, got {max_bins}"),
+            ));
         }
+        if data.is_empty() {
+            return Err(Error::EmptyDataset("binning input"));
+        }
+        Ok(crate::hist::bin(data, max_bins, threads))
+    }
+
+    /// Assembles the row-major code matrix from column-major blocks of
+    /// consecutive features, in feature order (each block holds its
+    /// features' codes one column after another), and each feature's
+    /// cuts. Each block is freed once copied, so the matrix and its
+    /// source never both exist whole.
+    pub(crate) fn from_blocks(
+        cuts: Vec<Vec<f64>>,
+        blocks: Vec<Vec<u8>>,
+        max_bins: usize,
+        targets: &[f64],
+    ) -> BinnedDataset {
+        let n_rows = targets.len();
+        let n_features = cuts.len();
+        let mut codes = vec![0u8; n_rows * n_features];
+        let mut first = 0;
+        for block in blocks {
+            let columns: Vec<&[u8]> = block.chunks_exact(n_rows).collect();
+            let features = first..first + columns.len();
+            for (r, row) in codes.chunks_exact_mut(n_features).enumerate() {
+                for (code, col) in row[features.clone()].iter_mut().zip(&columns) {
+                    *code = col[r];
+                }
+            }
+            first = features.end;
+        }
+        assert_eq!(first, n_features, "one code column per feature");
+        let cuts = BinCuts { cuts, max_bins };
         let mut offsets = Vec::with_capacity(n_features + 1);
         let mut acc = 0u32;
         for f in 0..n_features {
@@ -181,7 +316,7 @@ impl BinnedDataset {
             n_rows,
             n_features,
             offsets,
-            targets: data.targets().to_vec(),
+            targets: targets.to_vec(),
         }
     }
 
@@ -220,8 +355,9 @@ impl BinnedDataset {
         self.offsets[f]
     }
 
-    /// One row's codes (length `num_features`).
-    pub(crate) fn row_codes(&self, r: usize) -> &[u8] {
+    /// Row `r`'s bin codes, one per feature: the number of feature `f`'s
+    /// cuts `<= x`.
+    pub fn row_codes(&self, r: usize) -> &[u8] {
         &self.codes[r * self.n_features..(r + 1) * self.n_features]
     }
 }
@@ -248,9 +384,11 @@ mod tests {
         assert_eq!(cuts.threshold(0, 0), 0.5);
         assert_eq!(cuts.threshold(0, 1), 1.5);
         assert_eq!(cuts.threshold(0, 2), 2.5);
-        assert_eq!(cuts.bin(0, 0.0), 0);
-        assert_eq!(cuts.bin(0, 1.0), 1);
-        assert_eq!(cuts.bin(0, 3.0), 3);
+        // Row i holds a = i % 4, which is its own bin.
+        let binned = BinnedDataset::from_dataset(&d, 256).unwrap();
+        for r in 0..20 {
+            assert_eq!(binned.row_codes(r)[0], (r % 4) as u8);
+        }
     }
 
     #[test]
@@ -272,11 +410,17 @@ mod tests {
     #[test]
     fn bin_boundaries_agree_with_strict_less_than() {
         let d = toy();
-        let cuts = BinCuts::fit(&d, 256).unwrap();
-        for b in 0..cuts.num_bins(0) - 1 {
-            let thr = cuts.threshold(0, b);
-            for v in [0.0, 1.0, 2.0, 3.0] {
-                assert_eq!(v < thr, cuts.bin(0, v) as usize <= b, "v={v} b={b}");
+        for max_bins in [4, 256] {
+            let binned = BinnedDataset::from_dataset(&d, max_bins).unwrap();
+            let cuts = binned.cuts();
+            for f in 0..2 {
+                for b in 0..cuts.num_bins(f) - 1 {
+                    let thr = cuts.threshold(f, b);
+                    for (r, &v) in d.column(f).iter().enumerate() {
+                        let code = binned.row_codes(r)[f];
+                        assert_eq!(v < thr, code as usize <= b, "f={f} v={v} b={b}");
+                    }
+                }
             }
         }
     }
@@ -287,9 +431,9 @@ mod tests {
         for _ in 0..10 {
             d.push_row(&[7.0], 1.0, 0).unwrap();
         }
-        let cuts = BinCuts::fit(&d, 64).unwrap();
-        assert_eq!(cuts.num_bins(0), 1);
-        assert_eq!(cuts.bin(0, 7.0), 0);
+        let binned = BinnedDataset::from_dataset(&d, 64).unwrap();
+        assert_eq!(binned.cuts().num_bins(0), 1);
+        assert!((0..10).all(|r| binned.row_codes(r)[0] == 0));
     }
 
     #[test]

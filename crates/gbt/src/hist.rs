@@ -14,29 +14,46 @@
 //!
 //! # Parallelism and determinism
 //!
-//! One fit starts one worker set ([`Workers`]): the calling thread plus
+//! [`fit`] starts one worker set ([`Crew`] of [`Worker`]s) before it
+//! bins, and every phase of the fit runs on it: the calling thread plus
 //! `min(threads, features) − 1` scoped threads that live until the last
-//! tree is grown. Each level sends every worker the same job (the
-//! tree's gradient and the level's row→node map); worker `k` of `t`
-//! owns the contiguous features `[k·nf/t, (k+1)·nf/t)` and builds those
-//! features' bins of every node histogram. Workers never share a bin, so
-//! no thread merges another's partials; the calling thread copies each
-//! worker's slice into place.
+//! tree is grown. Worker `k` of `t` owns the features
+//! `[k·nf/t, (k+1)·nf/t)` and the rows `[k·n/t, (k+1)·n/t)`:
+//!
+//! | phase | split by | the worker's share |
+//! |---|---|---|
+//! | bin | feature | each column's sort, cuts and codes ([`crate::binned`]) |
+//! | hist | feature | its slice of every frontier node's histogram, from rows or parent − sibling, kept across levels |
+//! | split | feature | each node's best split over its features |
+//! | route | row | its rows to their child nodes and the next level's row→slot map; after a tree's last level, its rows' predictions and gradients |
+//!
+//! The calling thread is worker 0; beside its own share it only
+//! assembles the code matrix after binning, reduces the workers' best
+//! splits and grows the tree. Workers never share a histogram bin or
+//! write the same row, so no thread merges another's partials. Each
+//! phase is one hand-off through a `Mutex`/`Condvar` slot per worker
+//! ([`crate::workers`]); a worker that panics fails the fit instead of
+//! hanging it.
 //!
 //! Results are **bit-identical at any thread count**, and identical to
 //! a single-threaded fit. Rows are cut into fixed [`BLOCK_ROWS`]-sized
 //! blocks; for each block, in block order, a worker accumulates the
 //! block's rows into a zeroed partial and adds the partial into its
 //! running total. Each bin's gradient sum is therefore the same float
-//! reduction whichever worker owns the bin. One thread runs the same
-//! code over all features.
+//! reduction whichever worker owns the bin. Split search reduces the
+//! workers' bests in worker order, which is feature order, with the
+//! serial scan's first-wins rule ([`reduce`]). Binning and routing
+//! produce integers, so any split of their work is exact. One thread
+//! runs the same code over all features and rows.
 
-use crate::binned::BinnedDataset;
+use crate::binned::{bin_column, BinBuffers, BinnedDataset};
+use crate::dataset::Dataset;
 use crate::params::GbtParams;
 use crate::tree::{Node, RegressionTree};
+use crate::workers::{Crew, Handler};
 use std::ops::Range;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 use std::thread::Scope;
 use std::time::Instant;
 
@@ -48,46 +65,41 @@ pub const BLOCK_ROWS: usize = 4096;
 /// being accumulated this level.
 const SKIP: u16 = u16::MAX;
 
-/// One node's histogram: per-bin gradient sums and row counts, flat
-/// across all features (`BinnedDataset::offset` indexing).
-#[derive(Clone)]
+/// One node's histogram, or one worker's feature slice of it: one
+/// `[Σg, rows]` cell per bin, flat across features
+/// (`BinnedDataset::offset` indexing, relative to the first feature).
+/// Row counts are whole numbers far below 2⁵³, so they are exact in an
+/// `f64`, and a cell's two sums update together.
+#[derive(Default)]
 struct Hist {
-    g: Vec<f64>,
-    n: Vec<u32>,
+    cells: Vec<[f64; 2]>,
 }
 
 impl Hist {
     fn zeroed(width: usize) -> Hist {
         Hist {
-            g: vec![0.0; width],
-            n: vec![0; width],
+            cells: vec![[0.0; 2]; width],
         }
     }
 
     /// `self ← self − other` elementwise (the subtraction trick).
     fn subtract(&mut self, other: &Hist) {
-        for (a, b) in self.g.iter_mut().zip(&other.g) {
-            *a -= b;
-        }
-        for (a, b) in self.n.iter_mut().zip(&other.n) {
-            *a -= b;
+        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
+            a[0] -= b[0];
+            a[1] -= b[1];
         }
     }
 }
 
-/// A frontier node during level-wise growth.
-struct FrontNode {
-    id: u32,
-    g: f64,
-    n: u32,
-    /// `Some` once this node's histogram is available.
-    hist: Option<Hist>,
-    /// `true` → accumulate from rows; `false` → subtract from parent.
-    accumulate: bool,
-    /// For subtract nodes: the parent's histogram (taken at split time)
-    /// and the sibling's frontier index to subtract once it is ready.
-    parent_hist: Option<Hist>,
-    sibling: usize,
+/// Where a frontier node's histogram comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// Accumulated from rows. Slots number these nodes in frontier
+    /// order; `Growth::slot` maps each row to one of them or [`SKIP`].
+    Rows,
+    /// The previous level's node `parent` minus this level's node
+    /// `sibling`, which is accumulated from rows.
+    Subtract { parent: usize, sibling: usize },
 }
 
 /// The best split found for one node.
@@ -100,384 +112,539 @@ struct Best {
     n_left: u32,
 }
 
-/// One level's accumulation job, sent to every worker: the tree's
-/// gradient and the level's row→slot map (`row_slot[r]` selects which
-/// of the `n_slots` node histograms row `r` belongs to, [`SKIP`] for
-/// none).
-#[derive(Clone)]
-struct Job {
-    grad: Arc<[f64]>,
-    row_slot: Arc<[u16]>,
-    n_slots: usize,
+/// One worker's split search over one node.
+#[derive(Clone, Copy, Default)]
+struct Scan {
+    /// The first candidate of greatest non-NaN gain.
+    best: Option<Best>,
+    /// The worker's first candidate, when its gain is NaN.
+    nan_first: Option<Best>,
 }
 
-/// The features worker `k` of `t` owns: `[k·nf/t, (k+1)·nf/t)`.
-fn feature_range(k: usize, t: usize, nf: usize) -> Range<usize> {
-    k * nf / t..(k + 1) * nf / t
+/// A split node's routing: rows coded `<= bin` on `feature` go to node
+/// `left`, the others to `left + 1`.
+#[derive(Clone, Copy)]
+struct Branch {
+    feature: u32,
+    bin: u16,
+    left: u32,
 }
 
-/// Accumulates `job` over one contiguous feature range. Returns the
-/// range's bins of every slot, slot-major (`slot × range_bins + local
-/// bin`). `partial` is the caller's reused block buffer.
-///
-/// Per block, in block order, the rows accumulate into a zeroed
-/// partial that is then added into the running total — each bin's sum
-/// is the same float reduction for any split of the features, and so
-/// for any worker count. Counts are integers and skip the partial.
-fn accumulate_features(
-    binned: &BinnedDataset,
-    job: &Job,
-    features: Range<usize>,
-    partial: &mut Vec<f64>,
-) -> Hist {
-    let lo = binned.offset(features.start);
-    let range_bins = (binned.offset(features.end) - lo) as usize;
-    let local: Vec<u32> = features.clone().map(|f| binned.offset(f) - lo).collect();
-    let mut total = Hist::zeroed(job.n_slots * range_bins);
-    partial.clear();
-    partial.resize(total.g.len(), 0.0);
-    let n_rows = binned.len();
-    for start in (0..n_rows).step_by(BLOCK_ROWS) {
-        partial.fill(0.0);
-        for r in start..(start + BLOCK_ROWS).min(n_rows) {
-            let slot = job.row_slot[r];
-            if slot == SKIP {
-                continue;
-            }
-            let g = job.grad[r];
-            let base = slot as usize * range_bins;
-            let codes = &binned.row_codes(r)[features.clone()];
-            for (&code, &off) in codes.iter().zip(&local) {
-                let idx = base + (off + u32::from(code)) as usize;
-                partial[idx] += g;
-                total.n[idx] += 1;
-            }
-        }
-        for (a, b) in total.g.iter_mut().zip(partial.iter()) {
-            *a += b;
+/// One phase of a fit; every worker runs its own share of it.
+enum Task {
+    /// Bin the worker's features.
+    Bin,
+    /// Build the worker's slice of each frontier node's histogram.
+    Hist(Vec<Source>),
+    /// Search each frontier node `(Σg, rows)` over the worker's features.
+    Split(Vec<(f64, u32)>),
+    /// Route the worker's rows through this level's splits (`branches`,
+    /// by node id) and map them to the next level's slots (by node id).
+    Route {
+        branches: Vec<Option<Branch>>,
+        slot_of_id: Vec<u16>,
+    },
+    /// Route the worker's rows through the tree's last level, add each
+    /// leaf's value (`values`, by node id) to their predictions, and
+    /// set their gradients and slots for the next tree.
+    Finish {
+        branches: Vec<Option<Branch>>,
+        values: Vec<f64>,
+    },
+}
+
+enum Reply {
+    /// The worker's features' cuts and their codes, column-major.
+    Binned(Vec<Vec<f64>>, Vec<u8>),
+    Scans(Vec<Scan>),
+    Done,
+}
+
+/// What a fit's workers share.
+struct Shared<'d> {
+    data: &'d Dataset,
+    params: GbtParams,
+    /// Set by the calling thread once the workers have binned.
+    growth: OnceLock<Growth>,
+}
+
+impl<'d> Shared<'d> {
+    fn new(data: &'d Dataset, params: GbtParams) -> Shared<'d> {
+        Shared {
+            data,
+            params,
+            growth: OnceLock::new(),
         }
     }
-    total
+
+    fn growth(&self) -> &Growth {
+        self.growth.get().expect("binned before growth")
+    }
 }
 
-/// The per-fit worker set (see the module docs). The calling thread is
-/// worker 0; workers `1..t` are scoped threads, each fed one [`Job`] per
-/// level on its own channel and answering on its own reply channel.
-///
-/// A worker that panics drops its reply sender, so the calling thread's
-/// `recv` fails and it panics in turn; unwinding drops the job senders,
-/// which ends the other workers, and the scope re-raises the panic.
-struct Workers<'a> {
-    binned: &'a BinnedDataset,
-    jobs: Vec<Sender<Job>>,
-    replies: Vec<Receiver<Hist>>,
-    /// Calling thread's reused block buffer.
-    partial: Vec<f64>,
+/// What tree growth shares: the codes and each row's entries, allocated
+/// only once binning has freed its buffers. A row's entries are written
+/// only by the worker that owns the row, during `Route` and `Finish`,
+/// and read by every worker during `Hist`. `Relaxed` suffices: a
+/// worker's writes come before it locks its slot to reply (release),
+/// the calling thread locks that slot to take the reply (acquire) and
+/// then each slot to post the next task, which the readers lock to take
+/// it.
+struct Growth {
+    binned: BinnedDataset,
+    /// Each row's prediction (`f64` bits).
+    pred: Box<[AtomicU64]>,
+    /// Each row's gradient for the tree being grown (`f64` bits).
+    grad: Box<[AtomicU64]>,
+    /// Each row's node in the tree being grown (after `Finish`, its leaf).
+    node: Box<[AtomicU32]>,
+    /// Each row's histogram slot at the current level.
+    slot: Box<[AtomicU16]>,
 }
 
-impl<'a> Workers<'a> {
-    /// Starts `min(threads, n_features) − 1` workers inside `scope`.
-    fn start<'scope>(
-        scope: &'scope Scope<'scope, 'a>,
-        binned: &'a BinnedDataset,
-        threads: usize,
-    ) -> Workers<'a> {
-        let nf = binned.num_features();
-        let t = threads.min(nf).max(1);
-        let (mut jobs, mut replies) = (Vec::new(), Vec::new());
-        for k in 1..t {
-            let (job_tx, job_rx) = channel::<Job>();
-            let (reply_tx, reply_rx) = channel();
-            scope.spawn(move || {
-                let mut partial = Vec::new();
-                while let Ok(job) = job_rx.recv() {
-                    let share =
-                        accumulate_features(binned, &job, feature_range(k, t, nf), &mut partial);
-                    // Release the gradient and row map before replying, so
-                    // the next tree's gradient reuses their memory.
-                    drop(job);
-                    if reply_tx.send(share).is_err() {
-                        return;
-                    }
-                }
-            });
-            jobs.push(job_tx);
-            replies.push(reply_rx);
-        }
-        Workers {
+impl Growth {
+    /// Every row at the root, predicted `base_score`.
+    fn new(binned: BinnedDataset, base_score: f64) -> Growth {
+        let n = binned.len();
+        Growth {
+            pred: (0..n)
+                .map(|_| AtomicU64::new(base_score.to_bits()))
+                .collect(),
+            grad: binned
+                .targets()
+                .iter()
+                .map(|y| AtomicU64::new((base_score - y).to_bits()))
+                .collect(),
+            node: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            slot: (0..n).map(|_| AtomicU16::new(0)).collect(),
             binned,
-            jobs,
-            replies,
+        }
+    }
+}
+
+/// One worker's state; worker 0 lives on the calling thread.
+struct Worker<'s> {
+    shared: &'s Shared<'s>,
+    features: Range<usize>,
+    rows: Range<usize>,
+    /// The worker's slice of each frontier node's histogram.
+    level: Vec<Hist>,
+    /// Reused block buffer.
+    partial: Vec<[f64; 2]>,
+    /// Binning buffers and the code block, until `Task::Bin`. The
+    /// calling thread allocates them, so they return to its heap.
+    binning: Option<(BinBuffers, Vec<u8>)>,
+}
+
+impl<'s> Worker<'s> {
+    fn new(shared: &'s Shared<'s>, k: usize, t: usize) -> Worker<'s> {
+        let (nf, n) = (shared.data.num_features(), shared.data.len());
+        let features = k * nf / t..(k + 1) * nf / t;
+        Worker {
+            shared,
+            binning: Some((BinBuffers::with_rows(n), vec![0; n * features.len()])),
+            features,
+            rows: k * n / t..(k + 1) * n / t,
+            level: Vec::new(),
             partial: Vec::new(),
         }
     }
 
-    /// Builds the `job.n_slots` node histograms of one level: every
-    /// worker accumulates its features, and the calling thread copies
-    /// each worker's slice into place.
-    fn accumulate(&mut self, job: Job) -> Vec<Hist> {
-        for tx in &self.jobs {
-            tx.send(job.clone()).expect("histogram worker died");
-        }
-        let binned = self.binned;
-        let t = self.jobs.len() + 1;
-        let nf = binned.num_features();
-        let total_bins = binned.total_bins();
-        let mut hists = vec![Hist::zeroed(total_bins); job.n_slots];
-        let own = accumulate_features(binned, &job, feature_range(0, t, nf), &mut self.partial);
-        let shares = std::iter::once(own).chain(
-            self.replies
-                .iter()
-                .map(|rx| rx.recv().expect("histogram worker died")),
-        );
-        for (k, share) in shares.enumerate() {
-            let range = feature_range(k, t, nf);
-            let lo = binned.offset(range.start) as usize;
-            let width = binned.offset(range.end) as usize - lo;
-            for (s, hist) in hists.iter_mut().enumerate() {
-                let src = s * width..(s + 1) * width;
-                hist.g[lo..lo + width].copy_from_slice(&share.g[src.clone()]);
-                hist.n[lo..lo + width].copy_from_slice(&share.n[src]);
+    /// Bins the worker's features into its code block, one column after
+    /// another.
+    fn bin(&mut self) -> Reply {
+        let (mut buffers, mut codes) = self.binning.take().expect("a worker bins once");
+        let data = self.shared.data;
+        let cuts = self
+            .features
+            .clone()
+            .zip(codes.chunks_exact_mut(data.len()))
+            .map(|(f, col)| {
+                bin_column(
+                    data.column(f),
+                    self.shared.params.max_bins,
+                    col,
+                    &mut buffers,
+                )
+            })
+            .collect();
+        Reply::Binned(cuts, codes)
+    }
+
+    /// Builds the next level's histogram slices: the accumulated nodes
+    /// first, then each subtract node from its parent, which is moved
+    /// out of the previous level.
+    fn build_level(&mut self, plan: &[Source]) {
+        let n_slots = plan.iter().filter(|s| matches!(s, Source::Rows)).count();
+        let mut accumulated = accumulate(
+            self.shared.growth(),
+            self.features.clone(),
+            n_slots,
+            &mut self.partial,
+        )
+        .into_iter();
+        let mut parents = std::mem::take(&mut self.level);
+        let mut level: Vec<Hist> = plan
+            .iter()
+            .map(|source| match source {
+                Source::Rows => accumulated.next().expect("one histogram per slot"),
+                Source::Subtract { .. } => Hist::default(),
+            })
+            .collect();
+        for (i, source) in plan.iter().enumerate() {
+            if let Source::Subtract { parent, sibling } = *source {
+                let mut hist = std::mem::take(&mut parents[parent]);
+                hist.subtract(&level[sibling]);
+                level[i] = hist;
             }
         }
-        hists
+        self.level = level;
+    }
+
+    /// Searches each frontier node, given its `(Σg, rows)`, over the
+    /// worker's features.
+    fn scan(&self, totals: &[(f64, u32)]) -> Vec<Scan> {
+        let binned = &self.shared.growth().binned;
+        totals
+            .iter()
+            .zip(&self.level)
+            .map(|(&(g, n), hist)| {
+                best_split(
+                    binned,
+                    self.features.clone(),
+                    hist,
+                    g,
+                    n,
+                    &self.shared.params,
+                )
+            })
+            .collect()
     }
 }
 
-/// Scans one node's histogram for its best split (bin-boundary prefix
-/// scan). Features ascending, boundaries ascending, strict `>` — the
-/// same first-wins tie-breaking as the exact-greedy reference.
+impl Handler for Worker<'_> {
+    type Task = Task;
+    type Reply = Reply;
+
+    fn handle(&mut self, task: &Task) -> Reply {
+        match task {
+            Task::Bin => return self.bin(),
+            Task::Hist(plan) => self.build_level(plan),
+            Task::Split(totals) => return Reply::Scans(self.scan(totals)),
+            Task::Route {
+                branches,
+                slot_of_id,
+            } => {
+                let growth = self.shared.growth();
+                route(growth, self.rows.clone(), branches, |r, id| {
+                    growth.slot[r].store(slot_of_id[id as usize], Relaxed);
+                });
+            }
+            Task::Finish { branches, values } => {
+                let growth = self.shared.growth();
+                let (targets, lr) = (growth.binned.targets(), self.shared.params.learning_rate);
+                route(growth, self.rows.clone(), branches, |r, id| {
+                    let p = f64::from_bits(growth.pred[r].load(Relaxed)) + lr * values[id as usize];
+                    growth.pred[r].store(p.to_bits(), Relaxed);
+                    growth.grad[r].store((p - targets[r]).to_bits(), Relaxed);
+                    growth.slot[r].store(0, Relaxed);
+                });
+            }
+        }
+        Reply::Done
+    }
+}
+
+/// Moves each of `rows` to its node under `branches` (this level's
+/// splits, by node id), records it in `Growth::node` and passes the row
+/// and its node to `visit`. A table of one entry is the root's: every
+/// row starts a tree there, whatever leaf the previous tree left in
+/// `Growth::node`.
+fn route(
+    growth: &Growth,
+    rows: Range<usize>,
+    branches: &[Option<Branch>],
+    mut visit: impl FnMut(usize, u32),
+) {
+    let from_root = branches.len() == 1;
+    for r in rows {
+        let id = if from_root {
+            0
+        } else {
+            growth.node[r].load(Relaxed)
+        };
+        let id = match branches[id as usize] {
+            Some(b) if u16::from(growth.binned.row_codes(r)[b.feature as usize]) <= b.bin => b.left,
+            Some(b) => b.left + 1,
+            None => id,
+        };
+        growth.node[r].store(id, Relaxed);
+        visit(r, id);
+    }
+}
+
+/// Accumulates the rows of `n_slots` nodes over one contiguous feature
+/// range. Returns each slot's histogram slice. `partial` is the
+/// caller's reused block buffer.
+///
+/// Per block, in block order, the rows accumulate into a zeroed
+/// partial that is then added into the running total — each bin's sum
+/// is the same float reduction for any split of the features, and so
+/// for any worker count. Counts are whole numbers, so their sums are
+/// exact in any order.
+fn accumulate(
+    growth: &Growth,
+    features: Range<usize>,
+    n_slots: usize,
+    partial: &mut Vec<[f64; 2]>,
+) -> Vec<Hist> {
+    let binned = &growth.binned;
+    let lo = binned.offset(features.start);
+    let width = (binned.offset(features.end) - lo) as usize;
+    let local: Vec<u32> = features.clone().map(|f| binned.offset(f) - lo).collect();
+    let mut totals: Vec<Hist> = (0..n_slots).map(|_| Hist::zeroed(width)).collect();
+    partial.clear();
+    partial.resize(n_slots * width, [0.0; 2]);
+    let n_rows = binned.len();
+    for start in (0..n_rows).step_by(BLOCK_ROWS) {
+        partial.fill([0.0; 2]);
+        for r in start..(start + BLOCK_ROWS).min(n_rows) {
+            let slot = growth.slot[r].load(Relaxed);
+            if slot == SKIP {
+                continue;
+            }
+            let g = f64::from_bits(growth.grad[r].load(Relaxed));
+            let slot = slot as usize;
+            let part = &mut partial[slot * width..(slot + 1) * width];
+            let codes = &binned.row_codes(r)[features.clone()];
+            for (&code, &off) in codes.iter().zip(&local) {
+                let cell = &mut part[(off + u32::from(code)) as usize];
+                cell[0] += g;
+                cell[1] += 1.0;
+            }
+        }
+        for (total, part) in totals.iter_mut().zip(partial.chunks_exact(width)) {
+            for (a, b) in total.cells.iter_mut().zip(part) {
+                a[0] += b[0];
+                a[1] += b[1];
+            }
+        }
+    }
+    totals
+}
+
+/// Scans one node's histogram slice for its best split over `features`
+/// (bin-boundary prefix scan): features ascending, boundaries
+/// ascending, strict `>` — the same first-wins tie-breaking as the
+/// exact-greedy reference.
 fn best_split(
     binned: &BinnedDataset,
+    features: Range<usize>,
     hist: &Hist,
     g: f64,
     n: u32,
     params: &GbtParams,
-) -> Option<Best> {
+) -> Scan {
     let h = f64::from(n);
     let lambda = params.lambda;
     let parent_score = g * g / (h + lambda);
-    let mut best: Option<Best> = None;
-    for f in 0..binned.num_features() {
+    let lo = binned.offset(features.start);
+    let mut scan = Scan::default();
+    for f in features {
         let nb = binned.cuts().num_bins(f);
         if nb < 2 {
             continue;
         }
-        let off = binned.offset(f) as usize;
-        let mut gl = 0.0f64;
-        let mut nl = 0u32;
+        let off = (binned.offset(f) - lo) as usize;
+        let (mut gl, mut hl) = (0.0f64, 0.0f64);
         for b in 0..nb - 1 {
-            gl += hist.g[off + b];
-            nl += hist.n[off + b];
-            let hl = f64::from(nl);
-            let hr = f64::from(n - nl);
+            let [g_bin, n_bin] = hist.cells[off + b];
+            gl += g_bin;
+            hl += n_bin;
+            let hr = h - hl;
             if hl < params.min_child_weight || hr < params.min_child_weight {
                 continue;
             }
             let gr = g - gl;
             let gain = 0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
                 - params.gamma;
-            if best.is_none_or(|x| gain > x.gain) {
-                best = Some(Best {
+            // Reached only by an improvement or while nothing is best:
+            // a NaN gain then is this worker's first candidate, unless
+            // an earlier one was NaN too.
+            if scan.best.is_none_or(|x| gain > x.gain) {
+                let candidate = Some(Best {
                     gain,
                     feature: f as u32,
                     bin: b as u16,
                     g_left: gl,
-                    n_left: nl,
+                    n_left: hl as u32,
                 });
+                if !gain.is_nan() {
+                    scan.best = candidate;
+                } else if scan.nan_first.is_none() {
+                    scan.nan_first = candidate;
+                }
             }
         }
+    }
+    scan
+}
+
+/// Reduces one node's scans, in worker order, to the serial scan's
+/// choice: a candidate replaces the best so far only with a strictly
+/// greater gain. A NaN gain never compares greater, so a node whose
+/// very first candidate has a NaN gain keeps it, and a NaN gain after
+/// the first candidate is never chosen.
+fn reduce<'a>(scans: impl Iterator<Item = &'a Scan>) -> Option<Best> {
+    let mut best: Option<Best> = None;
+    for scan in scans {
+        best = match best {
+            None => scan.nan_first.or(scan.best),
+            Some(b) => match scan.best {
+                Some(c) if c.gain > b.gain => Some(c),
+                _ => Some(b),
+            },
+        };
     }
     best
 }
 
-/// Grows one tree on the binned dataset and gradient vector. Returns the
-/// tree (with real-valued thresholds, interchangeable with the exact
-/// path's trees) and each row's final node id, which the boosting loop
-/// uses to update predictions without re-walking trees.
-fn grow_tree(
-    workers: &mut Workers,
-    grad: &Arc<[f64]>,
-    params: &GbtParams,
-    phases: &mut Phases,
-) -> (RegressionTree, Vec<u32>) {
-    let binned = workers.binned;
-    let n_rows = binned.len();
-    let lambda = params.lambda;
+/// Grows one tree from the gradients in `Growth::grad`. Returns the tree
+/// (with real-valued thresholds, interchangeable with the exact path's
+/// trees); its `Finish` has added the tree to every row's prediction
+/// and set the next tree's gradients.
+fn grow_tree(crew: &mut Crew<Worker>, phases: &mut Phases) -> RegressionTree {
+    let shared = crew.own().shared;
+    let binned = &shared.growth().binned;
+    let params = &shared.params;
+    let leaf = |g: f64, n: u32| -g / (f64::from(n) + params.lambda);
 
     let mut nodes: Vec<Node> = vec![Node::leaf(0.0)];
-    let mut node_of_row: Vec<u32> = vec![0; n_rows];
-
-    let mut frontier = vec![FrontNode {
-        id: 0,
-        g: 0.0, // filled from the root histogram below
-        n: n_rows as u32,
-        hist: None,
-        accumulate: true,
-        parent_hist: None,
-        sibling: usize::MAX,
-    }];
-
+    // Frontier nodes as (id, Σg, rows); the root's Σg comes off its
+    // histogram below.
+    let mut frontier = vec![(0u32, 0.0, binned.len() as u32)];
+    let mut plan = vec![Source::Rows];
     let mut depth_reached = 0usize;
+    let mut clock = Instant::now();
     for depth in 0..params.max_depth {
-        if frontier.is_empty() {
-            break;
-        }
-
-        // 1. Histograms: accumulate the marked nodes in one pass …
-        let mut clock = Instant::now();
-        let accum: Vec<usize> = (0..frontier.len())
-            .filter(|&i| frontier[i].accumulate)
-            .collect();
-        if !accum.is_empty() {
-            let mut slot_of_id = vec![SKIP; nodes.len()];
-            for (slot, &i) in accum.iter().enumerate() {
-                slot_of_id[frontier[i].id as usize] = slot as u16;
-            }
-            let row_slot: Arc<[u16]> = node_of_row
-                .iter()
-                .map(|&id| slot_of_id[id as usize])
-                .collect();
-            let hists = workers.accumulate(Job {
-                grad: Arc::clone(grad),
-                row_slot,
-                n_slots: accum.len(),
-            });
-            for (&i, hist) in accum.iter().zip(hists) {
-                frontier[i].hist = Some(hist);
-            }
-        }
-        // … then derive the subtract nodes from parent − sibling.
-        for i in 0..frontier.len() {
-            if frontier[i].accumulate || frontier[i].hist.is_some() {
-                continue;
-            }
-            let mut parent = frontier[i]
-                .parent_hist
-                .take()
-                .expect("subtract node has parent hist");
-            let sib = frontier[i].sibling;
-            parent.subtract(
-                frontier[sib]
-                    .hist
-                    .as_ref()
-                    .expect("sibling accumulated first"),
-            );
-            frontier[i].hist = Some(parent);
-        }
+        // 1. Histograms: accumulate the `Rows` nodes, subtract the rest.
+        crew.run(Task::Hist(plan));
         if depth == 0 {
-            // Root totals come off its own histogram: every row lands in
-            // exactly one bin of feature 0.
-            let root = &mut frontier[0];
-            let hist = root.hist.as_ref().expect("root accumulated");
+            // Every row lands in exactly one bin of feature 0, which
+            // worker 0 — this thread — owns.
+            let root = &crew.own().level[0];
             let nb0 = binned.cuts().num_bins(0);
-            root.g = hist.g[..nb0].iter().sum();
-            debug_assert_eq!(hist.n[..nb0].iter().sum::<u32>(), root.n);
+            frontier[0].1 = root.cells[..nb0].iter().map(|cell| cell[0]).sum();
+            debug_assert_eq!(
+                root.cells[..nb0].iter().map(|cell| cell[1]).sum::<f64>(),
+                f64::from(frontier[0].2)
+            );
         }
         phases.hist_ns += lap(&mut clock);
 
         // 2. Split or finalise each frontier node.
-        let mut next: Vec<FrontNode> = Vec::new();
-        // Per-node routing info for this level, looked up via node id.
-        let mut split_of_id: Vec<Option<(u32, u16, u32)>> = vec![None; nodes.len()];
-        for fnode in &mut frontier {
-            let (id, g_node, n_node) = (fnode.id, fnode.g, fnode.n);
-            let best = {
-                let hist = fnode.hist.as_ref().expect("frontier histogram ready");
-                best_split(binned, hist, g_node, n_node, params)
-            };
-            match best {
+        let scans: Vec<Vec<Scan>> = crew
+            .run(Task::Split(
+                frontier.iter().map(|&(_, g, n)| (g, n)).collect(),
+            ))
+            .into_iter()
+            .map(|reply| match reply {
+                Reply::Scans(scans) => scans,
+                _ => unreachable!("split replies with scans"),
+            })
+            .collect();
+        let mut next = Vec::new();
+        let mut next_plan = Vec::new();
+        let mut branches = vec![None; nodes.len()];
+        for (i, &(id, g_node, n_node)) in frontier.iter().enumerate() {
+            match reduce(scans.iter().map(|worker| &worker[i])) {
                 Some(b) if b.gain > 0.0 => {
-                    let left_id = nodes.len() as u32;
-                    let right_id = left_id + 1;
+                    let left = nodes.len() as u32;
                     nodes.push(Node::leaf(0.0));
                     nodes.push(Node::leaf(0.0));
                     let node = &mut nodes[id as usize];
                     node.is_leaf = false;
                     node.feature = b.feature;
                     node.threshold = binned.cuts().threshold(b.feature as usize, b.bin as usize);
-                    node.left = left_id;
-                    node.right = right_id;
+                    node.left = left;
+                    node.right = left + 1;
                     node.gain = b.gain;
-                    split_of_id[id as usize] = Some((b.feature, b.bin, left_id));
+                    branches[id as usize] = Some(Branch {
+                        feature: b.feature,
+                        bin: b.bin,
+                        left,
+                    });
                     depth_reached = depth + 1;
 
                     let (gl, nl) = (b.g_left, b.n_left);
                     let (gr, nr) = (g_node - gl, n_node - nl);
+                    next.push((left, gl, nl));
+                    next.push((left + 1, gr, nr));
                     // Accumulate the smaller child, subtract the larger;
                     // ties go left so the choice is deterministic.
-                    let left_small = nl <= nr;
-                    let parent_hist = fnode.hist.take();
-                    let (left_parent, right_parent) = if left_small {
-                        (None, parent_hist)
+                    let base = next_plan.len();
+                    if nl <= nr {
+                        next_plan.push(Source::Rows);
+                        next_plan.push(Source::Subtract {
+                            parent: i,
+                            sibling: base,
+                        });
                     } else {
-                        (parent_hist, None)
-                    };
-                    let base = next.len();
-                    next.push(FrontNode {
-                        id: left_id,
-                        g: gl,
-                        n: nl,
-                        hist: None,
-                        accumulate: left_small,
-                        parent_hist: left_parent,
-                        sibling: base + 1,
-                    });
-                    next.push(FrontNode {
-                        id: right_id,
-                        g: gr,
-                        n: nr,
-                        hist: None,
-                        accumulate: !left_small,
-                        parent_hist: right_parent,
-                        sibling: base,
-                    });
+                        next_plan.push(Source::Subtract {
+                            parent: i,
+                            sibling: base + 1,
+                        });
+                        next_plan.push(Source::Rows);
+                    }
                 }
-                _ => {
-                    nodes[id as usize].value = -g_node / (f64::from(n_node) + lambda);
-                }
+                _ => nodes[id as usize].value = leaf(g_node, n_node),
             }
         }
-
         phases.split_ns += lap(&mut clock);
 
         // 3. Route rows of split nodes to their children by bin code.
-        if !next.is_empty() {
-            for (r, id) in node_of_row.iter_mut().enumerate() {
-                if let Some((f, bin, left_id)) = split_of_id[*id as usize] {
-                    let code = binned.row_codes(r)[f as usize];
-                    *id = if u16::from(code) <= bin {
-                        left_id
-                    } else {
-                        left_id + 1
-                    };
-                }
+        if next.is_empty() || depth + 1 == params.max_depth {
+            // Nodes still on the frontier at max depth become leaves.
+            for &(id, g, n) in &next {
+                nodes[id as usize].value = leaf(g, n);
             }
+            let values = nodes.iter().map(|node| node.value).collect();
+            crew.run(Task::Finish { branches, values });
+            phases.route_ns += lap(&mut clock);
+            break;
         }
+        let mut slot_of_id = vec![SKIP; nodes.len()];
+        let accumulated = next.iter().zip(&next_plan);
+        let rows = accumulated.filter(|(_, source)| matches!(source, Source::Rows));
+        for (slot, (&(id, _, _), _)) in rows.enumerate() {
+            slot_of_id[id as usize] = slot as u16;
+        }
+        crew.run(Task::Route {
+            branches,
+            slot_of_id,
+        });
         phases.route_ns += lap(&mut clock);
         frontier = next;
+        plan = next_plan;
     }
-
-    // Nodes still on the frontier at max depth become leaves.
-    for fnode in &frontier {
-        nodes[fnode.id as usize].value = -fnode.g / (f64::from(fnode.n) + lambda);
-    }
-
-    (
-        RegressionTree::from_parts(nodes, depth_reached),
-        node_of_row,
-    )
+    RegressionTree::from_parts(nodes, depth_reached)
 }
 
-/// Wall time of each tree-growth phase, summed over a fit's levels
-/// (each phase is timed once per level, not per row).
+/// Wall time of each phase of a fit; the tree phases are summed over
+/// its levels (each timed once per level, not per row).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Phases {
-    /// Histogram build: row→slot map, accumulation, subtraction.
+    /// Starting the workers, binning on them and assembling the codes.
+    pub bin_ns: u64,
+    /// Growing every tree: the three phases below and the calling
+    /// thread's tree bookkeeping.
+    pub grow_ns: u64,
+    /// Histogram build: accumulation and subtraction.
     pub hist_ns: u64,
     /// Split search over every frontier node's histogram.
     pub split_ns: u64,
-    /// Routing rows of split nodes to their children.
+    /// Routing rows of split nodes to their children, and after each
+    /// tree's last level the prediction and gradient updates.
     pub route_ns: u64,
 }
 
@@ -489,58 +656,102 @@ fn lap(clock: &mut Instant) -> u64 {
     ns
 }
 
-/// Boosts a full ensemble on a binned dataset. Returns
-/// `(base_score, trees, phases)`; the caller assembles the
-/// [`crate::GbtModel`]. One [`Workers`] set of `threads` serves every
-/// level of every tree.
+/// A fitted ensemble's parts; the caller assembles the
+/// [`crate::GbtModel`].
+pub(crate) struct Fit {
+    pub base_score: f64,
+    pub trees: Vec<RegressionTree>,
+    pub total_bins: usize,
+    pub phases: Phases,
+}
+
+/// Starts the worker set of `threads` for `shared` (see the module
+/// docs).
+fn start<'scope, 's>(
+    scope: &'scope Scope<'scope, 's>,
+    shared: &'s Shared<'s>,
+    threads: usize,
+) -> Crew<Worker<'s>> {
+    let t = threads.min(shared.data.num_features()).max(1);
+    Crew::start(scope, (0..t).map(|k| Worker::new(shared, k, t)).collect())
+}
+
+/// Bins every feature on `crew`.
+fn bin_on(crew: &mut Crew<Worker>) -> BinnedDataset {
+    let shared = crew.own().shared;
+    let (mut cuts, mut blocks) = (Vec::new(), Vec::new());
+    for reply in crew.run(Task::Bin) {
+        let Reply::Binned(worker_cuts, block) = reply else {
+            unreachable!("bin replies with cuts and codes")
+        };
+        cuts.extend(worker_cuts);
+        blocks.push(block);
+    }
+    BinnedDataset::from_blocks(cuts, blocks, shared.params.max_bins, shared.data.targets())
+}
+
+/// Quantises `data` on a worker set of `threads`; `max_bins` must be in
+/// `2..=256` and `data` non-empty (see [`BinnedDataset::build`]).
+pub(crate) fn bin(data: &Dataset, max_bins: usize, threads: usize) -> BinnedDataset {
+    let params = GbtParams {
+        max_bins,
+        ..GbtParams::default()
+    };
+    let shared = Shared::new(data, params);
+    std::thread::scope(|scope| bin_on(&mut start(scope, &shared, threads)))
+}
+
+/// Boosts a full ensemble on `data` with one worker set of `threads`:
+/// it bins the dataset, then serves every level of every tree.
+/// `params` must be valid and `data` non-empty.
 ///
 /// Prediction updates route rows through the freshly grown tree by
-/// their stored node assignment, so no float comparisons are re-run;
-/// the resulting ensemble still predicts raw feature rows because the
-/// trees carry the real-valued cut thresholds (`x < threshold` agrees
-/// with `code <= bin` by construction of [`crate::BinCuts`]).
-pub(crate) fn boost(
-    binned: &BinnedDataset,
-    params: &GbtParams,
-    threads: usize,
-) -> (f64, Vec<RegressionTree>, Phases) {
-    let n = binned.len();
-    let targets = binned.targets();
-    let base_score = targets.iter().sum::<f64>() / n as f64;
-
-    let mut preds = vec![base_score; n];
-    let mut trees = Vec::with_capacity(params.n_estimators);
+/// their bin codes, so no float comparisons are re-run; the resulting
+/// ensemble still predicts raw feature rows because the trees carry the
+/// real-valued cut thresholds (`x < threshold` agrees with `code <= bin`
+/// by construction of [`crate::BinCuts`]).
+pub(crate) fn fit(data: &Dataset, params: &GbtParams, threads: usize) -> Fit {
+    let mut clock = Instant::now();
+    let base_score = data.targets().iter().sum::<f64>() / data.len() as f64;
+    let shared = Shared::new(data, *params);
     let mut phases = Phases::default();
-    std::thread::scope(|scope| {
-        let mut workers = Workers::start(scope, binned, threads);
-        for _ in 0..params.n_estimators {
-            let grad: Arc<[f64]> = preds.iter().zip(targets).map(|(p, y)| p - y).collect();
-            let (tree, node_of_row) = grow_tree(&mut workers, &grad, params, &mut phases);
-            let nodes = tree.nodes();
-            for (p, &id) in preds.iter_mut().zip(&node_of_row) {
-                *p += params.learning_rate * nodes[id as usize].value;
-            }
-            trees.push(tree);
-        }
+    let trees = std::thread::scope(|scope| {
+        let mut crew = start(scope, &shared, threads);
+        let growth = Growth::new(bin_on(&mut crew), base_score);
+        assert!(shared.growth.set(growth).is_ok(), "a fit bins once");
+        phases.bin_ns = lap(&mut clock);
+        let trees = (0..params.n_estimators)
+            .map(|_| grow_tree(&mut crew, &mut phases))
+            .collect();
+        phases.grow_ns = lap(&mut clock);
+        trees
     });
-    (base_score, trees, phases)
+    Fit {
+        base_score,
+        trees,
+        total_bins: shared.growth().binned.total_bins(),
+        phases,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// Grows one tree on a one-worker set.
-    fn grow(
-        binned: &BinnedDataset,
-        grad: &[f64],
-        params: &GbtParams,
-    ) -> (RegressionTree, Vec<u32>) {
-        std::thread::scope(|scope| {
-            let mut workers = Workers::start(scope, binned, 1);
-            grow_tree(&mut workers, &grad.into(), params, &mut Phases::default())
-        })
+    /// Grows one tree on a one-worker set from gradients `−y`. Returns
+    /// the tree and each row's leaf.
+    fn grow(data: &Dataset, params: &GbtParams) -> (RegressionTree, Vec<u32>) {
+        let shared = Shared::new(data, *params);
+        let tree = std::thread::scope(|scope| {
+            let mut crew = start(scope, &shared, 1);
+            let growth = Growth::new(bin_on(&mut crew), 0.0);
+            assert!(shared.growth.set(growth).is_ok());
+            grow_tree(&mut crew, &mut Phases::default())
+        });
+        let node = &shared.growth().node;
+        let leaves = node.iter().map(|id| id.load(Relaxed)).collect();
+        (tree, leaves)
     }
 
     fn step_data() -> Dataset {
@@ -553,17 +764,25 @@ mod tests {
         d
     }
 
+    /// Two features, one per worker of a two-worker set.
+    fn two_feature_data() -> Dataset {
+        let mut d = Dataset::new(vec!["a".into(), "b".into()]);
+        for i in 0..300 {
+            let x = i as f64;
+            d.push_row(&[x % 10.0, 300.0 - x], x, 0).unwrap();
+        }
+        d
+    }
+
     #[test]
     fn single_split_recovers_step_function() {
         let d = step_data();
-        let binned = BinnedDataset::from_dataset(&d, 256).unwrap();
         let params = GbtParams {
             lambda: 0.0,
             max_depth: 1,
             ..GbtParams::default()
         };
-        let grad: Vec<f64> = d.targets().iter().map(|y| -y).collect();
-        let (tree, node_of_row) = grow(&binned, &grad, &params);
+        let (tree, node_of_row) = grow(&d, &params);
         assert_eq!(tree.depth(), 1);
         assert_eq!(tree.num_leaves(), 2);
         let root = tree.nodes()[0];
@@ -592,52 +811,70 @@ mod tests {
             let b = ((i * 61) % 257) as f64 / 257.0;
             d.push_row(&[a, b], (a * 3.0 + b).sin(), 0).unwrap();
         }
-        let binned = BinnedDataset::from_dataset(&d, 64).unwrap();
-        let params = GbtParams::default().with_estimators(8);
-        let one = boost(&binned, &params, 1);
-        let two = boost(&binned, &params, 2);
-        let four = boost(&binned, &params, 4);
-        assert_eq!(one.0.to_bits(), two.0.to_bits());
-        assert_eq!(one.1, two.1);
-        assert_eq!(one.1, four.1);
+        let params = GbtParams {
+            max_bins: 64,
+            ..GbtParams::default().with_estimators(8)
+        };
+        let one = fit(&d, &params, 1);
+        for threads in [2, 4] {
+            let other = fit(&d, &params, threads);
+            assert_eq!(one.base_score.to_bits(), other.base_score.to_bits());
+            assert_eq!(one.trees, other.trees, "{threads} threads");
+        }
     }
 
     #[test]
     fn a_dead_worker_fails_the_fit_instead_of_hanging() {
-        let mut d = Dataset::new(vec!["a".into(), "b".into()]);
-        for i in 0..100 {
-            let x = i as f64;
-            d.push_row(&[x, 100.0 - x], x, 0).unwrap();
-        }
-        let binned = BinnedDataset::from_dataset(&d, 64).unwrap();
-        let grad: Vec<f64> = d.targets().iter().map(|y| -y).collect();
-        let params = GbtParams::default();
-        let fit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Feature b is worker 1's; a code past its last bin makes worker
+        // 1 panic while it accumulates the root, and worker 0 (this
+        // thread) is left waiting for its reply.
+        let d = two_feature_data();
+        let shared = Shared::new(&d, GbtParams::default());
+        let n = d.len();
+        let mut codes = vec![0; 2 * n];
+        let cuts = (0..2)
+            .map(|f| {
+                let col = &mut codes[f * n..(f + 1) * n];
+                bin_column(d.column(f), 16, col, &mut BinBuffers::default())
+            })
+            .collect();
+        codes[n + 7] = u8::MAX;
+        let fit = catch_unwind(AssertUnwindSafe(|| {
             std::thread::scope(|scope| {
-                let mut workers = Workers::start(scope, &binned, 2);
-                // Worker 1 stays alive; its reply channel is swapped for
-                // one whose sender is gone, as if the worker had died.
-                workers.replies[0] = channel().1;
-                grow_tree(&mut workers, &grad.into(), &params, &mut Phases::default())
+                let mut crew = start(scope, &shared, 2);
+                let binned = BinnedDataset::from_blocks(cuts, vec![codes], 16, d.targets());
+                assert!(shared.growth.set(Growth::new(binned, 0.0)).is_ok());
+                grow_tree(&mut crew, &mut Phases::default())
             })
         }));
         assert!(fit.is_err());
     }
 
     #[test]
+    fn a_worker_that_dies_while_binning_fails_the_fit() {
+        // Worker 1 bins feature b, whose 300 distinct values need more
+        // cuts than a u8 code can count; worker 0 bins feature a fine.
+        let d = two_feature_data();
+        let params = GbtParams {
+            max_bins: 300,
+            ..GbtParams::default()
+        };
+        let fit = catch_unwind(AssertUnwindSafe(|| fit(&d, &params, 2)));
+        assert!(fit.is_err());
+    }
+
+    #[test]
     fn subtraction_trick_matches_direct_accumulation() {
-        // Grow to depth 2 and verify every internal node's children
-        // stats are consistent (gl + gr == g etc. exactly for counts).
+        // Grow to depth 3: every subtracted histogram's counts must
+        // match the rows routed to its node, and leaf populations must
+        // partition the rows.
         let d = step_data();
-        let binned = BinnedDataset::from_dataset(&d, 256).unwrap();
-        let grad: Vec<f64> = d.targets().iter().map(|y| -y).collect();
         let params = GbtParams {
             lambda: 0.0,
             max_depth: 3,
             ..GbtParams::default()
         };
-        let (tree, node_of_row) = grow(&binned, &grad, &params);
-        // Leaf populations partition the rows.
+        let (tree, node_of_row) = grow(&d, &params);
         let mut counts = vec![0u32; tree.nodes().len()];
         for &id in &node_of_row {
             counts[id as usize] += 1;
@@ -655,13 +892,11 @@ mod tests {
     #[test]
     fn gamma_blocks_weak_splits() {
         let d = step_data();
-        let binned = BinnedDataset::from_dataset(&d, 256).unwrap();
-        let grad: Vec<f64> = d.targets().iter().map(|y| -y).collect();
         let params = GbtParams {
             gamma: 1e9,
             ..GbtParams::default()
         };
-        let (tree, _) = grow(&binned, &grad, &params);
+        let (tree, _) = grow(&d, &params);
         assert_eq!(tree.num_leaves(), 1);
         // The lone leaf predicts -mean(g) = mean(y) at lambda-damped rate.
     }
@@ -669,13 +904,54 @@ mod tests {
     #[test]
     fn min_child_weight_blocks_tiny_children() {
         let d = step_data();
-        let binned = BinnedDataset::from_dataset(&d, 256).unwrap();
-        let grad: Vec<f64> = d.targets().iter().map(|y| -y).collect();
         let params = GbtParams {
             min_child_weight: 60.0,
             ..GbtParams::default()
         };
-        let (tree, _) = grow(&binned, &grad, &params);
+        let (tree, _) = grow(&d, &params);
         assert_eq!(tree.num_leaves(), 1);
+    }
+
+    fn best(gain: f64, feature: u32) -> Best {
+        Best {
+            gain,
+            feature,
+            bin: 0,
+            g_left: 0.0,
+            n_left: 0,
+        }
+    }
+
+    #[test]
+    fn reduce_keeps_the_serial_scans_first_wins_rule() {
+        let scan = |best: Option<Best>, nan_first: Option<Best>| Scan { best, nan_first };
+        let pick = |scans: &[Scan]| reduce(scans.iter()).map(|b| b.feature);
+        // Equal gains: the earlier worker's (lower) feature wins.
+        let tie = [
+            scan(Some(best(2.0, 1)), None),
+            scan(Some(best(2.0, 5)), None),
+        ];
+        assert_eq!(pick(&tie), Some(1));
+        // A later worker wins only with a strictly greater gain.
+        let later = [
+            scan(Some(best(2.0, 1)), None),
+            scan(Some(best(3.0, 5)), None),
+        ];
+        assert_eq!(pick(&later), Some(5));
+        // A worker with no candidate is skipped.
+        let empty = [scan(None, None), scan(Some(best(1.0, 6)), None)];
+        assert_eq!(pick(&empty), Some(6));
+        // A NaN first candidate sticks, as in the serial scan ...
+        let stuck = [
+            scan(Some(best(1.0, 2)), Some(best(f64::NAN, 0))),
+            scan(Some(best(9.0, 5)), None),
+        ];
+        assert_eq!(pick(&stuck), Some(0));
+        // ... but a later worker's NaN first candidate does not.
+        let skipped = [
+            scan(Some(best(1.0, 0)), None),
+            scan(Some(best(3.0, 6)), Some(best(f64::NAN, 5))),
+        ];
+        assert_eq!(pick(&skipped), Some(6));
     }
 }

@@ -8,10 +8,11 @@
 //! * **two interchangeable trainers** behind one [`TrainSpec`] builder:
 //!   the default LightGBM-style histogram path ([`binned`]) —
 //!   feature quantisation into ≤256 bins, per-node histogram
-//!   accumulation split by feature across one worker set per fit, with
-//!   a deterministic block-ordered reduction (bit-identical at any
-//!   thread count), and the parent−sibling
-//!   subtraction trick — and the seed's exact greedy scan, kept as
+//!   accumulation with a deterministic block-ordered reduction
+//!   (bit-identical at any thread count), and the parent−sibling
+//!   subtraction trick, every phase of a fit (binning, histograms,
+//!   split search, routing) split by feature or by row range across one
+//!   worker set per fit — and the seed's exact greedy scan, kept as
 //!   [`GbtModel::train_reference`];
 //! * split finding with the second-order gain
 //!   `½·[G_L²/(H_L+λ) + G_R²/(H_R+λ) − (G_L+G_R)²/(H_L+H_R+λ)] − γ`,
@@ -52,6 +53,7 @@ pub mod model;
 pub mod params;
 pub mod spec;
 pub mod tree;
+mod workers;
 
 pub use binned::{BinCuts, BinnedDataset};
 pub use cv::{grid_search, leave_one_group_out, CvOutcome, GridResult};

@@ -27,7 +27,6 @@
 //! # Ok::<(), common::Error>(())
 //! ```
 
-use crate::binned::BinnedDataset;
 use crate::dataset::Dataset;
 use crate::hist;
 use crate::model::GbtModel;
@@ -69,7 +68,8 @@ pub struct TrainStats {
     pub trees: usize,
     /// Sum of per-feature bin counts (0 for the reference path).
     pub total_bins: usize,
-    /// Nanoseconds spent quantising the dataset (0 for reference).
+    /// Nanoseconds spent starting the fit's workers and quantising the
+    /// dataset on them (0 for reference).
     pub bin_ns: u64,
     /// Nanoseconds spent boosting.
     pub grow_ns: u64,
@@ -77,7 +77,9 @@ pub struct TrainStats {
     pub hist_ns: u64,
     /// Of `grow_ns`: searching histograms for splits (0 for reference).
     pub split_ns: u64,
-    /// Of `grow_ns`: routing rows to child nodes (0 for reference).
+    /// Of `grow_ns`: routing rows to child nodes and, after each tree's
+    /// last level, updating their predictions and gradients (0 for
+    /// reference).
     pub route_ns: u64,
 }
 
@@ -164,27 +166,25 @@ impl<'a> TrainSpec<'a> {
             self.threads
         };
 
-        let (model, total_bins, bin_ns, grow_ns, phases) = match self.method {
+        let (model, total_bins, phases) = match self.method {
             TrainMethod::Histogram => {
-                let t0 = Instant::now();
-                let binned = BinnedDataset::from_dataset(self.data, self.params.max_bins)?;
-                let bin_ns = t0.elapsed().as_nanos() as u64;
-                let t1 = Instant::now();
-                let (base_score, trees, phases) = hist::boost(&binned, &self.params, threads);
-                let grow_ns = t1.elapsed().as_nanos() as u64;
+                let fit = hist::fit(self.data, &self.params, threads);
                 let model = GbtModel::from_parts(
-                    base_score,
-                    trees,
+                    fit.base_score,
+                    fit.trees,
                     self.params,
                     self.data.feature_names().to_vec(),
                 );
-                (model, binned.total_bins(), bin_ns, grow_ns, phases)
+                (model, fit.total_bins, fit.phases)
             }
             TrainMethod::Reference => {
                 let t0 = Instant::now();
                 let model = GbtModel::train_reference(self.data, &self.params)?;
-                let grow_ns = t0.elapsed().as_nanos() as u64;
-                (model, 0, 0, grow_ns, hist::Phases::default())
+                let phases = hist::Phases {
+                    grow_ns: t0.elapsed().as_nanos() as u64,
+                    ..hist::Phases::default()
+                };
+                (model, 0, phases)
             }
         };
 
@@ -195,8 +195,8 @@ impl<'a> TrainSpec<'a> {
             method: self.method,
             trees: model.num_trees(),
             total_bins,
-            bin_ns,
-            grow_ns,
+            bin_ns: phases.bin_ns,
+            grow_ns: phases.grow_ns,
             hist_ns: phases.hist_ns,
             split_ns: phases.split_ns,
             route_ns: phases.route_ns,

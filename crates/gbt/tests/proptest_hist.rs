@@ -147,3 +147,68 @@ fn histogram_equals_exact_reference_on_prebinned_data() {
         }
     });
 }
+
+/// Trains at 1 thread and asserts that 2, 3 and 4 threads give the same
+/// model, compared through `Debug` so NaN leaf values compare too.
+fn assert_thread_invariant(data: &Dataset, params: &GbtParams) -> GbtModel {
+    let m1 = train_hist(data, params, 1);
+    let want = format!("{m1:?}");
+    for threads in 2..=4 {
+        let got = format!("{:?}", train_hist(data, params, threads));
+        assert!(got == want, "model differs between 1 and {threads} threads");
+    }
+    m1
+}
+
+/// Columns `f` and `f + h` are equal, so every split on `f + h` ties
+/// with the same split on `f`, and at 2 threads the two belong to
+/// different workers (3 and 4 threads cut elsewhere). The serial scan
+/// keeps the lower feature, so every thread count must split only on
+/// features below `h`, with bit-identical models.
+#[test]
+fn tied_splits_across_workers_take_the_lower_feature() {
+    check::cases(48, |g| {
+        let h = g.usize_in(1..5);
+        let rows = g.usize_in(20..600);
+        let mut data = Dataset::new((0..2 * h).map(|f| format!("x{f}")).collect());
+        for r in 0..rows {
+            let half: Vec<f64> = (0..h)
+                .map(|_| match g.usize_in(0..2) {
+                    0 => g.usize_in(0..8) as f64,
+                    _ => g.f64_in(-10.0..10.0),
+                })
+                .collect();
+            let y = half[0] + g.f64_in(-1.0..1.0);
+            let row: Vec<f64> = half.iter().chain(&half).copied().collect();
+            data.push_row(&row, y, (r % 3) as u32).expect("finite row");
+        }
+        let model = assert_thread_invariant(&data, &arb_params(g));
+        let splits: Vec<u32> = model
+            .trees()
+            .iter()
+            .flat_map(|t| t.nodes().iter().filter(|n| !n.is_leaf).map(|n| n.feature))
+            .collect();
+        assert!(!splits.is_empty(), "the target depends on x0");
+        assert!(
+            splits.iter().all(|&f| (f as usize) < h),
+            "split on a duplicate column: {splits:?} with h = {h}"
+        );
+    });
+}
+
+/// With `λ = 0` and `min_child_weight = 0`, a bin prefix with no rows
+/// has the gain 0/0 = NaN. NaN never compares greater, so the serial
+/// scan keeps a node's first candidate if that one is NaN and skips
+/// every later NaN; the workers' reduction must choose alike.
+#[test]
+fn nan_gains_reduce_like_the_serial_scan() {
+    check::cases(64, |g| {
+        let data = arb_dataset(g);
+        let params = GbtParams {
+            lambda: 0.0,
+            min_child_weight: 0.0,
+            ..arb_params(g)
+        };
+        assert_thread_invariant(&data, &params);
+    });
+}
