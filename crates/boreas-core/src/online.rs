@@ -31,10 +31,10 @@ use hotgauge::StepRecord;
 /// observable step record.
 ///
 /// This is the canonical streaming unit shared by the serving daemon,
-/// the load generator and the replay tests — its [`common::json`]
-/// encoding round-trips every `f64` bit-exactly, so a frame that
-/// crossed a socket decides identically to one that never left the
-/// process.
+/// the load generator and the replay tests — its binary encoding in
+/// `boreas_serve::protocol` round-trips every `f64` bit-exactly, so a
+/// frame that crossed a socket decides identically to one that never
+/// left the process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryFrame {
     /// Which independent control loop this frame belongs to (die or
@@ -45,8 +45,6 @@ pub struct TelemetryFrame {
     /// The observable telemetry of one step.
     pub record: StepRecord,
 }
-
-common::json_codec! { struct TelemetryFrame { shard, seq, record } }
 
 impl TelemetryFrame {
     /// Wraps a step record for shard `shard` with sequence number `seq`.

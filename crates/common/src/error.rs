@@ -92,14 +92,16 @@ pub enum ProtocolKind {
     /// a message truncated by a mid-body EOF, or leftover bytes.
     Framing,
     /// The message body is not syntactically valid (bad UTF-8, bad
-    /// JSON, an unparseable number token).
+    /// JSON, an unparseable number token, a binary frame of an unknown
+    /// version or the wrong length).
     Malformed,
     /// The body parsed but does not match the expected schema: a
     /// missing field, a wrong type, an unknown enum value, a wrong
     /// element count.
     Schema,
-    /// A value with no wire representation was handed to the encoder
-    /// (non-finite floats have no JSON encoding).
+    /// A value with no wire representation: a non-finite float handed
+    /// to an encoder, read from a binary frame, or a number too large
+    /// for an `f64`.
     NonFinite,
 }
 

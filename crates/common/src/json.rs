@@ -900,7 +900,7 @@ impl<T: FromJson, const N: usize> FromJson for [T; N] {
 
 /// A [`ProtocolKind::Schema`] error for an array of `actual` elements
 /// where `expected` were needed.
-pub fn wrong_len(what: &'static str, expected: usize, actual: usize) -> Error {
+fn wrong_len(what: &'static str, expected: usize, actual: usize) -> Error {
     schema_error(what, format!("expected {expected} elements, got {actual}"))
 }
 

@@ -38,8 +38,6 @@ pub const DECISION_MICROS: u64 = STEP_MICROS * STEPS_PER_DECISION;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
-crate::json_codec! { newtype SimTime }
-
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);

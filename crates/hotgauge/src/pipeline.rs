@@ -194,9 +194,9 @@ impl KernelBreakdown {
 
 /// Everything observed in one 80 µs simulation step.
 ///
-/// Serialisable so a record can travel the serving wire protocol inside
-/// a telemetry frame (`boreas_core::TelemetryFrame`); the
-/// [`common::json`] round trip is bit-exact.
+/// A record travels the serving wire inside a telemetry frame
+/// (`boreas_core::TelemetryFrame`), whose binary encoding in
+/// `boreas_serve::protocol` carries every field bit-exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepRecord {
     /// End-of-step simulation time.
@@ -219,13 +219,6 @@ pub struct StepRecord {
     pub frequency: GigaHertz,
     /// Operating voltage during the step.
     pub voltage: Volts,
-}
-
-common::json_codec! {
-    struct StepRecord {
-        time, counters, sensor_temps, max_temp, max_severity, max_severity_raw, hotspot_xy,
-        total_power, frequency, voltage,
-    }
 }
 
 /// Outcome of a fixed-frequency run.

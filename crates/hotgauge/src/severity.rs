@@ -91,8 +91,6 @@ impl SeverityParams {
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Severity(f64);
 
-common::json_codec! { newtype Severity }
-
 impl Severity {
     /// The maximum severity: an incursion.
     pub const ONE: Severity = Severity(1.0);

@@ -6,7 +6,6 @@
 //! (`ROB_reads`, `cdb_alu_accesses`, `MUL_cdb_duty_cycle`, …) appear
 //! verbatim.
 
-use common::json::{self, FromJson, Reader};
 use std::fmt;
 
 macro_rules! counters {
@@ -219,44 +218,18 @@ pub struct IntervalCounters {
     values: Vec<f64>,
 }
 
-common::json_codec! { write struct IntervalCounters { values } }
-
-/// Reads back exactly [`NUM_COUNTERS`] values: counter sets arrive from
-/// outside the process on the serving wire. The object follows the
-/// `json_codec!` struct rules (keys in any order, unknown keys skipped,
-/// the first `values` kept); the values go straight into a buffer of
-/// the exact size.
-impl FromJson for IntervalCounters {
-    fn read_json(r: &mut Reader<'_>, what: &'static str) -> common::Result<Self> {
-        let mut values: Option<Vec<f64>> = None;
-        r.object(what)?;
-        while let Some(key) = r.key()? {
-            if values.is_some() || key != "values" {
-                r.skip()?;
-                continue;
-            }
-            let mut v = Vec::with_capacity(NUM_COUNTERS);
-            r.array("counters")?;
-            while r.item()? {
-                v.push(f64::read_json(r, "counters")?);
-            }
-            if v.len() != NUM_COUNTERS {
-                return Err(json::wrong_len("counters", NUM_COUNTERS, v.len()));
-            }
-            values = Some(v);
-        }
-        let values =
-            values.ok_or_else(|| json::schema_error("values", "missing field".to_string()))?;
-        Ok(IntervalCounters { values })
-    }
-}
-
 impl IntervalCounters {
     /// Creates an all-zero counter set.
     pub fn zeroed() -> Self {
         Self {
             values: vec![0.0; NUM_COUNTERS],
         }
+    }
+
+    /// A counter set from its values in [`CounterId::ALL`] order, or
+    /// `None` unless there are exactly [`NUM_COUNTERS`] of them.
+    pub fn from_values(values: Vec<f64>) -> Option<Self> {
+        (values.len() == NUM_COUNTERS).then_some(Self { values })
     }
 
     /// Reads one counter.

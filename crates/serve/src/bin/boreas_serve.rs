@@ -1,8 +1,9 @@
 //! The Boreas serving daemon: streaming telemetry in, V/f decisions out.
 //!
-//! Listens for length-prefixed JSON `TelemetryFrame`s, feeds each to
-//! its die's control loop, answers each completed 960 µs interval with
-//! a decision, and exposes its metrics registry over HTTP.
+//! Listens for length-prefixed binary `TelemetryFrame`s (the version-2
+//! layout of `boreas_serve::protocol`), feeds each to its die's control
+//! loop, answers each completed 960 µs interval with a JSON decision,
+//! and exposes its metrics registry over HTTP.
 //! SIGTERM/SIGINT drain cleanly: every frame read is answered and every
 //! pending decision flushed before exit.
 //!

@@ -6,15 +6,16 @@
 //! [`boreas_core::OnlineController`] API:
 //!
 //! * [`Server`] / [`ServeConfig`] ([`server`]) — a long-running daemon
-//!   that accepts length-prefixed JSON [`boreas_core::TelemetryFrame`]s
+//!   that accepts length-prefixed binary [`boreas_core::TelemetryFrame`]s
 //!   over TCP, feeds each to its die's control loop (one per die id,
 //!   shared by every connection) on the epoll reactor thread that read
 //!   it, pauses reading a connection whose responses pile up, and
 //!   drains cleanly on SIGTERM. The reactors multiplex every
 //!   connection, so serving is Linux-only; elsewhere the crate builds
 //!   and [`Server::bind`] returns an error;
-//! * [`protocol`] — the wire codec: canonical JSON bodies behind 4-byte
-//!   big-endian length prefixes, with bit-exact `f64` round trips;
+//! * [`protocol`] — the wire codec behind 4-byte big-endian length
+//!   prefixes: fixed-layout little-endian telemetry frames in, canonical
+//!   JSON responses out, both with bit-exact `f64` round trips;
 //! * [`http`] — a tiny `GET /metrics` responder exposing the shared
 //!   [`obs::Registry`] in the Prometheus text format;
 //! * [`signal`] — SIGTERM/SIGINT latching for the daemon binary.
@@ -36,7 +37,7 @@ pub mod server;
 pub mod signal;
 
 pub use protocol::{
-    decode_frame, decode_response, encode_frame, encode_response, read_frame, write_frame,
-    FrameDecoder, Incoming, Response, MAX_FRAME_BYTES,
+    decode_frame, decode_response, encode_frame, encode_response, frame_bytes, read_frame,
+    write_frame, FrameDecoder, Incoming, Response, FRAME_VERSION, MAX_FRAME_BYTES,
 };
 pub use server::{Backend, ServeConfig, ServeConfigBuilder, Server};

@@ -1,34 +1,71 @@
-//! The serving wire protocol: length-prefixed JSON telemetry frames in,
-//! length-prefixed JSON decisions out.
+//! The serving wire protocol: length-prefixed binary telemetry frames
+//! in, length-prefixed JSON decisions out.
 //!
-//! # Wire format
+//! # Framing
 //!
 //! Each message is a 4-byte big-endian length prefix followed by that
-//! many bytes of UTF-8 JSON — one [`TelemetryFrame`] per client→server
-//! message, one [`Response`] per server→client message. Bodies are
-//! capped at [`MAX_FRAME_BYTES`]; an oversized prefix is a protocol
-//! error and closes the connection.
+//! many bytes of body — one telemetry frame per client→server message,
+//! one [`Response`] per server→client message. Bodies are capped at
+//! [`MAX_FRAME_BYTES`]; an oversized prefix is a protocol error and
+//! closes the connection.
 //!
-//! Bodies use the workspace codec, [`common::json`]: each wire type
-//! lists its fields once with `json_codec!` next to its definition, and
-//! the bytes are canonical, so golden-file tests pin them. `f64` values
-//! round-trip bit-exactly, so a frame that crossed a socket decides
-//! identically to one that never left the process. Non-finite floats
-//! have no JSON encoding and are rejected at the sender. Decoding pulls
-//! each value straight off the body's bytes, with no JSON tree in
-//! between; integers are range-checked (a `shard` above `u32::MAX` is
-//! an error), the counter vector must hold exactly `NUM_COUNTERS`
-//! values, keys may come in any order, the first of duplicate keys
-//! wins, and unknown keys are skipped, so the format can grow fields
-//! without breaking old readers.
+//! # Telemetry frames (version 2)
+//!
+//! A [`TelemetryFrame`] body is one fixed layout of little-endian
+//! fields with no padding. This module is the only code that writes or
+//! reads it, through the frame types' public constructors and
+//! accessors:
+//!
+//! | offset | field | type |
+//! |---|---|---|
+//! | 0 | version, [`FRAME_VERSION`] | `u8` |
+//! | 1 | `shard` | `u32` |
+//! | 5 | `seq` | `u64` |
+//! | 13 | `record.time`, µs | `u64` |
+//! | 21 | counter count, [`NUM_COUNTERS`] | `u16` |
+//! | 23 | `record.counters` | 77 × `f64` |
+//! | 639 | sensor count `n` | `u16` |
+//! | 641 | `record.sensor_temps` | `n` × `f64` |
+//! | 641 + 8`n` | `max_temp`, `max_severity`, `max_severity_raw`, `hotspot_xy.0`, `hotspot_xy.1`, `total_power`, `frequency`, `voltage` | 8 × `f64` |
+//!
+//! A body is exactly [`frame_bytes`]`(n)` = 705 + 8`n` bytes, 761 for
+//! the paper's seven sensors. Every finite `f64` — `-0.0`, subnormals
+//! and `f64::MAX` included — crosses bit-exactly, so a frame that
+//! crossed a socket decides identically to one that never left the
+//! process. The encoder refuses non-finite values
+//! ([`ProtocolKind::NonFinite`]).
+//!
+//! Decoding is bounds checks and `f64::from_le_bytes` loads, and never
+//! panics. It checks a body's shape before its values, and the first
+//! fault found names the error's [`ProtocolKind`]:
+//!
+//! 1. [`ProtocolKind::Malformed`]: an unknown version byte (a version-1
+//!    JSON body starts with `{`, so it fails here), or a body shorter or
+//!    longer than its counts imply;
+//! 2. [`ProtocolKind::NonFinite`]: a NaN or infinite `f64` anywhere;
+//! 3. [`ProtocolKind::Schema`]: a counter count other than
+//!    [`NUM_COUNTERS`], or a `max_severity` outside `[0, 1]`, the range
+//!    [`Severity`] promises.
+//!
+//! # Responses
+//!
+//! Response bodies are JSON in the workspace codec, [`common::json`]:
+//! the fields are listed once with `json_codec!`, the bytes are
+//! canonical, so golden-file tests pin them, and `f64` values
+//! round-trip bit-exactly. Decoding range-checks integers (a `shard`
+//! above `u32::MAX` is an error) and skips unknown keys.
 
 use boreas_core::{ControlDecision, TelemetryFrame};
-use common::json::{self, FromJson, ToJson};
+use common::json;
+use common::time::SimTime;
+use common::units::{Celsius, GigaHertz, Volts, Watts};
 use common::{Error, ProtocolKind, Result, ServerKind};
+use hotgauge::{Severity, StepRecord};
+use perfsim::{IntervalCounters, NUM_COUNTERS};
 use std::io::{ErrorKind, Read, Write};
 
-/// Largest accepted message body (1 MiB): a frame is ~2 KiB, so this is
-/// generous headroom, not a real limit.
+/// Largest accepted message body (1 MiB): a frame is 761 bytes, so this
+/// is generous headroom, not a real limit.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// One server→client message.
@@ -269,25 +306,222 @@ fn read_exact_retrying(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
     Ok(())
 }
 
-// ------------------------------------------------------------ codec
+// ------------------------------------------------------------ frames
 
-/// Encodes a telemetry frame body (no length prefix).
+/// The telemetry frame layout version [`encode_frame`] writes and
+/// [`decode_frame`] reads.
+pub const FRAME_VERSION: u8 = 2;
+
+/// Bytes before the counters: version, shard, seq, time, counter count.
+const HEAD_BYTES: usize = 1 + 4 + 8 + 8 + 2;
+
+/// The `f64` scalars after the sensor readings, in wire order.
+const TRAILER: [&str; 8] = [
+    "max_temp",
+    "max_severity",
+    "max_severity_raw",
+    "hotspot_x",
+    "hotspot_y",
+    "total_power",
+    "frequency",
+    "voltage",
+];
+
+/// Body length of a frame carrying `sensors` sensor readings.
+pub const fn frame_bytes(sensors: usize) -> usize {
+    HEAD_BYTES + 8 * NUM_COUNTERS + 2 + 8 * sensors + 8 * TRAILER.len()
+}
+
+/// Encodes a telemetry frame body (no length prefix) in the version-2
+/// layout of the [module docs](self).
 ///
 /// # Errors
 ///
-/// [`Error::Protocol`] when the record carries non-finite floats.
+/// [`Error::Protocol`]: [`ProtocolKind::NonFinite`] when the record
+/// carries a non-finite float, [`ProtocolKind::Schema`] when it has
+/// more sensor readings than a `u16` counts.
 pub fn encode_frame(frame: &TelemetryFrame) -> Result<Vec<u8>> {
-    encode(frame, 2048, "frame")
+    let r = &frame.record;
+    let sensors = u16::try_from(r.sensor_temps.len()).map_err(|_| {
+        Error::protocol(
+            ProtocolKind::Schema,
+            "sensor_temps",
+            format!("{} readings exceed {}", r.sensor_temps.len(), u16::MAX),
+        )
+    })?;
+    let mut out = Vec::with_capacity(frame_bytes(r.sensor_temps.len()));
+    out.push(FRAME_VERSION);
+    out.extend_from_slice(&frame.shard.to_le_bytes());
+    out.extend_from_slice(&frame.seq.to_le_bytes());
+    out.extend_from_slice(&r.time.as_micros().to_le_bytes());
+    // `IntervalCounters` always holds exactly `NUM_COUNTERS` values.
+    out.extend_from_slice(&(NUM_COUNTERS as u16).to_le_bytes());
+    for &v in r.counters.as_slice() {
+        put_f64(&mut out, v, "counters")?;
+    }
+    out.extend_from_slice(&sensors.to_le_bytes());
+    for t in &r.sensor_temps {
+        put_f64(&mut out, t.value(), "sensor_temps")?;
+    }
+    let trailer = [
+        r.max_temp.value(),
+        r.max_severity.value(),
+        r.max_severity_raw,
+        r.hotspot_xy.0,
+        r.hotspot_xy.1,
+        r.total_power.value(),
+        r.frequency.value(),
+        r.voltage.value(),
+    ];
+    for (v, what) in trailer.into_iter().zip(TRAILER) {
+        put_f64(&mut out, v, what)?;
+    }
+    Ok(out)
 }
 
-/// Decodes a telemetry frame body.
+/// Decodes a telemetry frame body written by [`encode_frame`].
 ///
 /// # Errors
 ///
-/// [`Error::Protocol`] for malformed JSON or a missing/ill-typed field.
+/// [`Error::Protocol`] with the kind of the first fault, in the order
+/// the [module docs](self) give.
 pub fn decode_frame(body: &[u8]) -> Result<TelemetryFrame> {
-    decode(body, "frame")
+    // Shape: every field present, nothing after the last.
+    let mut b = Cursor {
+        rest: body,
+        len: body.len(),
+    };
+    let [version] = b.take::<1>("version")?;
+    if version != FRAME_VERSION {
+        return Err(malformed(format!(
+            "unknown frame version {version} (this reader speaks version {FRAME_VERSION})"
+        )));
+    }
+    let shard = u32::from_le_bytes(b.take("shard")?);
+    let seq = u64::from_le_bytes(b.take("seq")?);
+    let time = u64::from_le_bytes(b.take("time")?);
+    let n_counters = usize::from(u16::from_le_bytes(b.take("counter count")?));
+    let counters = b.slice(8 * n_counters, "counters")?;
+    let n_sensors = usize::from(u16::from_le_bytes(b.take("sensor count")?));
+    let sensors = b.slice(8 * n_sensors, "sensor_temps")?;
+    let trailer = b.slice(8 * TRAILER.len(), "trailing scalars")?;
+    if !b.rest.is_empty() {
+        return Err(malformed(format!(
+            "{} trailing bytes after a {}-byte frame",
+            b.rest.len(),
+            body.len() - b.rest.len()
+        )));
+    }
+
+    // Values: every float finite.
+    let counters = f64s(counters, "counters", |v| v)?;
+    let sensor_temps = f64s(sensors, "sensor_temps", Celsius::new)?;
+    let mut t = [0.0; TRAILER.len()];
+    for ((v, bytes), what) in t.iter_mut().zip(trailer.chunks_exact(8)).zip(TRAILER) {
+        *v = finite(le_f64(bytes), what)?;
+    }
+    let [max_temp, max_severity, max_severity_raw, x, y, total_power, frequency, voltage] = t;
+
+    // Schema: the counts and ranges the types promise.
+    let counters = IntervalCounters::from_values(counters).ok_or_else(|| {
+        Error::protocol(
+            ProtocolKind::Schema,
+            "counters",
+            format!("expected {NUM_COUNTERS} counters, got {n_counters}"),
+        )
+    })?;
+    if !(0.0..=1.0).contains(&max_severity) {
+        return Err(Error::protocol(
+            ProtocolKind::Schema,
+            "max_severity",
+            format!("{max_severity:e} is outside [0, 1]"),
+        ));
+    }
+    let record = StepRecord {
+        time: SimTime::from_micros(time),
+        counters,
+        sensor_temps,
+        max_temp: Celsius::new(max_temp),
+        // In range, so `new` keeps the value's bits.
+        max_severity: Severity::new(max_severity),
+        max_severity_raw,
+        hotspot_xy: (x, y),
+        total_power: Watts::new(total_power),
+        frequency: GigaHertz::new(frequency),
+        voltage: Volts::new(voltage),
+    };
+    Ok(TelemetryFrame::new(shard, seq, record))
 }
+
+/// The unread tail of a frame body.
+struct Cursor<'a> {
+    rest: &'a [u8],
+    /// The whole body's length, for error text.
+    len: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next `n` bytes, which hold `what`.
+    fn slice(&mut self, n: usize, what: &'static str) -> Result<&'a [u8]> {
+        if self.rest.len() < n {
+            return Err(self.short(what));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// The next `N` bytes, which hold `what`.
+    fn take<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N]> {
+        let Some((head, rest)) = self.rest.split_first_chunk::<N>() else {
+            return Err(self.short(what));
+        };
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    fn short(&self, what: &'static str) -> Error {
+        malformed(format!("a {}-byte body ends inside {what}", self.len))
+    }
+}
+
+fn malformed(detail: String) -> Error {
+    Error::protocol(ProtocolKind::Malformed, "frame", detail)
+}
+
+/// `v`, or a [`ProtocolKind::NonFinite`] error naming `what`.
+fn finite(v: f64, what: &'static str) -> Result<f64> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(Error::protocol(
+            ProtocolKind::NonFinite,
+            what,
+            format!("non-finite value {v} has no frame encoding"),
+        ))
+    }
+}
+
+fn put_f64(out: &mut Vec<u8>, v: f64, what: &'static str) -> Result<()> {
+    out.extend_from_slice(&finite(v, what)?.to_le_bytes());
+    Ok(())
+}
+
+/// The `f64` in an 8-byte chunk.
+fn le_f64(bytes: &[u8]) -> f64 {
+    f64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"))
+}
+
+/// The finite `f64`s packed in `bytes`, each wrapped by `wrap`.
+fn f64s<T>(bytes: &[u8], what: &'static str, wrap: impl Fn(f64) -> T) -> Result<Vec<T>> {
+    let mut out = Vec::with_capacity(bytes.len() / 8);
+    for c in bytes.chunks_exact(8) {
+        out.push(wrap(finite(le_f64(c), what)?));
+    }
+    Ok(out)
+}
+
+// ------------------------------------------------------------ responses
 
 /// Encodes a response body (no length prefix).
 ///
@@ -295,7 +529,9 @@ pub fn decode_frame(body: &[u8]) -> Result<TelemetryFrame> {
 ///
 /// [`Error::Protocol`] when a decision carries non-finite floats.
 pub fn encode_response(resp: &Response) -> Result<Vec<u8>> {
-    encode(resp, 256, "response")
+    let mut s = String::with_capacity(256);
+    json::ToJson::write_json(resp, &mut s, "response")?;
+    Ok(s.into_bytes())
 }
 
 /// Decodes a response body.
@@ -304,24 +540,14 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>> {
 ///
 /// [`Error::Protocol`] for malformed JSON or a missing/ill-typed field.
 pub fn decode_response(body: &[u8]) -> Result<Response> {
-    decode(body, "response")
-}
-
-fn encode(value: &impl ToJson, capacity: usize, what: &'static str) -> Result<Vec<u8>> {
-    let mut s = String::with_capacity(capacity);
-    value.write_json(&mut s, what)?;
-    Ok(s.into_bytes())
-}
-
-fn decode<T: FromJson>(body: &[u8], what: &'static str) -> Result<T> {
     let text = std::str::from_utf8(body).map_err(|_| {
         Error::protocol(
             ProtocolKind::Malformed,
-            what,
+            "response",
             "body is not UTF-8".to_string(),
         )
     })?;
-    json::from_str_as(text, what)
+    json::from_str_as(text, "response")
 }
 
 #[cfg(test)]
@@ -353,13 +579,15 @@ mod tests {
     fn frame_codec_round_trips_bit_exactly() {
         let frame = TelemetryFrame::new(7, u64::MAX - 3, sample_record());
         let body = encode_frame(&frame).unwrap();
+        assert_eq!(body.len(), frame_bytes(frame.record.sensor_temps.len()));
+        assert_eq!(frame_bytes(7), 761, "the paper's seven sensors");
         let back = decode_frame(&body).unwrap();
         assert_eq!(back, frame);
         assert_eq!(
             back.record.frequency.value().to_bits(),
             frame.record.frequency.value().to_bits()
         );
-        // Canonical: re-encoding the decoded frame reproduces the bytes.
+        // Re-encoding the decoded frame reproduces the bytes.
         assert_eq!(encode_frame(&back).unwrap(), body);
     }
 
@@ -462,29 +690,21 @@ mod tests {
         assert!(d.next_frame().is_err());
     }
 
+    /// The per-fault kinds of frame decoding are pinned row by row in
+    /// `tests/decode_corpus.rs`.
     #[test]
-    fn decode_ignores_unknown_keys_and_flags_missing_ones() {
-        let frame = TelemetryFrame::new(0, 1, sample_record());
-        let body = String::from_utf8(encode_frame(&frame).unwrap()).unwrap();
-        let with_extra = body.replacen("{\"shard\"", "{\"future_field\":true,\"shard\"", 1);
-        assert_eq!(decode_frame(with_extra.as_bytes()).unwrap(), frame);
-        let kind = |body: &str| decode_frame(body.as_bytes()).unwrap_err().protocol_kind();
-        let schema = Some(ProtocolKind::Schema);
-        assert_eq!(kind(&body.replacen("\"seq\":1,", "", 1)), schema);
-        // A shard beyond u32, in a frame and in a response.
-        assert_eq!(kind(&body.replacen(":0,", ":4294967296,", 1)), schema);
-        let resp = br#"{"rejected":{"shard":4294967296,"seq":1,"reason":"x"}}"#;
-        assert_eq!(decode_response(resp).unwrap_err().protocol_kind(), schema);
-        // One counter too few: drop the first value.
-        let first = body.find("\"values\":[").unwrap() + "\"values\":[".len();
-        let comma = first + body[first..].find(',').unwrap();
-        assert_eq!(
-            kind(&format!("{}{}", &body[..first], &body[comma + 1..])),
-            schema
+    fn decode_rejects_v1_frames_and_out_of_range_response_shards() {
+        let err = decode_frame(br#"{"shard":1}"#).unwrap_err();
+        assert_eq!(err.protocol_kind(), Some(ProtocolKind::Malformed));
+        assert!(
+            err.to_string().contains("unknown frame version 123"),
+            "{err}"
         );
-        // Nesting beyond the parser's depth limit.
-        let deep = format!("{}{}", "[".repeat(40), "]".repeat(40));
-        assert_eq!(kind(&deep), Some(ProtocolKind::Malformed));
+        let resp = br#"{"rejected":{"shard":4294967296,"seq":1,"reason":"x"}}"#;
+        assert_eq!(
+            decode_response(resp).unwrap_err().protocol_kind(),
+            Some(ProtocolKind::Schema)
+        );
     }
 
     #[test]

@@ -506,7 +506,7 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let reactor = spawn_reactor(
             0,
-            Arc::new(DieTable::new(build)),
+            Arc::new(DieTable::new(crate::server::MAX_DIES, build)),
             Duration::from_secs(60),
             Metrics::new(&registry),
             shutdown.clone(),

@@ -31,7 +31,10 @@
 //!   Each frame looks its die up in the table, then locks the die's own
 //!   mutex, which is uncontended unless one die streams over two live
 //!   connections at once. Every loop's controller comes from one
-//!   [`ControllerFactory`] and shares its compiled model.
+//!   [`ControllerFactory`] and shares its compiled model. The table
+//!   holds at most `MAX_DIES` loops (4,096, about 11 MB): a frame for a
+//!   new die beyond that is answered [`Response::Rejected`] with reason
+//!   `die table full`, while the dies already in it keep being served.
 //! * **Panic isolation**: each frame's observe runs under
 //!   `catch_unwind`. A panic answers [`Response::Rejected`] with reason
 //!   `internal error` and counts in `boreas_serve_panics_total`; the
@@ -41,7 +44,7 @@
 //!   responses exceed a fixed cap is not read again until its peer has
 //!   taken them (`boreas_serve_read_paused_total` counts the pauses),
 //!   so a sender that outruns its own reading blocks in its socket.
-//!   Nothing is rejected for load.
+//!   No frame is rejected for load.
 //! * **Drain**: [`Server::request_shutdown`] stops the accept loop;
 //!   each reactor stops reading, flushes every write ring, closes each
 //!   connection and exits, then [`Server::join`] returns. Every frame
@@ -336,7 +339,7 @@ impl Metrics {
             ),
             rejected: registry.counter(
                 "boreas_serve_rejected_total",
-                "Frames answered with a rejection (malformed, or the control step failed)",
+                "Frames answered with a rejection (malformed, a full die table, or the control step failed)",
             ),
             panics: registry.counter(
                 "boreas_serve_panics_total",
@@ -386,19 +389,32 @@ pub(crate) type DieLoop = OnlineController<Box<dyn Controller + Send>>;
 /// Builds a die's loop from its id.
 type BuildLoop = dyn Fn(u32) -> Result<DieLoop> + Send + Sync;
 
+/// Live die loops a daemon keeps: far above every in-repo client
+/// (perfbench serves 64 dies, `boreas_loadgen` at most 324 over its
+/// default runs) and about 11 MB of loops at 2.6 KB each.
+pub(crate) const MAX_DIES: usize = 4096;
+
+/// The rejection reason for a new die's frame once the table is full.
+const TABLE_FULL: &str = "die table full";
+
 /// Every die's control loop, by die id, shared by all reactors; see the
 /// [module docs](self).
 pub(crate) struct DieTable {
     loops: Mutex<HashMap<u32, Arc<Mutex<DieLoop>>>>,
+    max_dies: usize,
     build: Box<BuildLoop>,
 }
 
 impl DieTable {
-    /// An empty table whose loops `build` makes, each on its die's
-    /// first frame.
-    pub fn new(build: impl Fn(u32) -> Result<DieLoop> + Send + Sync + 'static) -> DieTable {
+    /// An empty table of at most `max_dies` loops, which `build` makes,
+    /// each on its die's first frame.
+    pub fn new(
+        max_dies: usize,
+        build: impl Fn(u32) -> Result<DieLoop> + Send + Sync + 'static,
+    ) -> DieTable {
         DieTable {
             loops: Mutex::new(HashMap::new()),
+            max_dies,
             build: Box::new(build),
         }
     }
@@ -408,19 +424,22 @@ impl DieTable {
     ///
     /// # Errors
     ///
-    /// Whatever building the loop reports.
-    fn get(&self, die: u32) -> Result<Arc<Mutex<DieLoop>>> {
+    /// The rejection reason: [`TABLE_FULL`] for a new die once the
+    /// table holds `max_dies` loops, or whatever building the loop
+    /// reports.
+    fn get(&self, die: u32) -> std::result::Result<Arc<Mutex<DieLoop>>, String> {
         // Nothing panics while the table lock is held except a loop
         // build, which leaves the map as it was.
         let mut loops = self.loops.lock().unwrap_or_else(PoisonError::into_inner);
-        match loops.get(&die) {
-            Some(online) if !online.is_poisoned() => Ok(online.clone()),
-            _ => {
-                let online = Arc::new(Mutex::new((self.build)(die)?));
-                loops.insert(die, online.clone());
-                Ok(online)
-            }
+        if let Some(online) = loops.get(&die).filter(|online| !online.is_poisoned()) {
+            return Ok(online.clone());
         }
+        if !loops.contains_key(&die) && loops.len() >= self.max_dies {
+            return Err(TABLE_FULL.to_string());
+        }
+        let online = Arc::new(Mutex::new((self.build)(die).map_err(|e| e.to_string())?));
+        loops.insert(die, online.clone());
+        Ok(online)
     }
 }
 
@@ -435,7 +454,7 @@ pub(crate) fn serve_frame(body: &[u8], dies: &DieTable, metrics: &Metrics, out: 
     let (die, seq) = (frame.shard, frame.seq);
     // Err carries the rejection's reason.
     let observed = catch_unwind(AssertUnwindSafe(|| -> std::result::Result<_, String> {
-        let online = dies.get(die).map_err(|e| e.to_string())?;
+        let online = dies.get(die)?;
         // Poisoned since `get` only if another connection's frame for
         // this die panicked in between.
         let mut online = online.lock().map_err(|_| INTERNAL_ERROR.to_string())?;
@@ -539,7 +558,7 @@ impl Server {
             let dies = {
                 let (vf, start_idx, sensor_idx) =
                     (config.vf.clone(), config.start_idx, config.sensor_idx);
-                Arc::new(DieTable::new(move |_die| {
+                Arc::new(DieTable::new(MAX_DIES, move |_die| {
                     Ok(
                         OnlineController::new(build_controller(&factory), vf.clone())?
                             .start(start_idx)?
@@ -688,7 +707,90 @@ fn build_controller(factory: &ControllerFactory) -> Box<dyn Controller + Send> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boreas_core::{TelemetryFrame, ThermalController};
+    use common::units::{GigaHertz, Volts};
     use std::sync::mpsc;
+
+    /// Every response in the write ring `out`, which it empties.
+    fn responses(out: &mut VecDeque<u8>) -> Vec<Response> {
+        let mut wire = protocol::FrameDecoder::new();
+        wire.push(&out.drain(..).collect::<Vec<u8>>());
+        let mut got = Vec::new();
+        while let Some(body) = wire.next_frame().unwrap() {
+            got.push(protocol::decode_response(body).unwrap());
+        }
+        got
+    }
+
+    #[test]
+    fn a_full_die_table_rejects_new_dies_and_serves_the_rest() {
+        let mut cfg = hotgauge::PipelineConfig::paper();
+        cfg.grid = floorplan::GridSpec::new(8, 6).unwrap();
+        let trace = cfg
+            .build()
+            .unwrap()
+            .run_fixed(
+                &workloads::WorkloadSpec::by_name("gcc").unwrap(),
+                GigaHertz::new(3.75),
+                Volts::new(0.925),
+                12,
+            )
+            .unwrap()
+            .records;
+        let (cap, extra) = (3u32, 5u32);
+        let dies = DieTable::new(cap as usize, |_die| {
+            let thresholds = vec![Some(70.0); VfTable::paper().len()];
+            let ctrl = ThermalController::from_thresholds(thresholds, 0.0);
+            let ctrl: Box<dyn Controller + Send> = Box::new(ctrl);
+            OnlineController::new(ctrl, VfTable::paper())
+        });
+        let registry = Registry::new();
+        let metrics = Metrics::new(&registry);
+        let mut out = VecDeque::new();
+        let mut serve = |die: u32, t: usize| {
+            let frame = TelemetryFrame::new(die, t as u64, trace[t].clone());
+            serve_frame(
+                &protocol::encode_frame(&frame).unwrap(),
+                &dies,
+                &metrics,
+                &mut out,
+            );
+        };
+
+        // The first `cap` dies fill the table with eleven frames each;
+        // then `extra` new dies send one frame each.
+        for t in 0..11 {
+            (0..cap).for_each(|die| serve(die, t));
+        }
+        (cap..cap + extra).for_each(|die| serve(die, 0));
+        // The table's dies complete their interval.
+        (0..cap).for_each(|die| serve(die, 11));
+
+        let got = responses(&mut out);
+        let rejected: Vec<_> = got
+            .iter()
+            .filter_map(|r| match r {
+                Response::Rejected { shard, seq, reason } => {
+                    assert_eq!(reason, TABLE_FULL);
+                    Some((*shard, *seq))
+                }
+                Response::Decision { .. } => None,
+            })
+            .collect();
+        assert_eq!(
+            rejected,
+            (cap..cap + extra).map(|d| (d, 0)).collect::<Vec<_>>()
+        );
+        let decided: Vec<_> = got
+            .iter()
+            .filter_map(|r| match r {
+                Response::Decision { shard, seq, .. } => Some((*shard, *seq)),
+                Response::Rejected { .. } => None,
+            })
+            .collect();
+        assert_eq!(decided, (0..cap).map(|d| (d, 11)).collect::<Vec<_>>());
+        assert_eq!(metrics.rejected.value(), u64::from(extra));
+    }
 
     #[test]
     fn builder_rejects_out_of_range_values() {

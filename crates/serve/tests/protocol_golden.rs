@@ -1,10 +1,10 @@
 //! Golden-file pin of the serving wire protocol.
 //!
-//! The canonical encoding of a [`TelemetryFrame`] and both [`Response`]
-//! arms is committed under `tests/golden/` as the exact framed bytes
-//! (4-byte big-endian length prefix + canonical JSON body). Any codec
-//! change that alters bytes on the wire fails here first and must bump
-//! the protocol deliberately.
+//! The encoding of a [`TelemetryFrame`] (the version-2 binary layout)
+//! and of both [`Response`] arms (canonical JSON) is committed under
+//! `tests/golden/` as the exact framed bytes (4-byte big-endian length
+//! prefix + body). Any codec change that alters bytes on the wire fails
+//! here first and must bump the protocol deliberately.
 //!
 //! Regenerate after an intentional change with
 //! `GOLDEN_BLESS=1 cargo test -p boreas-serve --test protocol_golden`.
@@ -24,9 +24,9 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// A fully deterministic frame exercising the awkward corners of the
-/// number grammar: bit-exact fractions, subnormals, negative zero and
-/// a sequence number above 2^53.
+/// A fully deterministic frame exercising the awkward corners of
+/// `f64` and integer round trips: bit-exact fractions, a subnormal,
+/// negative zero, `f64::MAX` and a sequence number above 2^53.
 fn golden_frame() -> TelemetryFrame {
     let mut counters = IntervalCounters::zeroed();
     for (i, id) in CounterId::ALL.iter().enumerate() {
@@ -109,7 +109,7 @@ fn check_golden(name: &str, wire: &[u8]) {
 fn telemetry_frame_bytes_match_golden() {
     let frame = golden_frame();
     let wire = framed(&encode_frame(&frame).unwrap());
-    check_golden("frame_v1.bin", &wire);
+    check_golden("frame_v2.bin", &wire);
 
     // The committed bytes decode back to the identical frame, through
     // the same read path the daemon uses.
@@ -130,6 +130,7 @@ fn telemetry_frame_bytes_match_golden() {
                 back.record.counters.as_slice()[2].to_bits(),
                 (-0.0f64).to_bits()
             );
+            assert_eq!(back.record.counters.as_slice()[3], f64::MAX);
             assert_eq!(back.seq, (1u64 << 53) + 1, "u64 beyond 2^53 survives");
         }
         other => panic!("expected a frame, got {other:?}"),

@@ -164,8 +164,10 @@ fn malformed_frame_rejects_without_dropping_the_connection() {
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
 
-    // Valid JSON, wrong schema: rejected, connection stays up.
-    protocol::write_frame(&mut stream, b"{\"shard\":1}").unwrap();
+    // A version-2 frame one byte short: rejected, connection stays up.
+    let tr = trace("gcc", 12);
+    let body = protocol::encode_frame(&TelemetryFrame::new(0, 0, tr[0].clone())).unwrap();
+    protocol::write_frame(&mut stream, &body[..body.len() - 1]).unwrap();
     let rejected = read_responses(&mut stream, 1);
     match &rejected[0] {
         Response::Rejected { shard, seq, reason } => {
@@ -176,7 +178,6 @@ fn malformed_frame_rejects_without_dropping_the_connection() {
     }
 
     // A full interval of valid frames still decides afterwards.
-    let tr = trace("gcc", 12);
     for (t, r) in tr.iter().enumerate() {
         let frame = TelemetryFrame::new(0, t as u64, r.clone());
         protocol::write_frame(&mut stream, &protocol::encode_frame(&frame).unwrap()).unwrap();
@@ -194,6 +195,41 @@ fn malformed_frame_rejects_without_dropping_the_connection() {
         "decision still served after a rejected frame: {:?}",
         responses[0]
     );
+
+    drop(stream);
+    server.request_shutdown();
+    server.join().unwrap();
+}
+
+/// A sender still speaking the version-1 JSON frames gets one
+/// rejection per frame that names the version, and the connection
+/// stays open for the version-2 frames that follow.
+#[test]
+fn a_v1_json_frame_is_rejected_and_the_next_v2_frame_is_served() {
+    let registry = obs::Registry::new();
+    let config = base_config().registry(registry.clone()).build().unwrap();
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+
+    let v1 = br#"{"shard":0,"seq":0,"record":{"time":80,"counters":{"values":[0.5]},"sensor_temps":[60.0],"max_temp":61.0,"max_severity":0.1,"max_severity_raw":0.1,"hotspot_xy":[1.0,2.0],"total_power":50.0,"frequency":3.75,"voltage":0.925}}"#;
+    protocol::write_frame(&mut stream, v1).unwrap();
+    match &read_responses(&mut stream, 1)[..] {
+        [Response::Rejected { shard, seq, reason }] => {
+            assert_eq!((*shard, *seq), (0, 0));
+            assert!(reason.contains("unknown frame version 123"), "{reason}");
+        }
+        other => panic!("expected one rejection, got {other:?}"),
+    }
+
+    let frame = TelemetryFrame::new(0, 0, trace("gcc", 1).remove(0));
+    protocol::write_frame(&mut stream, &protocol::encode_frame(&frame).unwrap()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counter(&registry, "boreas_serve_frames_total") == 0 {
+        assert!(Instant::now() < deadline, "the v2 frame was never served");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(counter(&registry, "boreas_serve_rejected_total"), 1);
 
     drop(stream);
     server.request_shutdown();
