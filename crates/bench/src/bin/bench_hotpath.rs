@@ -2,7 +2,7 @@
 //! against the pre-optimisation reference implementations and writes
 //! `BENCH_hotpath.json`, the repo's tracked perf trajectory.
 //!
-//! Five kernels are timed (median ns/op over repeated samples):
+//! Six kernels are timed (median ns/op over repeated samples):
 //!
 //! * `thermal_step` — one 80 µs [`ThermalGrid::step`] (4 fused substeps)
 //!   vs [`ThermalGrid::step_reference`];
@@ -14,6 +14,10 @@
 //!   [`gbt::GbtModel::predict`];
 //! * `gbt_predict_batch` — one 64-row [`gbt::FlatModel::predict_batch_into`]
 //!   vs [`gbt::GbtModel::predict_batch`];
+//! * `gbt_predict_candidates` — one (hold, step-up) row pair through a
+//!   223-tree depth-3 ensemble over 78 features, the shape of the
+//!   serving decide: [`gbt::FlatModel::predict_pair`] vs
+//!   [`gbt::GbtModel::predict_batch`];
 //! * `pipeline_step` — one full fused [`hotgauge::SimRun::step`] vs a
 //!   reference loop composed from the pre-PR kernels.
 //!
@@ -229,8 +233,9 @@ fn bench_gbt(smoke: bool) -> Result<KernelResult> {
 }
 
 /// Batched inference: one [`gbt::FlatModel::predict_batch_into`] call
-/// over 64 rows (the flat tree-outer walk) vs the tree-outer
-/// [`gbt::GbtModel::predict_batch`]. Per-op time covers the whole batch.
+/// over 64 rows (the flat lockstep walk, two rows at a time) vs the
+/// tree-outer [`gbt::GbtModel::predict_batch`]. Per-op time covers the
+/// whole batch.
 fn bench_gbt_batch(smoke: bool) -> Result<KernelResult> {
     let mut d = Dataset::new(vec!["x0".into(), "x1".into(), "x2".into()]);
     for i in 0..400 {
@@ -265,6 +270,61 @@ fn bench_gbt_batch(smoke: bool) -> Result<KernelResult> {
     );
     Ok(KernelResult {
         name: "gbt_predict_batch",
+        median_ns,
+        reference_median_ns,
+        isa_medians: Vec::new(),
+    })
+}
+
+/// The serving decide's query: a (hold, step-up) pair of 78-feature
+/// rows through the Table II ensemble shape (223 trees of depth 3), one
+/// [`gbt::FlatModel::predict_pair`] lockstep pass vs the tree-outer
+/// [`gbt::GbtModel::predict_batch`]. Per-op time covers the pair.
+fn bench_gbt_candidates(smoke: bool) -> Result<KernelResult> {
+    const FEATURES: usize = 78;
+    let names = (0..FEATURES).map(|f| format!("x{f}")).collect();
+    let mut d = Dataset::new(names);
+    let row = |i: usize| -> Vec<f64> {
+        (0..FEATURES)
+            .map(|f| ((i * (2 * f + 3) + f * f) % 97) as f64 / 97.0)
+            .collect()
+    };
+    for i in 0..600 {
+        let x = row(i);
+        let y = x[0] * 2.0 + (x[1] - 0.5).powi(2) + x[2] * x[3] - 0.5 * x[77];
+        d.push_row(&x, y, 0)?;
+    }
+    let model = GbtModel::train(&d, &GbtParams::default().with_estimators(223))?;
+    let flat = model.flatten();
+    // The step-up candidate rescales a few extensive features.
+    let pairs: Vec<Vec<Vec<f64>>> = (0..64)
+        .map(|i| {
+            let hold = row(7 * i + 1);
+            let up = hold
+                .iter()
+                .enumerate()
+                .map(|(f, v)| if f % 3 == 0 { v * 1.0625 } else { *v })
+                .collect();
+            vec![hold, up]
+        })
+        .collect();
+    let (samples, iters) = if smoke { (15, 2_000) } else { (21, 10_000) };
+    let (mut k, mut j) = (0usize, 0usize);
+    let (median_ns, reference_median_ns) = measure(
+        samples,
+        iters,
+        || {
+            let pair = &pairs[k % pairs.len()];
+            std::hint::black_box(flat.predict_pair(&pair[0], &pair[1]));
+            k += 1;
+        },
+        || {
+            std::hint::black_box(model.predict_batch(&pairs[j % pairs.len()]));
+            j += 1;
+        },
+    );
+    Ok(KernelResult {
+        name: "gbt_predict_candidates",
         median_ns,
         reference_median_ns,
         isa_medians: Vec::new(),
@@ -440,11 +500,12 @@ fn main() -> Result<()> {
         bench_severity_argmax(smoke)?,
         bench_gbt(smoke)?,
         bench_gbt_batch(smoke)?,
+        bench_gbt_candidates(smoke)?,
         bench_pipeline(smoke)?,
     ];
     for r in &results {
         println!(
-            "  {:<17} {:>10.1} ns/op  (reference {:>10.1} ns/op, {:>5.2}x)",
+            "  {:<22} {:>10.1} ns/op  (reference {:>10.1} ns/op, {:>5.2}x)",
             r.name,
             r.median_ns,
             r.reference_median_ns,

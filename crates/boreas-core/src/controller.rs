@@ -407,24 +407,29 @@ impl BoreasController {
     }
 
     /// Predicted severities for the interval's decision candidates —
-    /// `(hold, step-up)` — evaluated in one batched ensemble pass
-    /// ([`gbt::FlatModel::predict_batch`]) on the compiled flat layout
-    /// instead of two independent tree walks. Bit-identical to calling
-    /// [`BoreasController::predict_hold`] and
-    /// [`BoreasController::predict_up`] separately.
+    /// `(hold, step-up)` — evaluated in one lockstep ensemble pass
+    /// ([`gbt::FlatModel::predict_pair`]) over two feature rows built on
+    /// the stack, so a decision allocates nothing. Bit-identical to
+    /// [`gbt::FlatModel::predict_batch`] over the two rows.
     pub fn predict_candidates(&self, ctx: &ControlContext<'_>) -> (f64, f64) {
         let rec = ctx.last_record();
-        let hold = self.features.extract(rec, self.sensor_idx);
+        let n = self.features.len();
+        let (mut hold, mut what_if) = (
+            [0.0; telemetry::MAX_FEATURES],
+            [0.0; telemetry::MAX_FEATURES],
+        );
+        let (hold, what_if) = (&mut hold[..n], &mut what_if[..n]);
+        self.features.extract_into(rec, self.sensor_idx, hold);
         let up = ctx.vf().step_up(ctx.current_idx());
         let target = ctx.vf().point(up);
-        let what_if = self.features.rescale_to_vf(
-            &hold,
+        self.features.rescale_to_vf_into(
+            hold,
             GigaHertz::new(rec.frequency.value()),
             target.frequency,
             target.voltage,
+            what_if,
         );
-        let preds = self.flat.predict_batch(&[hold, what_if]);
-        (preds[0], preds[1])
+        self.flat.predict_pair(hold, what_if)
     }
 }
 

@@ -11,8 +11,9 @@
 //! * the simulator — [`crate::RunSpec::run`] is a thin replay driver
 //!   over this type, so offline results are bit-identical to a
 //!   frame-by-frame replay;
-//! * a socket — `boreas-serve` shards incoming [`TelemetryFrame`]s
-//!   across one `OnlineController` per die/socket id;
+//! * a socket — `boreas-serve` keeps one `OnlineController` per die
+//!   id and decodes each incoming frame straight into its die's window
+//!   ([`OnlineController::observe_with`]);
 //! * anything else that can produce [`hotgauge::StepRecord`]s.
 //!
 //! The contract is [`OnlineController::observe`]: feed one frame per
@@ -38,7 +39,7 @@ use hotgauge::StepRecord;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryFrame {
     /// Which independent control loop this frame belongs to (die or
-    /// socket id); the serving daemon shards on it.
+    /// socket id); the serving daemon keys its die table on it.
     pub shard: u32,
     /// Monotonic per-shard sequence number, assigned by the sender.
     pub seq: u64,
@@ -90,6 +91,13 @@ common::json_codec! {
 /// a pipeline — frames come from whoever calls
 /// [`OnlineController::observe`].
 ///
+/// The window is [`STEPS_PER_DECISION`] record slots, made on the
+/// loop's first interval and refilled in place after that: a frame
+/// source that writes into the next slot
+/// ([`OnlineController::observe_with`]) reuses the slot's buffers, so
+/// a loop past its first interval observes and decides without
+/// allocating (given a controller that does not allocate).
+///
 /// ```no_run
 /// # use boreas_core::{OnlineController, GlobalVfController, VfTable};
 /// # fn demo(frames: Vec<boreas_core::TelemetryFrame>) -> common::Result<()> {
@@ -110,7 +118,10 @@ pub struct OnlineController<C> {
     sensor_idx: usize,
     start_idx: usize,
     current_idx: usize,
+    /// Record slots of the interval being accumulated; the first
+    /// `filled` hold its frames, oldest first.
     window: Vec<StepRecord>,
+    filled: usize,
     frames: u64,
     intervals: u64,
 }
@@ -137,6 +148,7 @@ impl<C: Controller> OnlineController<C> {
             start_idx,
             current_idx: start_idx,
             window: Vec::with_capacity(STEPS_PER_DECISION as usize),
+            filled: 0,
             frames: 0,
             intervals: 0,
         };
@@ -204,7 +216,7 @@ impl<C: Controller> OnlineController<C> {
     /// controller's own state.
     pub fn reset(&mut self) {
         self.controller.reset();
-        self.window.clear();
+        self.filled = 0;
         self.frames = 0;
         self.intervals = 0;
         self.current_idx = self.start_idx;
@@ -226,17 +238,30 @@ impl<C: Controller> OnlineController<C> {
     /// [`OnlineController::observe`] for an in-process record, without
     /// the wire envelope (the replay driver's entry point).
     pub fn observe_record(&mut self, record: StepRecord) -> Option<ControlDecision> {
+        self.observe_with(|slot| *slot = record)
+    }
+
+    /// Feeds one frame by writing it into the window's next slot: `fill`
+    /// receives that slot holding whatever record it held last (a blank
+    /// [`StepRecord::default`] on the loop's first interval) and must
+    /// overwrite every field. Otherwise as
+    /// [`OnlineController::observe`].
+    pub fn observe_with(&mut self, fill: impl FnOnce(&mut StepRecord)) -> Option<ControlDecision> {
+        if self.filled == self.window.len() {
+            self.window.push(StepRecord::default());
+        }
+        fill(&mut self.window[self.filled]);
+        self.filled += 1;
         self.frames += 1;
-        self.window.push(record);
-        if self.window.len() < STEPS_PER_DECISION as usize {
+        if self.filled < STEPS_PER_DECISION as usize {
             return None;
         }
+        self.filled = 0;
         let from_idx = self.current_idx;
         let ctx = ControlContext::new(&self.vf, from_idx, &self.window, self.sensor_idx);
         let to_idx = self.controller.decide(&ctx);
         debug_assert!(to_idx < self.vf.len());
         let diagnostics = self.controller.diagnostics();
-        self.window.clear();
         self.current_idx = to_idx;
         let interval = self.intervals;
         self.intervals += 1;

@@ -1,46 +1,64 @@
-//! Flat (structure-of-arrays) ensemble layout for cache-friendly
-//! prediction.
+//! Flat ensemble layout walked many trees at a time.
 //!
 //! [`crate::RegressionTree`] stores each tree as its own `Vec<Node>` of
-//! ~48-byte nodes; walking an ensemble root→leaf therefore touches one
-//! scattered allocation per tree and drags every unused field (gain,
-//! leaf flag, split payload) through the cache. [`FlatModel`] compiles a
-//! trained [`GbtModel`] into three contiguous parallel arrays — split
-//! feature, threshold-or-leaf-value, child pair — covering *all* trees,
-//! so the hot traversal state of the whole ensemble fits in a few cache
-//! lines and the per-node branch (`is_leaf`) becomes a sentinel test.
+//! ~48-byte nodes, and its walk branches on a leaf flag at every node.
+//! [`FlatModel`] compiles a trained [`GbtModel`] into one contiguous
+//! array of 24-byte nodes covering *all* trees — split feature,
+//! threshold (the value, for a leaf) and child pair — plus each tree's
+//! root and depth.
 //!
-//! Predictions are **bit-identical** to the tree-walk
+//! **Lockstep walk.** A leaf's children are itself, so a walk that
+//! takes more steps than a tree is deep stays on the leaf it reached.
+//! That removes the leaf test: trees are walked [`LANES`] at a time,
+//! each step moves every lane one level down with the branch-free
+//! `go_right = !(row[f] < threshold)`, and a chunk takes as many steps
+//! as its deepest tree. The lanes are independent load chains, so the
+//! CPU overlaps their latencies instead of waiting out one tree's
+//! compare → load → compare chain before starting the next; the two
+//! candidate rows of a control decision ([`FlatModel::predict_pair`])
+//! walk side by side in the same pass.
+//!
+//! Predictions are **bit-identical** to the tree walk
 //! ([`GbtModel::predict`] / [`GbtModel::predict_batch`]): the same
-//! comparisons run against the same thresholds, leaf values accumulate
-//! in the same tree order, and the final affine step uses the same
+//! comparisons run against the same thresholds, leaf values are added
+//! one at a time in tree order onto the accumulator start value each
+//! oracle uses, and the final affine step is the same
 //! `base_score + learning_rate * sum` expression. The equivalence is
 //! pinned by property tests in `tests/proptest_flat.rs`.
 
 use crate::model::GbtModel;
 
-/// Sentinel in [`FlatModel`]'s `feature` array marking a leaf node.
-const LEAF: u32 = u32::MAX;
+/// Trees one lockstep pass walks side by side.
+pub const LANES: usize = 16;
+
+/// One node of the flat layout.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FlatNode {
+    /// Split threshold for an internal node; the leaf value for a leaf.
+    threshold: f64,
+    /// Split feature; 0 for a leaf, whose children ignore the compare.
+    feature: u32,
+    /// `[left, right]` child indices (ensemble-global); `[self, self]`
+    /// for a leaf.
+    children: [u32; 2],
+}
 
 /// A compiled, traversal-only view of a [`GbtModel`].
 ///
 /// Build once with [`GbtModel::flatten`] (or [`FlatModel::from_model`])
 /// and reuse for every query; the ML controllers compile their model at
-/// construction and answer their two-candidate per-interval queries from
-/// the flat layout.
+/// construction and answer their two-candidate per-interval queries
+/// from the flat layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatModel {
     base_score: f64,
     learning_rate: f64,
-    /// Split feature per node; [`LEAF`] marks a leaf.
-    feature: Vec<u32>,
-    /// Split threshold for internal nodes; the leaf value for leaves.
-    threshold: Vec<f64>,
-    /// `[left, right]` child indices (ensemble-global) per node; unused
-    /// (zero) for leaves.
-    children: Vec<[u32; 2]>,
+    /// Every tree's nodes, tree after tree.
+    nodes: Vec<FlatNode>,
     /// Root node index of each tree, in ensemble order.
     roots: Vec<u32>,
+    /// Steps from each tree's root to its deepest leaf.
+    depths: Vec<u32>,
 }
 
 impl FlatModel {
@@ -53,32 +71,36 @@ impl FlatModel {
     pub fn from_model(model: &GbtModel) -> FlatModel {
         let total: usize = model.trees().iter().map(|t| t.nodes().len()).sum();
         assert!(total < u32::MAX as usize, "ensemble too large to flatten");
-        let mut feature = Vec::with_capacity(total);
-        let mut threshold = Vec::with_capacity(total);
-        let mut children = Vec::with_capacity(total);
+        let mut nodes = Vec::with_capacity(total);
         let mut roots = Vec::with_capacity(model.num_trees());
+        let mut depths = Vec::with_capacity(model.num_trees());
         for tree in model.trees() {
-            let base = feature.len() as u32;
+            let base = nodes.len() as u32;
             roots.push(base);
-            for n in tree.nodes() {
-                if n.is_leaf {
-                    feature.push(LEAF);
-                    threshold.push(n.value);
-                    children.push([0, 0]);
+            for (i, n) in tree.nodes().iter().enumerate() {
+                nodes.push(if n.is_leaf {
+                    let own = base + i as u32;
+                    FlatNode {
+                        threshold: n.value,
+                        feature: 0,
+                        children: [own, own],
+                    }
                 } else {
-                    feature.push(n.feature);
-                    threshold.push(n.threshold);
-                    children.push([base + n.left, base + n.right]);
-                }
+                    FlatNode {
+                        threshold: n.threshold,
+                        feature: n.feature,
+                        children: [base + n.left, base + n.right],
+                    }
+                });
             }
+            depths.push(leaf_depth(tree.nodes()));
         }
         FlatModel {
             base_score: model.base_score(),
             learning_rate: model.params().learning_rate,
-            feature,
-            threshold,
-            children,
+            nodes,
             roots,
+            depths,
         }
     }
 
@@ -89,27 +111,64 @@ impl FlatModel {
 
     /// Total nodes across all trees.
     pub fn num_nodes(&self) -> usize {
-        self.feature.len()
+        self.nodes.len()
     }
 
-    /// Walks one tree (by root index) for one row.
+    /// Adds the leaf values that each of the `R` rows reaches in the
+    /// first `k` trees onto its accumulator, one leaf at a time in tree
+    /// order: the one walker behind every prediction.
     // `!(a < b)` is NOT `a >= b` under NaN; the negated form keeps the
     // tree-walk's exact branch polarity, which the bit-identity contract
     // depends on.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     #[inline]
-    fn walk(&self, root: u32, row: &[f64]) -> f64 {
-        let mut i = root as usize;
-        loop {
-            let f = self.feature[i];
-            if f == LEAF {
-                return self.threshold[i];
+    fn leaf_sums<const R: usize>(
+        &self,
+        rows: [&[f64]; R],
+        k: usize,
+        mut acc: [f64; R],
+    ) -> [f64; R] {
+        let k = k.min(self.roots.len());
+        for (roots, depths) in self.roots[..k]
+            .chunks(LANES)
+            .zip(self.depths[..k].chunks(LANES))
+        {
+            // A short last chunk repeats its first tree in the spare
+            // lanes, which are walked but never summed.
+            let mut lane = [roots[0]; LANES];
+            lane[..roots.len()].copy_from_slice(roots);
+            let mut at = [lane; R];
+            let depth = depths.iter().copied().max().unwrap_or(0);
+            for _ in 0..depth {
+                for (row, at) in rows.iter().zip(&mut at) {
+                    for i in at.iter_mut() {
+                        let n = &self.nodes[*i as usize];
+                        // Both children load with the node, so the step's
+                        // chain is node → feature value → compare →
+                        // select. `<` goes left, everything else (NaN
+                        // included) right, exactly as the tree walk
+                        // branches.
+                        let [left, right] = n.children;
+                        *i = if !(row[n.feature as usize] < n.threshold) {
+                            right
+                        } else {
+                            left
+                        };
+                    }
+                }
             }
-            // Matches the tree-walk exactly: `<` goes left, everything
-            // else (incl. NaN, which the dataset rejects anyway) right.
-            let go_right = !(row[f as usize] < self.threshold[i]) as usize;
-            i = self.children[i][go_right] as usize;
+            for (acc, at) in acc.iter_mut().zip(&at) {
+                for &i in &at[..roots.len()] {
+                    *acc += self.nodes[i as usize].threshold;
+                }
+            }
         }
+        acc
+    }
+
+    /// The model's output for a leaf sum.
+    fn finish(&self, sum: f64) -> f64 {
+        self.base_score + self.learning_rate * sum
     }
 
     /// Predicts one row; bit-identical to [`GbtModel::predict`].
@@ -120,13 +179,22 @@ impl FlatModel {
     /// Predicts using only the first `k` trees; bit-identical to
     /// [`GbtModel::predict_with`].
     pub fn predict_with(&self, row: &[f64], k: usize) -> f64 {
-        let k = k.min(self.roots.len());
-        let sum: f64 = self.roots[..k].iter().map(|&r| self.walk(r, row)).sum();
-        self.base_score + self.learning_rate * sum
+        // `Iterator::sum` over `f64`, which the oracle uses, starts at
+        // -0.0.
+        let [sum] = self.leaf_sums([row], k, [-0.0]);
+        self.finish(sum)
     }
 
-    /// Predicts a batch of rows, accumulating tree-outer like
-    /// [`GbtModel::predict_batch`]; bit-identical to it.
+    /// Predicts two rows in one lockstep pass — the hold and step-up
+    /// candidates of a control decision — without allocating;
+    /// bit-identical to [`FlatModel::predict_batch`] over `[a, b]`.
+    pub fn predict_pair(&self, a: &[f64], b: &[f64]) -> (f64, f64) {
+        let [a, b] = self.leaf_sums([a, b], self.roots.len(), [0.0; 2]);
+        (self.finish(a), self.finish(b))
+    }
+
+    /// Predicts a batch of rows; bit-identical to
+    /// [`GbtModel::predict_batch`].
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         let mut out = Vec::new();
         self.predict_batch_into(rows, &mut out);
@@ -134,23 +202,51 @@ impl FlatModel {
     }
 
     /// [`FlatModel::predict_batch`] into a caller-owned buffer (cleared
-    /// first), so steady-state batched queries allocate nothing.
+    /// first), so steady-state batched queries allocate nothing. Rows
+    /// walk two at a time.
     pub fn predict_batch_into(&self, rows: &[Vec<f64>], out: &mut Vec<f64>) {
         out.clear();
-        out.resize(rows.len(), 0.0);
-        for &root in &self.roots {
-            for (acc, row) in out.iter_mut().zip(rows) {
-                *acc += self.walk(root, row);
+        for pair in rows.chunks(2) {
+            match pair {
+                [a, b] => {
+                    let (a, b) = self.predict_pair(a, b);
+                    out.extend([a, b]);
+                }
+                [a] => {
+                    // The oracle's batch accumulators start at +0.0.
+                    let [sum] = self.leaf_sums([a], self.roots.len(), [0.0]);
+                    out.push(self.finish(sum));
+                }
+                _ => unreachable!("chunks of at most two rows"),
             }
-        }
-        for v in out.iter_mut() {
-            *v = self.base_score + self.learning_rate * *v;
         }
     }
 }
 
+/// Steps from the root of a tree (`nodes[0]`) to its deepest leaf.
+///
+/// # Panics
+///
+/// Panics if a path is longer than the tree has nodes (the children
+/// form a cycle), or a child index is out of range.
+fn leaf_depth(nodes: &[crate::tree::Node]) -> u32 {
+    let mut deepest = 0;
+    let mut stack = vec![(0u32, 0u32)];
+    while let Some((i, depth)) = stack.pop() {
+        assert!((depth as usize) < nodes.len(), "tree children form a cycle");
+        let n = &nodes[i as usize];
+        if n.is_leaf {
+            deepest = deepest.max(depth);
+        } else {
+            stack.push((n.left, depth + 1));
+            stack.push((n.right, depth + 1));
+        }
+    }
+    deepest
+}
+
 impl GbtModel {
-    /// Compiles this model into the cache-friendly [`FlatModel`] layout.
+    /// Compiles this model into the lockstep [`FlatModel`] layout.
     pub fn flatten(&self) -> FlatModel {
         FlatModel::from_model(self)
     }

@@ -80,3 +80,162 @@ fn flat_predict_with_matches_model() {
         );
     });
 }
+
+// ------------------------------------------------------- lockstep walk
+
+use boreas_gbt::flat::LANES;
+use boreas_gbt::tree::Node;
+
+/// Features the hand-built ensembles split on.
+const FEATURES: usize = 5;
+
+/// A leaf value or base score: mostly random, sometimes a signed zero,
+/// so the accumulator's start value shows in the sum's sign.
+fn weight(g: &mut Gen) -> f64 {
+    match g.usize_in(0..8) {
+        0 => -0.0,
+        1 => 0.0,
+        _ => g.f64_in(-2.0..2.0),
+    }
+}
+
+/// Appends a subtree of depth at most `depth` (exactly `depth` when
+/// `full`) to `nodes`; returns its root index.
+fn grow(g: &mut Gen, nodes: &mut Vec<Node>, depth: usize, full: bool, zeros: bool) -> u32 {
+    let at = nodes.len();
+    let value = if zeros {
+        0.0 * weight(g).signum()
+    } else {
+        weight(g)
+    };
+    nodes.push(Node {
+        feature: 0,
+        threshold: 0.0,
+        left: 0,
+        right: 0,
+        value,
+        is_leaf: true,
+        gain: 0.0,
+    });
+    if depth > 0 && (full || g.usize_in(0..3) > 0) {
+        let feature = g.usize_in(0..FEATURES) as u32;
+        let threshold = g.f64_in(0.0..100.0);
+        let left = grow(g, nodes, depth - 1, full, zeros);
+        let right = grow(g, nodes, depth - 1, full, zeros);
+        nodes[at] = Node {
+            feature,
+            threshold,
+            left,
+            right,
+            value: 0.0,
+            is_leaf: false,
+            gain: 1.0,
+        };
+    }
+    at as u32
+}
+
+/// Steps from `nodes[i]` to its deepest leaf.
+fn depth_of(nodes: &[Node], i: u32) -> usize {
+    let n = &nodes[i as usize];
+    if n.is_leaf {
+        0
+    } else {
+        1 + depth_of(nodes, n.left).max(depth_of(nodes, n.right))
+    }
+}
+
+/// An ensemble of `trees` hand-built trees of mixed depth: single
+/// leaves, stumps, random shapes and full trees of depth `max_depth`
+/// side by side. With `zeros`, every leaf and the base score are signed
+/// zeros.
+fn mixed_ensemble(g: &mut Gen, trees: usize, max_depth: usize, zeros: bool) -> GbtModel {
+    let tree_json: Vec<String> = (0..trees)
+        .map(|_| {
+            let (depth, full) = match g.usize_in(0..4) {
+                0 => (0, true),
+                1 => (1, true),
+                2 => (max_depth, true),
+                _ => (g.usize_in(0..=max_depth), false),
+            };
+            let mut nodes = Vec::new();
+            grow(g, &mut nodes, depth, full, zeros);
+            format!(
+                "{{\"nodes\":{},\"depth\":{}}}",
+                common::json::to_string(&nodes).expect("finite nodes"),
+                depth_of(&nodes, 0)
+            )
+        })
+        .collect();
+    let base = if zeros {
+        0.0 * weight(g).signum()
+    } else {
+        weight(g)
+    };
+    let params = GbtParams::default()
+        .with_estimators(trees)
+        .with_depth(max_depth)
+        .with_learning_rate(g.f64_in(0.01..1.0));
+    let names: Vec<String> = (0..FEATURES).map(|f| format!("f{f}")).collect();
+    let text = format!(
+        "{{\"base_score\":{},\"trees\":[{}],\"params\":{},\"feature_names\":{}}}",
+        common::json::to_string(&base).expect("finite base"),
+        tree_json.join(","),
+        common::json::to_string(&params).expect("params"),
+        common::json::to_string(&names).expect("names"),
+    );
+    GbtModel::from_json(&text).expect("a well-formed ensemble")
+}
+
+/// A query row; now and then a NaN, which both walks send right.
+fn query(g: &mut Gen) -> Vec<f64> {
+    (0..FEATURES)
+        .map(|_| {
+            if g.usize_in(0..16) == 0 {
+                f64::NAN
+            } else {
+                g.f64_in(-10.0..110.0)
+            }
+        })
+        .collect()
+}
+
+/// Tree counts around the lockstep width, mixed depths 1–6: every
+/// prediction entry is bit-identical to the tree walk, and so is every
+/// truncated prediction across the chunk boundaries.
+#[test]
+fn lockstep_walk_is_bit_identical_on_mixed_depth_ensembles() {
+    check::cases(48, |g| {
+        let trees = g.pick(&[1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1]);
+        let max_depth = g.usize_in(1..=6);
+        let zeros = g.usize_in(0..6) == 0;
+        let model = mixed_ensemble(g, trees, max_depth, zeros);
+        let flat = model.flatten();
+        assert_eq!(flat.num_trees(), trees);
+        let rows: Vec<Vec<f64>> = g.vec(0..=7, query);
+        for row in &rows {
+            assert_eq!(model.predict(row).to_bits(), flat.predict(row).to_bits());
+            for k in 0..=trees + 1 {
+                assert_eq!(
+                    model.predict_with(row, k).to_bits(),
+                    flat.predict_with(row, k).to_bits(),
+                    "k = {k} of {trees} trees"
+                );
+            }
+        }
+        let oracle = model.predict_batch(&rows);
+        let batch = flat.predict_batch(&rows);
+        assert_eq!(batch.len(), rows.len());
+        for (got, want) in batch.iter().zip(&oracle) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        for pair in rows.chunks_exact(2) {
+            let (a, b) = flat.predict_pair(&pair[0], &pair[1]);
+            let want = model.predict_batch(pair);
+            assert_eq!(
+                [a.to_bits(), b.to_bits()],
+                [want[0].to_bits(), want[1].to_bits()]
+            );
+        }
+    });
+}

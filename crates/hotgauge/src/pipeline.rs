@@ -196,8 +196,10 @@ impl KernelBreakdown {
 ///
 /// A record travels the serving wire inside a telemetry frame
 /// (`boreas_core::TelemetryFrame`), whose binary encoding in
-/// `boreas_serve::protocol` carries every field bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
+/// `boreas_serve::protocol` carries every field bit-exactly. The
+/// default record (all zeros, no sensors) is a blank slot to decode
+/// into.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepRecord {
     /// End-of-step simulation time.
     pub time: SimTime,

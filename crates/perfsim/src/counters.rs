@@ -249,6 +249,12 @@ impl IntervalCounters {
         &self.values
     }
 
+    /// All values in [`CounterId::ALL`] order, writable in place (a
+    /// decoder fills a reused record through this).
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
     /// Committed IPC for the interval.
     pub fn ipc(&self) -> f64 {
         self.get(CounterId::Ipc)

@@ -29,6 +29,8 @@
 // the frame-serving code unreachable there.
 #![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
+#[cfg(test)]
+mod alloc_count;
 mod conn;
 pub mod http;
 pub mod protocol;
@@ -37,7 +39,8 @@ pub mod server;
 pub mod signal;
 
 pub use protocol::{
-    decode_frame, decode_response, encode_frame, encode_response, frame_bytes, read_frame,
-    write_frame, FrameDecoder, Incoming, Response, FRAME_VERSION, MAX_FRAME_BYTES,
+    decode_frame, decode_response, encode_frame, encode_response, encode_response_into,
+    frame_bytes, read_frame, write_frame, FrameDecoder, FrameView, Incoming, Response,
+    FRAME_VERSION, MAX_FRAME_BYTES,
 };
 pub use server::{Backend, ServeConfig, ServeConfigBuilder, Server};

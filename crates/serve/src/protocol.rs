@@ -35,9 +35,13 @@
 //! process. The encoder refuses non-finite values
 //! ([`ProtocolKind::NonFinite`]).
 //!
-//! Decoding is bounds checks and `f64::from_le_bytes` loads, and never
-//! panics. It checks a body's shape before its values, and the first
-//! fault found names the error's [`ProtocolKind`]:
+//! One validator, [`FrameView::parse`], checks a body without
+//! allocating — bounds checks, then one OR over every `f64` word for a
+//! non-finite exponent — and the view it returns writes the record
+//! into a caller's [`StepRecord`]; [`decode_frame`] is that plus an
+//! owned frame. Decoding never panics. It checks a body's shape before
+//! its values, and the first fault found names the error's
+//! [`ProtocolKind`]:
 //!
 //! 1. [`ProtocolKind::Malformed`]: an unknown version byte (a version-1
 //!    JSON body starts with `{`, so it fails here), or a body shorter or
@@ -61,7 +65,7 @@ use common::time::SimTime;
 use common::units::{Celsius, GigaHertz, Volts, Watts};
 use common::{Error, ProtocolKind, Result, ServerKind};
 use hotgauge::{Severity, StepRecord};
-use perfsim::{IntervalCounters, NUM_COUNTERS};
+use perfsim::NUM_COUNTERS;
 use std::io::{ErrorKind, Read, Write};
 
 /// Largest accepted message body (1 MiB): a frame is 761 bytes, so this
@@ -379,78 +383,162 @@ pub fn encode_frame(frame: &TelemetryFrame) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decodes a telemetry frame body written by [`encode_frame`].
+/// Decodes a telemetry frame body written by [`encode_frame`]:
+/// [`FrameView::parse`], then [`FrameView::to_frame`].
 ///
 /// # Errors
 ///
 /// [`Error::Protocol`] with the kind of the first fault, in the order
 /// the [module docs](self) give.
 pub fn decode_frame(body: &[u8]) -> Result<TelemetryFrame> {
-    // Shape: every field present, nothing after the last.
-    let mut b = Cursor {
-        rest: body,
-        len: body.len(),
-    };
-    let [version] = b.take::<1>("version")?;
-    if version != FRAME_VERSION {
-        return Err(malformed(format!(
-            "unknown frame version {version} (this reader speaks version {FRAME_VERSION})"
-        )));
-    }
-    let shard = u32::from_le_bytes(b.take("shard")?);
-    let seq = u64::from_le_bytes(b.take("seq")?);
-    let time = u64::from_le_bytes(b.take("time")?);
-    let n_counters = usize::from(u16::from_le_bytes(b.take("counter count")?));
-    let counters = b.slice(8 * n_counters, "counters")?;
-    let n_sensors = usize::from(u16::from_le_bytes(b.take("sensor count")?));
-    let sensors = b.slice(8 * n_sensors, "sensor_temps")?;
-    let trailer = b.slice(8 * TRAILER.len(), "trailing scalars")?;
-    if !b.rest.is_empty() {
-        return Err(malformed(format!(
-            "{} trailing bytes after a {}-byte frame",
-            b.rest.len(),
-            body.len() - b.rest.len()
-        )));
+    Ok(FrameView::parse(body)?.to_frame())
+}
+
+/// A frame body that passed every check [`decode_frame`] makes,
+/// borrowed from the buffer it arrived in.
+///
+/// Parsing allocates nothing, and neither does
+/// [`FrameView::write_record`] into a record whose sensor buffer is
+/// large enough, so the serving daemon decodes a frame straight into
+/// its die's reused window slot
+/// ([`boreas_core::OnlineController::observe_with`]).
+#[derive(Debug, Clone, Copy)]
+pub struct FrameView<'a> {
+    shard: u32,
+    seq: u64,
+    time: u64,
+    /// [`NUM_COUNTERS`] little-endian `f64`s.
+    counters: &'a [u8],
+    /// The sensor readings, little-endian `f64`s.
+    sensors: &'a [u8],
+    /// The [`TRAILER`] scalars, little-endian `f64`s.
+    trailer: &'a [u8],
+}
+
+impl<'a> FrameView<'a> {
+    /// Checks a frame body in the order the [module docs](self) give:
+    /// its shape, then every `f64` for a non-finite value (one OR over
+    /// all the words; only a faulty body is scanned again to name the
+    /// field), then the schema.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`] with the kind of the first fault.
+    pub fn parse(body: &'a [u8]) -> Result<FrameView<'a>> {
+        // Shape: every field present, nothing after the last.
+        let mut b = Cursor {
+            rest: body,
+            len: body.len(),
+        };
+        let [version] = b.take::<1>("version")?;
+        if version != FRAME_VERSION {
+            return Err(malformed(format!(
+                "unknown frame version {version} (this reader speaks version {FRAME_VERSION})"
+            )));
+        }
+        let shard = u32::from_le_bytes(b.take("shard")?);
+        let seq = u64::from_le_bytes(b.take("seq")?);
+        let time = u64::from_le_bytes(b.take("time")?);
+        let n_counters = usize::from(u16::from_le_bytes(b.take("counter count")?));
+        let counters = b.slice(8 * n_counters, "counters")?;
+        let n_sensors = usize::from(u16::from_le_bytes(b.take("sensor count")?));
+        let sensors = b.slice(8 * n_sensors, "sensor_temps")?;
+        let trailer = b.slice(8 * TRAILER.len(), "trailing scalars")?;
+        if !b.rest.is_empty() {
+            return Err(malformed(format!(
+                "{} trailing bytes after a {}-byte frame",
+                b.rest.len(),
+                body.len() - b.rest.len()
+            )));
+        }
+
+        // Values: every float finite.
+        if any_non_finite(counters) | any_non_finite(sensors) | any_non_finite(trailer) {
+            let words = counters
+                .chunks_exact(8)
+                .map(|w| (w, "counters"))
+                .chain(sensors.chunks_exact(8).map(|w| (w, "sensor_temps")))
+                .chain(trailer.chunks_exact(8).zip(TRAILER));
+            for (w, what) in words {
+                finite(le_f64(w), what)?;
+            }
+        }
+
+        // Schema: the counts and ranges the types promise.
+        if n_counters != NUM_COUNTERS {
+            return Err(Error::protocol(
+                ProtocolKind::Schema,
+                "counters",
+                format!("expected {NUM_COUNTERS} counters, got {n_counters}"),
+            ));
+        }
+        let max_severity = le_f64(&trailer[8..16]);
+        if !(0.0..=1.0).contains(&max_severity) {
+            return Err(Error::protocol(
+                ProtocolKind::Schema,
+                "max_severity",
+                format!("{max_severity:e} is outside [0, 1]"),
+            ));
+        }
+        Ok(FrameView {
+            shard,
+            seq,
+            time,
+            counters,
+            sensors,
+            trailer,
+        })
     }
 
-    // Values: every float finite.
-    let counters = f64s(counters, "counters", |v| v)?;
-    let sensor_temps = f64s(sensors, "sensor_temps", Celsius::new)?;
-    let mut t = [0.0; TRAILER.len()];
-    for ((v, bytes), what) in t.iter_mut().zip(trailer.chunks_exact(8)).zip(TRAILER) {
-        *v = finite(le_f64(bytes), what)?;
+    /// The frame's die id.
+    pub fn shard(&self) -> u32 {
+        self.shard
     }
-    let [max_temp, max_severity, max_severity_raw, x, y, total_power, frequency, voltage] = t;
 
-    // Schema: the counts and ranges the types promise.
-    let counters = IntervalCounters::from_values(counters).ok_or_else(|| {
-        Error::protocol(
-            ProtocolKind::Schema,
-            "counters",
-            format!("expected {NUM_COUNTERS} counters, got {n_counters}"),
-        )
-    })?;
-    if !(0.0..=1.0).contains(&max_severity) {
-        return Err(Error::protocol(
-            ProtocolKind::Schema,
-            "max_severity",
-            format!("{max_severity:e} is outside [0, 1]"),
-        ));
+    /// The frame's sequence number.
+    pub fn seq(&self) -> u64 {
+        self.seq
     }
-    let record = StepRecord {
-        time: SimTime::from_micros(time),
-        counters,
-        sensor_temps,
-        max_temp: Celsius::new(max_temp),
+
+    /// Overwrites every field of `record` with the frame's record,
+    /// reusing its sensor buffer: no allocation unless the frame
+    /// carries more sensors than the buffer has room for.
+    pub fn write_record(&self, record: &mut StepRecord) {
+        record.time = SimTime::from_micros(self.time);
+        let counters = record.counters.as_mut_slice();
+        for (v, w) in counters.iter_mut().zip(self.counters.chunks_exact(8)) {
+            *v = le_f64(w);
+        }
+        record.sensor_temps.clear();
+        record.sensor_temps.extend(
+            self.sensors
+                .chunks_exact(8)
+                .map(|w| Celsius::new(le_f64(w))),
+        );
+        let mut t = [0.0; TRAILER.len()];
+        for (v, w) in t.iter_mut().zip(self.trailer.chunks_exact(8)) {
+            *v = le_f64(w);
+        }
+        let [max_temp, max_severity, max_severity_raw, x, y, total_power, frequency, voltage] = t;
+        record.max_temp = Celsius::new(max_temp);
         // In range, so `new` keeps the value's bits.
-        max_severity: Severity::new(max_severity),
-        max_severity_raw,
-        hotspot_xy: (x, y),
-        total_power: Watts::new(total_power),
-        frequency: GigaHertz::new(frequency),
-        voltage: Volts::new(voltage),
-    };
-    Ok(TelemetryFrame::new(shard, seq, record))
+        record.max_severity = Severity::new(max_severity);
+        record.max_severity_raw = max_severity_raw;
+        record.hotspot_xy = (x, y);
+        record.total_power = Watts::new(total_power);
+        record.frequency = GigaHertz::new(frequency);
+        record.voltage = Volts::new(voltage);
+    }
+
+    /// The frame as an owned [`TelemetryFrame`].
+    pub fn to_frame(&self) -> TelemetryFrame {
+        let mut record = StepRecord {
+            sensor_temps: Vec::with_capacity(self.sensors.len() / 8),
+            ..StepRecord::default()
+        };
+        self.write_record(&mut record);
+        TelemetryFrame::new(self.shard, self.seq, record)
+    }
 }
 
 /// The unread tail of a frame body.
@@ -512,13 +600,15 @@ fn le_f64(bytes: &[u8]) -> f64 {
     f64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"))
 }
 
-/// The finite `f64`s packed in `bytes`, each wrapped by `wrap`.
-fn f64s<T>(bytes: &[u8], what: &'static str, wrap: impl Fn(f64) -> T) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    for c in bytes.chunks_exact(8) {
-        out.push(wrap(finite(le_f64(c), what)?));
-    }
-    Ok(out)
+/// Whether any little-endian `f64` word in `words` is NaN or infinite
+/// (all exponent bits set), OR-ed over every word without an early
+/// exit.
+fn any_non_finite(words: &[u8]) -> bool {
+    const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+    words.chunks_exact(8).fold(false, |any, w| {
+        let bits = u64::from_le_bytes(w.try_into().expect("an 8-byte chunk"));
+        any | (bits & EXPONENT == EXPONENT)
+    })
 }
 
 // ------------------------------------------------------------ responses
@@ -530,8 +620,20 @@ fn f64s<T>(bytes: &[u8], what: &'static str, wrap: impl Fn(f64) -> T) -> Result<
 /// [`Error::Protocol`] when a decision carries non-finite floats.
 pub fn encode_response(resp: &Response) -> Result<Vec<u8>> {
     let mut s = String::with_capacity(256);
-    json::ToJson::write_json(resp, &mut s, "response")?;
+    encode_response_into(resp, &mut s)?;
     Ok(s.into_bytes())
+}
+
+/// [`encode_response`] into a caller-owned buffer, replacing what it
+/// held: a reused buffer encodes without allocating once it has grown
+/// to the longest response.
+///
+/// # Errors
+///
+/// As [`encode_response`]; `out` then holds a partial body.
+pub fn encode_response_into(resp: &Response, out: &mut String) -> Result<()> {
+    out.clear();
+    json::ToJson::write_json(resp, out, "response")
 }
 
 /// Decodes a response body.

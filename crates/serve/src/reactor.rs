@@ -12,9 +12,10 @@
 //! * **inbound** — readiness on a socket triggers a read of at most a
 //!   fixed byte budget into the connection's [`FrameDecoder`] (epoll is
 //!   level-triggered, so the rest is reported again); every complete
-//!   frame is served in place by [`serve_frame`]: decoded from the
-//!   decoder's buffer, observed on its die's loop from the shared
-//!   [`DieTable`], and answered into the connection's write ring;
+//!   frame is served in place by [`serve_frame`]: validated in the
+//!   decoder's buffer, written into the window of its die's loop from
+//!   the shared [`DieTable`], and answered into the connection's write
+//!   ring;
 //! * **outbound** — at the end of the read pass the reactor flushes
 //!   the ring, and registers `EPOLLOUT` only while the socket refuses
 //!   bytes (write-interest toggling). No other thread writes to a
@@ -51,7 +52,7 @@ use std::time::Duration;
 use common::{Error, Result, ServerKind};
 
 use crate::conn::Conn;
-use crate::server::{serve_frame, DieTable, Metrics};
+use crate::server::{serve_frame, DieTable, Metrics, RESPONSE_BUFFER_BYTES};
 
 // ---------------------------------------------------------------- FFI
 
@@ -212,6 +213,7 @@ pub(crate) fn spawn_reactor(
                     shutdown,
                     active,
                     draining: false,
+                    scratch: String::with_capacity(RESPONSE_BUFFER_BYTES),
                 };
                 reactor.run();
             })
@@ -246,6 +248,9 @@ struct Reactor {
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     draining: bool,
+    /// The response body buffer every frame this reactor serves encodes
+    /// into before its bytes join the connection's write ring.
+    scratch: String,
 }
 
 impl Reactor {
@@ -318,8 +323,8 @@ impl Reactor {
             return;
         }
         if mask & (EPOLLIN | EPOLLRDHUP) != 0 && conn.read_open && !self.draining {
-            let (dies, metrics) = (&*self.dies, &self.metrics);
-            match conn.read_ready(|body, out| serve_frame(body, dies, metrics, out)) {
+            let (dies, metrics, scratch) = (&*self.dies, &self.metrics, &mut self.scratch);
+            match conn.read_ready(|body, out| serve_frame(body, dies, metrics, scratch, out)) {
                 Ok(pass) => {
                     if pass.frames > 0 {
                         metrics.batch.observe(pass.frames as f64);

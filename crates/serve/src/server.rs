@@ -19,12 +19,14 @@
 //! * **Reactors** (`reactor.rs`, Linux) multiplex every connection
 //!   over `epoll_wait` on `io_threads` threads and serve each frame
 //!   start to finish on the reactor that read it (`serve_frame`):
-//!   decode the body in place from the read buffer, observe it on the
-//!   die's control loop (an interval-completing frame runs the
-//!   controller's decision, the GBT predict included), and encode any
-//!   response into the connection's write ring, which is flushed at the
-//!   end of the connection's read pass. No frame and no response
-//!   crosses a thread.
+//!   validate the body in the read buffer, write it straight into the
+//!   next window slot of the die's control loop (an interval-completing
+//!   frame runs the controller's decision, the GBT predict included),
+//!   and encode any response, through the reactor's reused buffer, into
+//!   the connection's write ring, which is flushed at the end of the
+//!   connection's read pass. No frame and no response crosses a
+//!   thread, and a frame of a die past its first interval allocates
+//!   nothing.
 //! * The **die table** (`DieTable`) holds one [`OnlineController`]
 //!   per die id, shared by every reactor, so a die that reconnects on
 //!   another socket — served by another reactor — carries on its loop.
@@ -443,44 +445,63 @@ impl DieTable {
     }
 }
 
-/// Serves one frame body to completion: decodes it, observes it on its
-/// die's loop and encodes the response, if any, into the write ring
-/// `out`.
-pub(crate) fn serve_frame(body: &[u8], dies: &DieTable, metrics: &Metrics, out: &mut VecDeque<u8>) {
-    let frame = match protocol::decode_frame(body) {
+/// Bytes the reused response buffer starts with: above the longest
+/// decision the JSON codec writes, so steady-state encoding never grows
+/// it.
+pub(crate) const RESPONSE_BUFFER_BYTES: usize = 512;
+
+/// Serves one frame body to completion: validates it, writes it into
+/// the next window slot of its die's loop and encodes the response, if
+/// any, into the write ring `out`, through the reused body buffer
+/// `scratch`. A frame of a die past its first interval allocates
+/// nothing here, deciding or not (given a controller that does not
+/// allocate).
+pub(crate) fn serve_frame(
+    body: &[u8],
+    dies: &DieTable,
+    metrics: &Metrics,
+    scratch: &mut String,
+    out: &mut VecDeque<u8>,
+) {
+    // Checked before the die table is touched: a malformed frame makes
+    // no loop.
+    let frame = match protocol::FrameView::parse(body) {
         Ok(frame) => frame,
-        Err(e) => return reject(metrics, out, 0, 0, e.to_string()),
+        Err(e) => return reject(metrics, scratch, out, 0, 0, e.to_string()),
     };
-    let (die, seq) = (frame.shard, frame.seq);
+    let (die, seq) = (frame.shard(), frame.seq());
     // Err carries the rejection's reason.
     let observed = catch_unwind(AssertUnwindSafe(|| -> std::result::Result<_, String> {
         let online = dies.get(die)?;
         // Poisoned since `get` only if another connection's frame for
         // this die panicked in between.
         let mut online = online.lock().map_err(|_| INTERNAL_ERROR.to_string())?;
-        Ok(online.observe_record(frame.record))
+        Ok(online.observe_with(|slot| frame.write_record(slot)))
     }));
     match observed {
-        Ok(Ok(decision)) => {
-            metrics.frames.inc();
-            if let Some(decision) = decision {
-                metrics.decisions.inc();
-                push_response(
-                    out,
-                    &Response::Decision {
-                        shard: die,
-                        seq,
-                        decision,
-                    },
-                );
+        Ok(Ok(None)) => metrics.frames.inc(),
+        Ok(Ok(Some(decision))) => {
+            let response = Response::Decision {
+                shard: die,
+                seq,
+                decision,
+            };
+            // A decision that cannot be encoded (a non-finite
+            // diagnostic) is answered, and counted, as a rejection.
+            match push_response(out, scratch, &response) {
+                Ok(()) => {
+                    metrics.frames.inc();
+                    metrics.decisions.inc();
+                }
+                Err(e) => reject(metrics, scratch, out, die, seq, e.to_string()),
             }
         }
-        Ok(Err(reason)) => reject(metrics, out, die, seq, reason),
+        Ok(Err(reason)) => reject(metrics, scratch, out, die, seq, reason),
         // A panic in observe leaves the die's mutex poisoned, so the
         // die's next frame, on any connection, rebuilds the loop.
         Err(_) => {
             metrics.panics.inc();
-            reject(metrics, out, die, seq, INTERNAL_ERROR.to_string());
+            reject(metrics, scratch, out, die, seq, INTERNAL_ERROR.to_string());
         }
     }
 }
@@ -488,19 +509,26 @@ pub(crate) fn serve_frame(body: &[u8], dies: &DieTable, metrics: &Metrics, out: 
 /// The rejection reason for a frame whose control step panicked.
 const INTERNAL_ERROR: &str = "internal error";
 
-fn reject(metrics: &Metrics, out: &mut VecDeque<u8>, shard: u32, seq: u64, reason: String) {
+fn reject(
+    metrics: &Metrics,
+    scratch: &mut String,
+    out: &mut VecDeque<u8>,
+    shard: u32,
+    seq: u64,
+    reason: String,
+) {
     metrics.rejected.inc();
-    push_response(out, &Response::Rejected { shard, seq, reason });
+    let pushed = push_response(out, scratch, &Response::Rejected { shard, seq, reason });
+    debug_assert!(pushed.is_ok(), "a rejection holds no float to refuse");
 }
 
-/// Appends `resp`'s length-prefixed wire bytes to `out`; best-effort,
-/// like any write to a client.
-fn push_response(out: &mut VecDeque<u8>, resp: &Response) {
-    let Ok(body) = protocol::encode_response(resp) else {
-        return;
-    };
-    out.extend((body.len() as u32).to_be_bytes());
-    out.extend(body);
+/// Appends `resp`'s length-prefixed wire bytes to `out`, encoding the
+/// body in `scratch`; on an encoding error `out` is left as it was.
+fn push_response(out: &mut VecDeque<u8>, scratch: &mut String, resp: &Response) -> Result<()> {
+    protocol::encode_response_into(resp, scratch)?;
+    out.extend((scratch.len() as u32).to_be_bytes());
+    out.extend(scratch.as_bytes());
+    Ok(())
 }
 
 /// A running serving daemon. See the [module docs](self) for the
@@ -707,8 +735,14 @@ fn build_controller(factory: &ControllerFactory) -> Box<dyn Controller + Send> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use boreas_core::{TelemetryFrame, ThermalController};
-    use common::units::{GigaHertz, Volts};
+    use crate::alloc_count;
+    use boreas_core::{
+        BoreasController, ControlContext, ControlDiagnostics, TelemetryFrame, ThermalController,
+    };
+    use common::check::{self, Gen};
+    use common::time::STEPS_PER_DECISION;
+    use common::units::{Celsius, GigaHertz, Volts, Watts};
+    use hotgauge::StepRecord;
     use std::sync::mpsc;
 
     /// Every response in the write ring `out`, which it empties.
@@ -746,13 +780,14 @@ mod tests {
         });
         let registry = Registry::new();
         let metrics = Metrics::new(&registry);
-        let mut out = VecDeque::new();
+        let (mut scratch, mut out) = (String::new(), VecDeque::new());
         let mut serve = |die: u32, t: usize| {
             let frame = TelemetryFrame::new(die, t as u64, trace[t].clone());
             serve_frame(
                 &protocol::encode_frame(&frame).unwrap(),
                 &dies,
                 &metrics,
+                &mut scratch,
                 &mut out,
             );
         };
@@ -790,6 +825,224 @@ mod tests {
             .collect();
         assert_eq!(decided, (0..cap).map(|d| (d, 11)).collect::<Vec<_>>());
         assert_eq!(metrics.rejected.value(), u64::from(extra));
+    }
+
+    /// A record with `sensors` readings, every value drawn from `g`.
+    fn random_record(g: &mut Gen, sensors: usize, seq: u64) -> StepRecord {
+        let mut counters = perfsim::IntervalCounters::zeroed();
+        for v in counters.as_mut_slice() {
+            *v = g.f64_in(0.0..1e6);
+        }
+        StepRecord {
+            time: common::time::SimTime::from_micros(80 * seq),
+            counters,
+            sensor_temps: (0..sensors)
+                .map(|_| Celsius::new(g.f64_in(40.0..110.0)))
+                .collect(),
+            max_temp: Celsius::new(g.f64_in(40.0..120.0)),
+            max_severity: hotgauge::Severity::new(g.f64_in(0.0..1.0)),
+            max_severity_raw: g.f64_in(-1.0..2.0),
+            hotspot_xy: (g.f64_in(0.0..12.0), g.f64_in(0.0..9.0)),
+            total_power: Watts::new(g.f64_in(1.0..60.0)),
+            frequency: GigaHertz::new(g.f64_in(3.0..5.0)),
+            voltage: Volts::new(g.f64_in(0.8..1.4)),
+        }
+    }
+
+    /// TH-00 at a flat 70 °C on the bank maximum, so a die with fewer
+    /// than four sensors (or none) still decides.
+    fn thermal_controller() -> Box<dyn Controller + Send> {
+        Box::new(
+            ThermalController::from_thresholds(vec![Some(70.0); VfTable::paper().len()], 0.0)
+                .with_sensor(telemetry::MAX_SENSOR_BANK),
+        )
+    }
+
+    /// ML05 over a small GBT model of the bank-maximum temperature and
+    /// three counters.
+    fn ml_controller() -> BoreasController {
+        let names = [
+            telemetry::TEMPERATURE_FEATURE,
+            "ipc",
+            "frequency_ghz",
+            "committed_instructions",
+        ];
+        let features = telemetry::FeatureSet::from_names(&names).unwrap();
+        let mut data = gbt::Dataset::new(features.names());
+        for i in 0..400 {
+            let temp = 40.0 + (i % 71) as f64;
+            let freq = 3.0 + (i % 9) as f64 * 0.25;
+            let row = [
+                temp,
+                (i % 13) as f64 / 5.0,
+                freq,
+                ((i * 7919) % 1000) as f64,
+            ];
+            data.push_row(&row, temp * freq / 560.0, (i % 4) as u32)
+                .unwrap();
+        }
+        let params = gbt::GbtParams::default().with_estimators(60);
+        let model = gbt::GbtModel::train(&data, &params).unwrap();
+        BoreasController::try_new(model, features, 0.05).unwrap()
+    }
+
+    /// `body` made malformed in one of a few ways, each refused before
+    /// the die table is touched.
+    fn corrupt(g: &mut Gen, mut body: Vec<u8>) -> Vec<u8> {
+        match g.usize_in(0..4) {
+            0 => {
+                body.pop();
+            }
+            1 => body[0] = 3,
+            2 => {
+                let at = 23 + 8 * g.usize_in(0..77);
+                body[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+            }
+            _ => body[21] = 76,
+        }
+        body
+    }
+
+    /// Serves random streams — interleaved dies with 0–16 sensors each,
+    /// malformed bodies mixed in — through `serve_frame` and checks
+    /// (1) every accepted frame of a die past its first interval,
+    /// deciding or not, allocates nothing, (2) every die's responses
+    /// are the bytes of its offline `observe_record` replay, and (3) a
+    /// malformed body is answered `Rejected{0, 0}`.
+    fn steady_state_frames_allocate_nothing(
+        cases: usize,
+        controller: impl Fn() -> Box<dyn Controller + Send> + Send + Sync + Clone + 'static,
+    ) {
+        check::cases(cases, |g| {
+            let dies = g.usize_in(1..=4);
+            let ids: Vec<u32> = (0..dies)
+                .map(|d| (g.u64() as u32) & !3 | d as u32)
+                .collect();
+            let sensors: Vec<usize> = (0..dies).map(|_| g.usize_in(0..=16)).collect();
+            let lens: Vec<u64> = (0..dies).map(|_| g.u64_in(12..=40)).collect();
+            let build = controller.clone();
+            let table = DieTable::new(MAX_DIES, move |_die| {
+                OnlineController::new(build(), VfTable::paper())
+            });
+            let mut replay: Vec<DieLoop> = (0..dies)
+                .map(|_| OnlineController::new(controller(), VfTable::paper()).unwrap())
+                .collect();
+            let metrics = Metrics::new(&Registry::new());
+            let mut scratch = String::with_capacity(RESPONSE_BUFFER_BYTES);
+            let mut out = VecDeque::with_capacity(1 << 16);
+            let mut sent = vec![0u64; dies];
+            while let Some(d) = {
+                let open: Vec<usize> = (0..dies).filter(|&d| sent[d] < lens[d]).collect();
+                (!open.is_empty()).then(|| g.pick(&open))
+            } {
+                let seq = sent[d];
+                let record = random_record(g, sensors[d], seq);
+                let body =
+                    protocol::encode_frame(&TelemetryFrame::new(ids[d], seq, record.clone()))
+                        .unwrap();
+                if g.usize_in(0..8) == 0 {
+                    let bad = corrupt(g, body.clone());
+                    serve_frame(&bad, &table, &metrics, &mut scratch, &mut out);
+                    let got = responses(&mut out);
+                    assert!(
+                        matches!(
+                            got.as_slice(),
+                            [Response::Rejected {
+                                shard: 0,
+                                seq: 0,
+                                ..
+                            }]
+                        ),
+                        "{got:?}"
+                    );
+                }
+                let before = alloc_count::allocations();
+                serve_frame(&body, &table, &metrics, &mut scratch, &mut out);
+                let allocations = alloc_count::allocations() - before;
+                if seq >= STEPS_PER_DECISION {
+                    assert_eq!(allocations, 0, "die {d}, frame {seq}");
+                }
+                let served: Vec<u8> = out.drain(..).collect();
+                let want = match replay[d].observe_record(record) {
+                    Some(decision) => {
+                        let body = protocol::encode_response(&Response::Decision {
+                            shard: ids[d],
+                            seq,
+                            decision,
+                        })
+                        .unwrap();
+                        [&(body.len() as u32).to_be_bytes()[..], &body].concat()
+                    }
+                    None => Vec::new(),
+                };
+                assert_eq!(served, want, "die {d}, frame {seq}");
+                sent[d] += 1;
+            }
+            assert_eq!(metrics.frames.value(), lens.iter().sum::<u64>());
+        });
+    }
+
+    #[test]
+    fn thermal_steady_state_frames_allocate_nothing_and_decide_like_the_replay() {
+        steady_state_frames_allocate_nothing(48, thermal_controller);
+    }
+
+    #[test]
+    fn ml_steady_state_frames_allocate_nothing_and_decide_like_the_replay() {
+        let ml = ml_controller();
+        steady_state_frames_allocate_nothing(48, move || Box::new(ml.clone()));
+    }
+
+    /// A controller that decides like TH-00 but reports a NaN predicted
+    /// severity, which no response can encode.
+    struct NanDiagnostics(Box<dyn Controller + Send>);
+
+    impl Controller for NanDiagnostics {
+        fn name(&self) -> String {
+            "nan-diagnostics".to_string()
+        }
+
+        fn decide(&mut self, ctx: &ControlContext<'_>) -> usize {
+            self.0.decide(ctx)
+        }
+
+        fn diagnostics(&self) -> ControlDiagnostics {
+            ControlDiagnostics {
+                predicted_severity: Some(f64::NAN),
+                ..ControlDiagnostics::default()
+            }
+        }
+    }
+
+    #[test]
+    fn an_unencodable_decision_is_rejected_not_dropped() {
+        check::cases(1, |g| {
+            let dies = DieTable::new(MAX_DIES, |_die| {
+                let ctrl: Box<dyn Controller + Send> =
+                    Box::new(NanDiagnostics(thermal_controller()));
+                OnlineController::new(ctrl, VfTable::paper())
+            });
+            let metrics = Metrics::new(&Registry::new());
+            let (mut scratch, mut out) = (String::new(), VecDeque::new());
+            for seq in 0..STEPS_PER_DECISION {
+                let frame = TelemetryFrame::new(5, seq, random_record(g, 7, seq));
+                let body = protocol::encode_frame(&frame).unwrap();
+                serve_frame(&body, &dies, &metrics, &mut scratch, &mut out);
+            }
+            let got = responses(&mut out);
+            let [Response::Rejected { shard, seq, reason }] = got.as_slice() else {
+                panic!("expected one rejection, got {got:?}");
+            };
+            assert_eq!((*shard, *seq), (5, 11));
+            assert!(reason.contains("non-finite"), "{reason}");
+            assert_eq!(metrics.decisions.value(), 0);
+            assert_eq!(metrics.rejected.value(), 1);
+            assert_eq!(
+                metrics.frames.value() + metrics.rejected.value(),
+                STEPS_PER_DECISION,
+                "frames observed + rejected == sent"
+            );
+        });
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! boundary and trailing bytes, wrong counter and sensor counts, NaN and
 //! infinities at every float position class, severities at and past the
 //! ends of `[0, 1]`, integer extremes, and faults of two kinds at once —
-//! with the outcome [`decode_frame`] must give: the decoded frame
+//! with the outcome [`decode_frame`] and the in-place
+//! [`FrameView`] path must both give: the decoded frame
 //! (pinned by an FNV-1a-64 digest of its `Debug` form, which spells
 //! every `f64` in a bit-distinct way) or the error's [`ProtocolKind`].
 //! A body's shape is checked before its values, so `Malformed`
@@ -14,8 +15,12 @@
 //! The golden row's digest is the one the version-1 JSON decoder gave
 //! for the same frame: both wire formats decode it to the same value.
 
-use boreas_serve::protocol::decode_frame;
+use boreas_core::TelemetryFrame;
+use boreas_serve::protocol::{decode_frame, FrameView};
+use common::units::Celsius;
 use common::ProtocolKind::{self, Malformed, NonFinite, Schema};
+use hotgauge::StepRecord;
+use perfsim::IntervalCounters;
 
 /// What decoding one row gives.
 #[derive(Debug, PartialEq)]
@@ -331,15 +336,31 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Each row through both decoding paths: [`decode_frame`], and the
+/// serving daemon's in-place path, [`FrameView::parse`] then
+/// [`FrameView::write_record`] into one slot reused row after row. The
+/// slot starts with eleven junk sensor readings, so it holds a
+/// different sensor count from the row it is refilled with.
 #[test]
 fn every_row_decodes_to_its_recorded_outcome() {
     let rows = rows();
     assert!(rows.len() >= 43, "no smaller than the version-1 corpus");
+    let outcome = |decoded: common::Result<TelemetryFrame>| match decoded {
+        Ok(frame) => Frame(fnv1a(format!("{frame:?}").as_bytes())),
+        Err(e) => Error(e.protocol_kind().expect("a protocol error")),
+    };
+    let mut slot = StepRecord {
+        counters: IntervalCounters::from_values(vec![7.0; 77]).expect("77 counters"),
+        sensor_temps: vec![Celsius::new(-1.5); 11],
+        max_severity_raw: 3.0,
+        ..StepRecord::default()
+    };
     for (name, body, want) in &rows {
-        let got = match decode_frame(body) {
-            Ok(frame) => Frame(fnv1a(format!("{frame:?}").as_bytes())),
-            Err(e) => Error(e.protocol_kind().expect("a protocol error")),
-        };
-        assert_eq!(&got, want, "row `{name}`");
+        assert_eq!(&outcome(decode_frame(body)), want, "row `{name}`");
+        let in_place = FrameView::parse(body).map(|view| {
+            view.write_record(&mut slot);
+            TelemetryFrame::new(view.shard(), view.seq(), slot.clone())
+        });
+        assert_eq!(&outcome(in_place), want, "row `{name}`, in place");
     }
 }

@@ -7,7 +7,7 @@
 
 use boreas_core::{ControlDecision, ControlDiagnostics, ControlStage, Decision, TelemetryFrame};
 use boreas_serve::protocol::{
-    decode_frame, decode_response, encode_frame, encode_response, Response,
+    decode_frame, decode_response, encode_frame, encode_response, FrameView, Response,
 };
 use common::check::{self, Gen};
 use common::time::SimTime;
@@ -151,5 +151,37 @@ fn single_byte_flips_of_the_golden_frame_never_panic() {
         let cut = g.usize_in(0..=damaged.len());
         decodes_sanely(&damaged);
         decodes_sanely(&damaged[..cut]);
+    });
+}
+
+/// The serving daemon's in-place path — [`FrameView::parse`], then
+/// [`FrameView::write_record`] into a slot that last held a record with
+/// a different sensor count — agrees with [`decode_frame`] on valid
+/// frames and on single-byte flips of them: the same accept or reject,
+/// the same [`ProtocolKind`], and a bit-identical record.
+#[test]
+fn in_place_decoding_matches_decode_frame() {
+    check::cases(512, |g| {
+        let mut body = encode_frame(&random_frame(g)).unwrap();
+        if g.pick(&[true, false]) {
+            let at = g.usize_in(0..body.len());
+            body[at] = g.u8();
+        }
+        let mut slot = random_frame(g).record;
+        let sensors = slot.sensor_temps.len();
+        slot.sensor_temps = g.vec(0..17, |g| Celsius::new(finite(g)));
+        if slot.sensor_temps.len() == sensors {
+            slot.sensor_temps.push(Celsius::new(finite(g)));
+        }
+        let decoded = decode_frame(&body);
+        let in_place = FrameView::parse(&body).map(|view| {
+            view.write_record(&mut slot);
+            TelemetryFrame::new(view.shard(), view.seq(), slot.clone())
+        });
+        match (decoded, in_place) {
+            (Ok(want), Ok(got)) => assert_eq!(format!("{got:?}"), format!("{want:?}")),
+            (Err(want), Err(got)) => assert_eq!(got.protocol_kind(), want.protocol_kind()),
+            (want, got) => panic!("decode_frame gave {want:?}, the in-place path {got:?}"),
+        }
     });
 }

@@ -43,6 +43,10 @@ pub fn observed_temperature(record: &StepRecord, sensor_idx: usize) -> f64 {
     }
 }
 
+/// The most features a [`FeatureSet`] holds: every counter and the
+/// sensor temperature, each at most once.
+pub const MAX_FEATURES: usize = perfsim::NUM_COUNTERS + 1;
+
 /// One feature: a micro-architectural counter or the sensor temperature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureId {
@@ -175,13 +179,30 @@ impl FeatureSet {
     ///
     /// Panics if `sensor_idx` is out of range for the record's sensors.
     pub fn extract(&self, record: &StepRecord, sensor_idx: usize) -> Vec<f64> {
+        // Collected, not zero-filled and overwritten: `vec![0.0; n]`
+        // allocates through `calloc`, which glibc serves past its
+        // per-thread cache, and over a dataset extraction's tens of
+        // thousands of short-lived rows that left about 13 MB of freed
+        // heap resident for the rest of the process.
         self.ids
             .iter()
-            .map(|id| match id {
-                FeatureId::Counter(c) => record.counters.get(*c),
-                FeatureId::SensorTemp => observed_temperature(record, sensor_idx),
-            })
+            .map(|&id| feature_value(id, record, sensor_idx))
             .collect()
+    }
+
+    /// [`FeatureSet::extract`] into a caller-owned row of exactly
+    /// [`FeatureSet::len`] values (at most [`MAX_FEATURES`], so a stack
+    /// array holds any set's row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not match this schema's arity, or as
+    /// [`FeatureSet::extract`].
+    pub fn extract_into(&self, record: &StepRecord, sensor_idx: usize, out: &mut [f64]) {
+        assert_eq!(out.len(), self.ids.len(), "feature row arity mismatch");
+        for (v, &id) in out.iter_mut().zip(&self.ids) {
+            *v = feature_value(id, record, sensor_idx);
+        }
     }
 
     /// Rewrites a feature vector as if the interval had run at a
@@ -202,16 +223,52 @@ impl FeatureSet {
     ) -> Vec<f64> {
         assert_eq!(vec.len(), self.ids.len(), "feature vector arity mismatch");
         let ratio = to_freq.value() / from_freq.value().max(1e-9);
+        // Collected, like `extract`, rather than zero-filled.
         self.ids
             .iter()
             .zip(vec)
-            .map(|(id, &v)| match id {
-                FeatureId::Counter(CounterId::FrequencyGhz) => to_freq.value(),
-                FeatureId::Counter(CounterId::VoltageV) => to_voltage.value(),
-                _ if id.is_extensive() => v * ratio,
-                _ => v,
-            })
+            .map(|(&id, &v)| rescaled(id, v, ratio, to_freq, to_voltage))
             .collect()
+    }
+
+    /// [`FeatureSet::rescale_to_vf`] into a caller-owned row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vec` or `out` does not match this schema's arity.
+    pub fn rescale_to_vf_into(
+        &self,
+        vec: &[f64],
+        from_freq: GigaHertz,
+        to_freq: GigaHertz,
+        to_voltage: Volts,
+        out: &mut [f64],
+    ) {
+        assert_eq!(vec.len(), self.ids.len(), "feature vector arity mismatch");
+        assert_eq!(out.len(), self.ids.len(), "feature row arity mismatch");
+        let ratio = to_freq.value() / from_freq.value().max(1e-9);
+        for ((o, &id), &v) in out.iter_mut().zip(&self.ids).zip(vec) {
+            *o = rescaled(id, v, ratio, to_freq, to_voltage);
+        }
+    }
+}
+
+/// Feature `id` of `record`, reading the sensor at `sensor_idx`.
+fn feature_value(id: FeatureId, record: &StepRecord, sensor_idx: usize) -> f64 {
+    match id {
+        FeatureId::Counter(c) => record.counters.get(c),
+        FeatureId::SensorTemp => observed_temperature(record, sensor_idx),
+    }
+}
+
+/// Feature `id`'s value `v` rescaled to a VF point: see
+/// [`FeatureSet::rescale_to_vf`].
+fn rescaled(id: FeatureId, v: f64, ratio: f64, to_freq: GigaHertz, to_voltage: Volts) -> f64 {
+    match id {
+        FeatureId::Counter(CounterId::FrequencyGhz) => to_freq.value(),
+        FeatureId::Counter(CounterId::VoltageV) => to_voltage.value(),
+        _ if id.is_extensive() => v * ratio,
+        _ => v,
     }
 }
 

@@ -28,8 +28,8 @@ pub mod split;
 
 pub use dataset::{build_dataset, DatasetSpec};
 pub use features::{
-    observed_temperature, FeatureId, FeatureSet, DEFAULT_SENSOR_INDEX, MAX_SENSOR_BANK,
-    TEMPERATURE_FEATURE,
+    observed_temperature, FeatureId, FeatureSet, DEFAULT_SENSOR_INDEX, MAX_FEATURES,
+    MAX_SENSOR_BANK, TEMPERATURE_FEATURE,
 };
 pub use gbt::Dataset;
 pub use quality::{interval_quality, QualityPolicy};
