@@ -1,6 +1,7 @@
 //! Hot-path kernel benchmark: measures the fused simulation kernels
 //! against the pre-optimisation reference implementations and writes
-//! `BENCH_hotpath.json`, the repo's tracked perf trajectory.
+//! `BENCH_hotpath.json`, the repo's tracked perf trajectory: a
+//! [`KernelBench`] document, pretty-printed by the `common::json` codec.
 //!
 //! Six kernels are timed (median ns/op over repeated samples):
 //!
@@ -30,13 +31,15 @@
 //! [--metrics-out BASE]`. `--smoke` shrinks iteration counts for CI;
 //! `--check` compares each kernel's *speedup ratio* (new vs reference on
 //! the same machine — machine-independent) against a checked-in baseline
-//! and exits non-zero on a >25% regression, refusing outright when the
-//! baseline was recorded under a different SIMD ISA; `--metrics-out`
+//! read as a [`KernelBench`], and exits non-zero on a >25% regression or
+//! a baseline kernel this run did not measure, refusing outright when
+//! the baseline was recorded under a different SIMD ISA; `--metrics-out`
 //! additionally exports the medians/speedups as Prometheus gauges.
 
+use boreas_bench::report::{publish, speedup_regressions, IsaMedians, Kernel, KernelBench};
 use common::cli::Spec;
 use common::units::{GigaHertz, Volts};
-use common::Result;
+use common::{json, Result};
 use floorplan::{Grid, SensorSite};
 use gbt::{Dataset, GbtModel, GbtParams};
 use hotgauge::{ArgmaxScratch, MltdMap, PipelineConfig};
@@ -47,25 +50,14 @@ use std::time::Instant;
 use thermal::{SensorBank, ThermalGrid};
 use workloads::{PhaseEngine, WorkloadSpec};
 
-/// One benchmarked kernel: fused median, reference median, derived
-/// stats, plus (for the SIMD-dispatched kernels) the fused median
-/// re-measured on every ISA this CPU supports.
-struct KernelResult {
-    name: &'static str,
-    median_ns: f64,
-    reference_median_ns: f64,
-    /// `(isa name, fused median ns)`, best ISA first; empty for kernels
-    /// without a vector path.
-    isa_medians: Vec<(&'static str, f64)>,
-}
+/// The `schema` of every document this binary writes.
+const SCHEMA: &str = "boreas-bench-hotpath-v1";
 
-impl KernelResult {
-    fn speedup(&self) -> f64 {
-        self.reference_median_ns / self.median_ns
-    }
-
-    fn ops_per_sec(&self) -> f64 {
-        1e9 / self.median_ns
+/// A kernel from its `(fused, reference)` medians, with its throughput.
+fn kernel(name: &str, (median_ns, reference_median_ns): (f64, f64)) -> Kernel {
+    Kernel {
+        ops_per_sec: Some(1e9 / median_ns),
+        ..Kernel::new(name, median_ns, reference_median_ns)
     }
 }
 
@@ -120,15 +112,15 @@ fn test_power(cells: usize) -> Vec<f64> {
         .collect()
 }
 
-fn bench_thermal(smoke: bool) -> Result<KernelResult> {
+fn bench_thermal(smoke: bool) -> Result<Kernel> {
     let cfg = PipelineConfig::paper();
     let grid = Grid::rasterize(&cfg.floorplan, cfg.grid)?;
     let power = test_power(grid.spec().cells());
     let mut reference = ThermalGrid::new(&grid, cfg.thermal.clone());
     let (samples, iters) = if smoke { (5, 50) } else { (21, 300) };
     let active = Isa::active();
-    let (mut median_ns, mut reference_median_ns) = (0.0, 0.0);
-    let mut isa_medians = Vec::new();
+    let mut medians = (0.0, 0.0);
+    let mut isa_medians = IsaMedians::default();
     for isa in Isa::available() {
         let mut fused = ThermalGrid::new(&grid, cfg.thermal.clone()).with_isa(isa);
         let (m, r) = measure(
@@ -142,21 +134,25 @@ fn bench_thermal(smoke: bool) -> Result<KernelResult> {
             },
         );
         if isa == active {
-            (median_ns, reference_median_ns) = (m, r);
+            medians = (m, r);
         }
-        isa_medians.push((isa.name(), m));
+        println!("  thermal_step on {:<6} {m:>10.1} ns/op", isa.name());
+        let slot = match isa {
+            Isa::Avx2 => &mut isa_medians.avx2,
+            Isa::Sse2 => &mut isa_medians.sse2,
+            Isa::Scalar => &mut isa_medians.scalar,
+        };
+        *slot = Some(m);
     }
-    Ok(KernelResult {
-        name: "thermal_step",
-        median_ns,
-        reference_median_ns,
-        isa_medians,
+    Ok(Kernel {
+        isa_medians_ns: Some(isa_medians),
+        ..kernel("thermal_step", medians)
     })
 }
 
 /// The severity argmax on the fields a simulation step really sees: the
 /// end-of-step temperatures of a 4.5 GHz gromacs run, cycled through.
-fn bench_severity_argmax(smoke: bool) -> Result<KernelResult> {
+fn bench_severity_argmax(smoke: bool) -> Result<Kernel> {
     let cfg = PipelineConfig::paper();
     let pipeline = cfg.clone().build()?;
     let mut run = pipeline.start_run(&WorkloadSpec::by_name("gromacs")?)?;
@@ -169,7 +165,7 @@ fn bench_severity_argmax(smoke: bool) -> Result<KernelResult> {
     let mut scratch = ArgmaxScratch::default();
     let (samples, iters) = if smoke { (5, 200) } else { (21, 2_000) };
     let (mut k, mut j) = (0usize, 0usize);
-    let (median_ns, reference_median_ns) = measure(
+    let medians = measure(
         samples,
         iters,
         || {
@@ -183,15 +179,12 @@ fn bench_severity_argmax(smoke: bool) -> Result<KernelResult> {
             j += 1;
         },
     );
-    Ok(KernelResult {
-        name: "severity_argmax",
-        median_ns,
-        reference_median_ns,
-        isa_medians: Vec::new(),
-    })
+    Ok(kernel("severity_argmax", medians))
 }
 
-fn bench_gbt(smoke: bool) -> Result<KernelResult> {
+/// The GBT kernels' model, 60 trees fitted on a 3-feature synthetic set,
+/// and 64 probe rows off its training grid.
+fn small_gbt() -> Result<(GbtModel, Vec<Vec<f64>>)> {
     let mut d = Dataset::new(vec!["x0".into(), "x1".into(), "x2".into()]);
     for i in 0..400 {
         let x0 = (i % 23) as f64 / 23.0;
@@ -200,19 +193,24 @@ fn bench_gbt(smoke: bool) -> Result<KernelResult> {
         d.push_row(&[x0, x1, x2], 2.0 * x0 + (x1 - 3.0).powi(2) - x2, 0)?;
     }
     let model = GbtModel::train(&d, &GbtParams::default().with_estimators(60))?;
-    let flat = model.flatten();
-    let rows: Vec<[f64; 3]> = (0..64)
+    let rows = (0..64)
         .map(|i| {
-            [
+            vec![
                 (i % 23) as f64 / 23.0 + 0.013,
                 (i % 7) as f64 - 0.4,
                 ((i * 11) % 31) as f64 / 31.0,
             ]
         })
         .collect();
+    Ok((model, rows))
+}
+
+fn bench_gbt(smoke: bool) -> Result<Kernel> {
+    let (model, rows) = small_gbt()?;
+    let flat = model.flatten();
     let (samples, iters) = if smoke { (15, 10_000) } else { (21, 20_000) };
     let (mut k, mut j) = (0usize, 0usize);
-    let (median_ns, reference_median_ns) = measure(
+    let medians = measure(
         samples,
         iters,
         || {
@@ -224,40 +222,19 @@ fn bench_gbt(smoke: bool) -> Result<KernelResult> {
             j += 1;
         },
     );
-    Ok(KernelResult {
-        name: "gbt_predict",
-        median_ns,
-        reference_median_ns,
-        isa_medians: Vec::new(),
-    })
+    Ok(kernel("gbt_predict", medians))
 }
 
 /// Batched inference: one [`gbt::FlatModel::predict_batch_into`] call
 /// over 64 rows (the flat lockstep walk, two rows at a time) vs the
 /// tree-outer [`gbt::GbtModel::predict_batch`]. Per-op time covers the
 /// whole batch.
-fn bench_gbt_batch(smoke: bool) -> Result<KernelResult> {
-    let mut d = Dataset::new(vec!["x0".into(), "x1".into(), "x2".into()]);
-    for i in 0..400 {
-        let x0 = (i % 23) as f64 / 23.0;
-        let x1 = (i % 7) as f64;
-        let x2 = ((i * 13) % 31) as f64 / 31.0;
-        d.push_row(&[x0, x1, x2], 2.0 * x0 + (x1 - 3.0).powi(2) - x2, 0)?;
-    }
-    let model = GbtModel::train(&d, &GbtParams::default().with_estimators(60))?;
-    let rows: Vec<Vec<f64>> = (0..64)
-        .map(|i| {
-            vec![
-                (i % 23) as f64 / 23.0 + 0.013,
-                (i % 7) as f64 - 0.4,
-                ((i * 11) % 31) as f64 / 31.0,
-            ]
-        })
-        .collect();
+fn bench_gbt_batch(smoke: bool) -> Result<Kernel> {
+    let (model, rows) = small_gbt()?;
     let (samples, iters) = if smoke { (5, 50) } else { (21, 600) };
     let flat = model.flatten();
     let mut out = Vec::new();
-    let (median_ns, reference_median_ns) = measure(
+    let medians = measure(
         samples,
         iters,
         || {
@@ -268,19 +245,14 @@ fn bench_gbt_batch(smoke: bool) -> Result<KernelResult> {
             std::hint::black_box(model.predict_batch(&rows));
         },
     );
-    Ok(KernelResult {
-        name: "gbt_predict_batch",
-        median_ns,
-        reference_median_ns,
-        isa_medians: Vec::new(),
-    })
+    Ok(kernel("gbt_predict_batch", medians))
 }
 
 /// The serving decide's query: a (hold, step-up) pair of 78-feature
 /// rows through the Table II ensemble shape (223 trees of depth 3), one
 /// [`gbt::FlatModel::predict_pair`] lockstep pass vs the tree-outer
 /// [`gbt::GbtModel::predict_batch`]. Per-op time covers the pair.
-fn bench_gbt_candidates(smoke: bool) -> Result<KernelResult> {
+fn bench_gbt_candidates(smoke: bool) -> Result<Kernel> {
     const FEATURES: usize = 78;
     let names = (0..FEATURES).map(|f| format!("x{f}")).collect();
     let mut d = Dataset::new(names);
@@ -310,7 +282,7 @@ fn bench_gbt_candidates(smoke: bool) -> Result<KernelResult> {
         .collect();
     let (samples, iters) = if smoke { (15, 2_000) } else { (21, 10_000) };
     let (mut k, mut j) = (0usize, 0usize);
-    let (median_ns, reference_median_ns) = measure(
+    let medians = measure(
         samples,
         iters,
         || {
@@ -323,12 +295,7 @@ fn bench_gbt_candidates(smoke: bool) -> Result<KernelResult> {
             j += 1;
         },
     );
-    Ok(KernelResult {
-        name: "gbt_predict_candidates",
-        median_ns,
-        reference_median_ns,
-        isa_medians: Vec::new(),
-    })
+    Ok(kernel("gbt_predict_candidates", medians))
 }
 
 /// The pre-PR per-step loop, composed from the reference kernels and the
@@ -395,7 +362,7 @@ impl ReferenceLoop {
     }
 }
 
-fn bench_pipeline(smoke: bool) -> Result<KernelResult> {
+fn bench_pipeline(smoke: bool) -> Result<Kernel> {
     let cfg = PipelineConfig::paper();
     let spec = WorkloadSpec::by_name("gromacs")?;
     let freq = GigaHertz::new(4.5);
@@ -405,7 +372,7 @@ fn bench_pipeline(smoke: bool) -> Result<KernelResult> {
     let pipeline = cfg.clone().build()?;
     let mut run = pipeline.start_run(&spec)?;
     let mut reference = ReferenceLoop::new(&cfg, &spec)?;
-    let (median_ns, reference_median_ns) = measure(
+    let medians = measure(
         samples,
         iters,
         || {
@@ -415,62 +382,25 @@ fn bench_pipeline(smoke: bool) -> Result<KernelResult> {
             std::hint::black_box(reference.step(freq, voltage).expect("reference step"));
         },
     );
-    Ok(KernelResult {
-        name: "pipeline_step",
-        median_ns,
-        reference_median_ns,
-        isa_medians: Vec::new(),
-    })
+    Ok(kernel("pipeline_step", medians))
 }
 
-fn render_json(results: &[KernelResult], smoke: bool) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let kernels: Vec<String> = results
-        .iter()
-        .map(|r| {
-            let isa_block = if r.isa_medians.is_empty() {
-                String::new()
-            } else {
-                let entries: Vec<String> = r
-                    .isa_medians
-                    .iter()
-                    .map(|(isa, ns)| format!("\"{isa}\": {ns:.1}"))
-                    .collect();
-                format!("      \"isa_medians_ns\": {{ {} }},\n", entries.join(", "))
-            };
-            format!(
-                "    {{\n      \"name\": \"{}\",\n      \"median_ns\": {:.1},\n      \
-                 \"ops_per_sec\": {:.1},\n      \"reference_median_ns\": {:.1},\n{}      \
-                 \"speedup\": {:.3}\n    }}",
-                r.name,
-                r.median_ns,
-                r.ops_per_sec(),
-                r.reference_median_ns,
-                isa_block,
-                r.speedup()
-            )
-        })
-        .collect();
-    let simd_override = Isa::env_override().map_or_else(|| "null".into(), |v| format!("\"{v}\""));
-    format!(
-        "{{\n  \"schema\": \"boreas-bench-hotpath-v1\",\n  \"smoke\": {},\n  \"machine\": {{\n    \
-         \"os\": \"{}\",\n    \"arch\": \"{}\",\n    \"threads\": {},\n    \"simd_isa\": \"{}\",\n    \
-         \"simd_detected\": \"{}\",\n    \"simd_override\": {}\n  }},\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        smoke,
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        threads,
-        Isa::active().name(),
-        Isa::detect().name(),
-        simd_override,
-        kernels.join(",\n")
-    )
-}
-
-/// The kernels of `current` that regressed by more than 25% against
-/// the baseline snapshot.
-fn regressions(current: &[KernelResult], baseline_json: &str) -> Result<Vec<String>> {
-    boreas_bench::speedup_regressions(current.iter().map(|r| (r.name, r.speedup())), baseline_json)
+/// Refuses a baseline recorded under another SIMD ISA than `active`
+/// (`"any"` matches every ISA): the speedups legitimately differ between
+/// ISAs, so a silent cross-ISA comparison would mask or fake
+/// regressions. A baseline that names no ISA is an error.
+fn isa_mismatch(baseline: &KernelBench, active: Isa) -> Result<Option<String>> {
+    let base = baseline
+        .machine
+        .simd_isa
+        .as_deref()
+        .ok_or_else(|| json::schema_error("simd_isa", "missing field".to_string()))?;
+    Ok((base != "any" && base != active.name()).then(|| {
+        format!(
+            "ISA MISMATCH: the baseline was recorded with simd_isa={base} but this run uses \
+             {active}; set BOREAS_SIMD={base} (or pick the matching baseline) to compare"
+        )
+    }))
 }
 
 fn main() -> Result<()> {
@@ -495,7 +425,7 @@ fn main() -> Result<()> {
         Isa::detect(),
         Isa::env_override().as_deref().unwrap_or("none")
     );
-    let results = vec![
+    let kernels = vec![
         bench_thermal(smoke)?,
         bench_severity_argmax(smoke)?,
         bench_gbt(smoke)?,
@@ -503,73 +433,26 @@ fn main() -> Result<()> {
         bench_gbt_candidates(smoke)?,
         bench_pipeline(smoke)?,
     ];
-    for r in &results {
+    for k in &kernels {
         println!(
             "  {:<22} {:>10.1} ns/op  (reference {:>10.1} ns/op, {:>5.2}x)",
-            r.name,
-            r.median_ns,
-            r.reference_median_ns,
-            r.speedup()
+            k.name, k.median_ns, k.reference_median_ns, k.speedup
         );
-        for (isa, ns) in &r.isa_medians {
-            println!("    {isa:<6} {ns:>10.1} ns/op");
-        }
     }
 
-    let json = render_json(&results, smoke);
-    std::fs::write(&out_path, &json)
-        .map_err(|e| common::Error::io("write bench results", e.to_string()))?;
-    println!("wrote {out_path}");
-
-    if reporting.metrics_out().is_some() {
-        for r in &results {
-            reporting
-                .obs
-                .metrics
-                .gauge(
-                    &format!("bench_{}_median_ns", r.name),
-                    "Median fused kernel time, ns",
-                )
-                .set(r.median_ns);
-            reporting
-                .obs
-                .metrics
-                .gauge(
-                    &format!("bench_{}_speedup", r.name),
-                    "Fused vs reference kernel speedup",
-                )
-                .set(r.speedup());
-        }
-        reporting.finish(None)?;
-    }
-
-    if let Some(baseline_path) = check_path {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| common::Error::io("read bench baseline", e.to_string()))?;
-        // A baseline recorded under one ISA must never gate numbers from
-        // another: the speedup ratios legitimately differ, so a silent
-        // cross-ISA comparison would mask (or fake) regressions.
-        let doc: common::json::Json = common::json::from_str(&baseline)?;
-        let base_isa = doc.get("machine")?.get("simd_isa")?.as_str("simd_isa")?;
-        if base_isa != "any" && base_isa != Isa::active().name() {
-            eprintln!(
-                "ISA MISMATCH: baseline {baseline_path} was recorded with simd_isa={base_isa} \
-                 but this run uses {}; set BOREAS_SIMD={base_isa} (or pick the matching \
-                 baseline) to compare",
-                Isa::active()
-            );
-            std::process::exit(1);
-        }
-        let bad = regressions(&results, &baseline)?;
-        if !bad.is_empty() {
-            for b in &bad {
-                eprintln!("REGRESSION {b}");
-            }
-            std::process::exit(1);
-        }
-        println!("check vs {baseline_path}: ok");
-    }
-    Ok(())
+    let doc = KernelBench::new(SCHEMA, smoke, kernels);
+    publish(
+        &reporting,
+        &doc,
+        &out_path,
+        check_path.as_deref(),
+        |baseline| {
+            Ok(match isa_mismatch(baseline, Isa::active())? {
+                Some(mismatch) => vec![mismatch],
+                None => speedup_regressions(&doc.kernels, baseline),
+            })
+        },
+    )
 }
 
 #[cfg(test)]
@@ -578,64 +461,56 @@ mod tests {
 
     #[test]
     fn speedup_scanner_roundtrips_render() {
-        let results = vec![
-            KernelResult {
-                name: "thermal_step",
-                median_ns: 1000.0,
-                reference_median_ns: 3000.0,
-                isa_medians: vec![("avx2", 1000.0), ("sse2", 1600.0), ("scalar", 2900.0)],
-            },
-            KernelResult {
-                name: "severity_argmax",
-                median_ns: 500.0,
-                reference_median_ns: 4000.0,
-                isa_medians: Vec::new(),
-            },
-        ];
-        let json = render_json(&results, true);
-        let got = boreas_bench::baseline_speedups(&json).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, "thermal_step");
-        assert!((got[0].1 - 3.0).abs() < 1e-9);
-        assert_eq!(got[1].0, "severity_argmax");
-        assert!((got[1].1 - 8.0).abs() < 1e-9);
+        let thermal = Kernel {
+            isa_medians_ns: Some(IsaMedians {
+                avx2: None,
+                sse2: Some(1600.0),
+                scalar: Some(2900.0),
+            }),
+            ..kernel("thermal_step", (1000.0, 3000.0))
+        };
+        let doc = KernelBench::new(SCHEMA, true, vec![thermal]);
+        let back: KernelBench = json::from_str(&json::to_string_pretty(&doc).unwrap()).unwrap();
+        assert_eq!(back, doc);
+        assert_eq!(back.kernels[0].speedup, 3.0);
+        assert_eq!(back.kernels[0].ops_per_sec, Some(1e6));
     }
 
     #[test]
     fn machine_block_records_the_active_isa() {
-        let doc: common::json::Json = common::json::from_str(&render_json(&[], true)).unwrap();
-        let machine = doc.get("machine").unwrap();
-        let machine = |key| machine.get(key).unwrap().as_str(key).unwrap();
-        assert_eq!(machine("simd_isa"), Isa::active().name());
-        assert_eq!(machine("simd_detected"), Isa::detect().name());
+        let machine = KernelBench::new(SCHEMA, true, Vec::new()).machine;
+        assert_eq!(machine.simd_isa.as_deref(), Some(Isa::active().name()));
+        assert_eq!(machine.simd_detected.as_deref(), Some(Isa::detect().name()));
+    }
+
+    #[test]
+    fn isa_guard_refuses_a_missing_or_different_isa() {
+        let text = include_str!("../../baselines/BENCH_hotpath_baseline.json");
+        let scalar: KernelBench = json::from_str(text).unwrap();
+        assert_eq!(isa_mismatch(&scalar, Isa::Scalar).unwrap(), None);
+        let refused = isa_mismatch(&scalar, Isa::Avx2).unwrap().unwrap();
+        assert!(refused.contains("BOREAS_SIMD=scalar"), "{refused}");
+        // `"any"` matches every ISA.
+        let any: KernelBench = json::from_str(&text.replace("\"scalar\"", "\"any\"")).unwrap();
+        for isa in Isa::ALL {
+            assert_eq!(isa_mismatch(&any, isa).unwrap(), None);
+        }
+        // A baseline that names no ISA is an error, not a pass.
+        let unnamed = text.replace(",\n    \"simd_isa\": \"scalar\"", "");
+        let unnamed: KernelBench = json::from_str(&unnamed).unwrap();
+        assert_eq!(unnamed.machine.simd_isa, None);
+        let err = isa_mismatch(&unnamed, Isa::Scalar).unwrap_err();
+        assert_eq!(err.protocol_kind(), Some(common::ProtocolKind::Schema));
     }
 
     #[test]
     fn regression_check_flags_only_large_drops() {
-        let baseline = render_json(
-            &[KernelResult {
-                name: "thermal_step",
-                median_ns: 1.0,
-                reference_median_ns: 4.0,
-                isa_medians: Vec::new(),
-            }],
-            true,
-        );
+        let baseline = KernelBench::new(SCHEMA, true, vec![kernel("thermal_step", (1.0, 4.0))]);
         // 4.0x -> 3.5x is within the 25% band.
-        let fine = [KernelResult {
-            name: "thermal_step",
-            median_ns: 2.0,
-            reference_median_ns: 7.0,
-            isa_medians: Vec::new(),
-        }];
-        assert!(regressions(&fine, &baseline).unwrap().is_empty());
+        let fine = [kernel("thermal_step", (2.0, 7.0))];
+        assert!(speedup_regressions(&fine, &baseline).is_empty());
         // 4.0x -> 2.0x is a regression.
-        let bad = [KernelResult {
-            name: "thermal_step",
-            median_ns: 2.0,
-            reference_median_ns: 4.0,
-            isa_medians: Vec::new(),
-        }];
-        assert_eq!(regressions(&bad, &baseline).unwrap().len(), 1);
+        let bad = [kernel("thermal_step", (2.0, 4.0))];
+        assert_eq!(speedup_regressions(&bad, &baseline).len(), 1);
     }
 }

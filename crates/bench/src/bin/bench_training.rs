@@ -1,6 +1,7 @@
 //! Training-path benchmark: measures the histogram GBT trainer against
 //! the exact-greedy reference on the Fig. 8 training extraction and
-//! writes `BENCH_training.json`, the tracked training-perf trajectory.
+//! writes `BENCH_training.json`, the tracked training-perf trajectory: a
+//! [`KernelBench`] document, pretty-printed by the `common::json` codec.
 //!
 //! Three configurations are timed (median wall ns over repeated full
 //! trainings, reduced ensemble so a sample stays interactive):
@@ -23,32 +24,24 @@
 //! [--metrics-out BASE]`. `--smoke` swaps the pipeline extraction for a
 //! synthetic dataset and shrinks the ensemble for CI; `--check` compares
 //! each configuration's *speedup ratio* (histogram vs reference on the
-//! same machine — machine-independent) against a checked-in baseline and
-//! exits non-zero on a >25% regression, and — on a machine with two or
+//! same machine — machine-independent) against a checked-in baseline
+//! read as a [`KernelBench`], and exits non-zero on a >25% regression or
+//! a baseline configuration this run did not measure, and — on a machine with two or
 //! more cores — fails when the baseline's `scaling_floor` is not met
 //! (`train_hist_2t`'s fastest fit slower than `scaling_floor` ×
 //! `train_hist_1t`'s speed);
 //! `--metrics-out` additionally exports the medians/speedups as
 //! Prometheus gauges.
 
+use boreas_bench::report::{publish, speedup_regressions, DatasetShape, Kernel, KernelBench};
 use common::cli::Spec;
-use common::Result;
+use common::{json, Result};
 use gbt::{Dataset, GbtModel, GbtParams, TrainMethod};
 use std::time::Instant;
 use workloads::WorkloadSpec;
 
-/// One timed training configuration.
-struct TrainResult {
-    name: &'static str,
-    median_ns: f64,
-    reference_median_ns: f64,
-}
-
-impl TrainResult {
-    fn speedup(&self) -> f64 {
-        self.reference_median_ns / self.median_ns
-    }
-}
+/// The `schema` of every document this binary writes.
+const SCHEMA: &str = "boreas-bench-training-v1";
 
 /// The timed histogram configurations: name and trainer threads.
 const CONFIGS: [(&str, usize); 3] = [
@@ -167,46 +160,6 @@ fn assert_bit_identical(data: &Dataset, a: &GbtModel, b: &GbtModel, what: &str) 
     }
 }
 
-/// Cores this process may run on.
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-fn render_json(results: &[TrainResult], rows: usize, features: usize, smoke: bool) -> String {
-    let threads = cores();
-    let kernels: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"name\": \"{}\",\n      \"median_ns\": {:.1},\n      \
-                 \"reference_median_ns\": {:.1},\n      \"speedup\": {:.3}\n    }}",
-                r.name,
-                r.median_ns,
-                r.reference_median_ns,
-                r.speedup()
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"boreas-bench-training-v1\",\n  \"smoke\": {},\n  \"dataset\": {{\n    \
-         \"rows\": {},\n    \"features\": {}\n  }},\n  \"machine\": {{\n    \"os\": \"{}\",\n    \
-         \"arch\": \"{}\",\n    \"threads\": {}\n  }},\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        smoke,
-        rows,
-        features,
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        threads,
-        kernels.join(",\n")
-    )
-}
-
-/// The configurations of `current` that regressed by more than 25% against
-/// the baseline snapshot.
-fn regressions(current: &[TrainResult], baseline_json: &str) -> Result<Vec<String>> {
-    boreas_bench::speedup_regressions(current.iter().map(|r| (r.name, r.speedup())), baseline_json)
-}
-
 /// Checks the baseline's `scaling_floor` against the fastest 1- and
 /// 2-thread fits: `train_hist_2t` must run at least `scaling_floor` × as
 /// fast as `train_hist_1t`. Fastest, not median: a busy host only ever
@@ -216,12 +169,12 @@ fn regressions(current: &[TrainResult], baseline_json: &str) -> Result<Vec<Strin
 fn scaling_failure(
     one_t_ns: f64,
     two_t_ns: f64,
-    baseline_json: &str,
+    baseline: &KernelBench,
     cores: usize,
 ) -> Result<Option<String>> {
-    let min_ratio = common::json::from_str::<common::json::Json>(baseline_json)?
-        .get("scaling_floor")?
-        .as_f64("scaling_floor")?;
+    let min_ratio = baseline
+        .scaling_floor
+        .ok_or_else(|| json::schema_error("scaling_floor", "missing field".to_string()))?;
     if cores < 2 {
         return Ok(None);
     }
@@ -298,27 +251,21 @@ fn main() -> Result<()> {
             }
         }
     }
-    let (mut results, mut phases, mut fastest_ns) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut kernels, mut phases, mut fastest_ns) = (Vec::new(), Vec::new(), Vec::new());
     for ((name, _), r) in CONFIGS.into_iter().zip(runs) {
         fastest_ns.push(r.iter().map(|s| s.0).fold(f64::INFINITY, f64::min));
         let (median_ns, stats) = median_sample(r);
-        results.push(TrainResult {
-            name,
-            median_ns,
-            reference_median_ns,
-        });
+        kernels.push(Kernel::new(name, median_ns, reference_median_ns));
         phases.push(stats);
     }
     println!(
         "  {:<14} {:>12.0} ns/training",
         "reference", reference_median_ns
     );
-    for (r, stats) in results.iter().zip(&phases) {
+    for (k, stats) in kernels.iter().zip(&phases) {
         println!(
             "  {:<14} {:>12.0} ns/training  ({:>5.2}x vs reference)",
-            r.name,
-            r.median_ns,
-            r.speedup()
+            k.name, k.median_ns, k.speedup
         );
         println!("  {:<14} {}", "", phase_line(stats));
     }
@@ -332,126 +279,93 @@ fn main() -> Result<()> {
         fastest_ns[0] / fastest_ns[2]
     );
 
-    let json = render_json(&results, data.len(), data.num_features(), smoke);
-    std::fs::write(&out_path, &json)
-        .map_err(|e| common::Error::io("write bench results", e.to_string()))?;
-    println!("wrote {out_path}");
-
-    if reporting.metrics_out().is_some() {
-        for r in &results {
-            reporting
-                .obs
-                .metrics
-                .gauge(
-                    &format!("bench_{}_median_ns", r.name),
-                    "Median histogram training time, ns",
-                )
-                .set(r.median_ns);
-            reporting
-                .obs
-                .metrics
-                .gauge(
-                    &format!("bench_{}_speedup", r.name),
-                    "Histogram vs exact-greedy training speedup",
-                )
-                .set(r.speedup());
-        }
-        reporting.finish(None)?;
-    }
-
-    if let Some(baseline_path) = check_path {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| common::Error::io("read bench baseline", e.to_string()))?;
-        let mut bad = regressions(&results, &baseline)?;
-        match scaling_failure(fastest_ns[0], fastest_ns[1], &baseline, cores())? {
-            Some(failure) => bad.push(failure),
-            None if cores() < 2 => println!("scaling floor skipped: 1 core"),
-            None => {}
-        }
-        if !bad.is_empty() {
-            for b in &bad {
-                eprintln!("REGRESSION {b}");
+    let doc = KernelBench {
+        dataset: Some(DatasetShape {
+            rows: data.len(),
+            features: data.num_features(),
+        }),
+        ..KernelBench::new(SCHEMA, smoke, kernels)
+    };
+    publish(
+        &reporting,
+        &doc,
+        &out_path,
+        check_path.as_deref(),
+        |baseline| {
+            let mut failures = speedup_regressions(&doc.kernels, baseline);
+            let cores = doc.machine.threads;
+            match scaling_failure(fastest_ns[0], fastest_ns[1], baseline, cores)? {
+                Some(failure) => failures.push(failure),
+                None if cores < 2 => println!("scaling floor skipped: 1 core"),
+                None => {}
             }
-            std::process::exit(1);
-        }
-        println!("check vs {baseline_path}: ok");
-    }
-    Ok(())
+            Ok(failures)
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A smoke document of `(name, median_ns, reference_median_ns)`.
+    fn doc(kernels: &[(&str, f64, f64)]) -> KernelBench {
+        let kernels = kernels
+            .iter()
+            .map(|&(n, m, r)| Kernel::new(n, m, r))
+            .collect();
+        KernelBench::new(SCHEMA, true, kernels)
+    }
+
     #[test]
     fn speedup_scanner_roundtrips_render() {
-        let results = vec![
-            TrainResult {
-                name: "train_hist_1t",
-                median_ns: 1000.0,
-                reference_median_ns: 3000.0,
-            },
-            TrainResult {
-                name: "train_hist_4t",
-                median_ns: 500.0,
-                reference_median_ns: 3000.0,
-            },
-        ];
-        let json = render_json(&results, 6000, 12, true);
-        let got = boreas_bench::baseline_speedups(&json).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, "train_hist_1t");
-        assert!((got[0].1 - 3.0).abs() < 1e-9);
-        assert_eq!(got[1].0, "train_hist_4t");
-        assert!((got[1].1 - 6.0).abs() < 1e-9);
+        let shape = DatasetShape {
+            rows: 6000,
+            features: 12,
+        };
+        let doc = KernelBench {
+            dataset: Some(shape),
+            ..doc(&[("train_hist_4t", 500.0, 3000.0)])
+        };
+        let back: KernelBench = json::from_str(&json::to_string_pretty(&doc).unwrap()).unwrap();
+        assert_eq!(back, doc);
+        assert_eq!(back.kernels[0].speedup, 6.0);
     }
 
     #[test]
     fn regression_check_flags_only_large_drops() {
-        let baseline = render_json(
-            &[TrainResult {
-                name: "train_hist_4t",
-                median_ns: 1.0,
-                reference_median_ns: 4.0,
-            }],
-            6000,
-            12,
-            true,
-        );
+        let baseline = doc(&[("train_hist_4t", 1.0, 4.0)]);
         // 4.0x -> 3.5x is within the 25% band.
-        let fine = [TrainResult {
-            name: "train_hist_4t",
-            median_ns: 2.0,
-            reference_median_ns: 7.0,
-        }];
-        assert!(regressions(&fine, &baseline).unwrap().is_empty());
+        let fine = doc(&[("train_hist_4t", 2.0, 7.0)]);
+        assert!(speedup_regressions(&fine.kernels, &baseline).is_empty());
         // 4.0x -> 2.0x is a regression.
-        let bad = [TrainResult {
-            name: "train_hist_4t",
-            median_ns: 2.0,
-            reference_median_ns: 4.0,
-        }];
-        assert_eq!(regressions(&bad, &baseline).unwrap().len(), 1);
+        let bad = doc(&[("train_hist_4t", 2.0, 4.0)]);
+        assert_eq!(speedup_regressions(&bad.kernels, &baseline).len(), 1);
     }
 
     #[test]
     fn scaling_floor_applies_only_on_two_or_more_cores() {
-        let baseline = r#"{"kernels": [], "scaling_floor": 0.8}"#;
+        let baseline = KernelBench {
+            scaling_floor: Some(0.8),
+            ..doc(&[])
+        };
         // 2t at 1.0x and 0.8x of 1t's speed pass; 0.5x fails.
-        assert_eq!(scaling_failure(100.0, 100.0, baseline, 2).unwrap(), None);
-        assert_eq!(scaling_failure(100.0, 125.0, baseline, 2).unwrap(), None);
-        assert!(scaling_failure(100.0, 200.0, baseline, 2)
+        assert_eq!(scaling_failure(100.0, 100.0, &baseline, 2).unwrap(), None);
+        assert_eq!(scaling_failure(100.0, 125.0, &baseline, 2).unwrap(), None);
+        assert!(scaling_failure(100.0, 200.0, &baseline, 2)
             .unwrap()
             .is_some());
-        assert_eq!(scaling_failure(100.0, 200.0, baseline, 1).unwrap(), None);
+        assert_eq!(scaling_failure(100.0, 200.0, &baseline, 1).unwrap(), None);
         // The floor is required.
-        assert!(scaling_failure(100.0, 100.0, r#"{"kernels": []}"#, 2).is_err());
+        assert!(scaling_failure(100.0, 100.0, &doc(&[]), 2).is_err());
     }
 
     #[test]
     fn committed_baseline_declares_the_scaling_floor() {
-        let baseline = include_str!("../../baselines/BENCH_training_baseline.json");
-        assert_eq!(scaling_failure(1.0, 1.0, baseline, 2).unwrap(), None);
+        let text = include_str!("../../baselines/BENCH_training_baseline.json");
+        let baseline: KernelBench = json::from_str(text).unwrap();
+        assert_eq!(baseline.scaling_floor, Some(0.65));
+        assert_eq!(scaling_failure(1.0, 1.0, &baseline, 2).unwrap(), None);
     }
 
     #[test]

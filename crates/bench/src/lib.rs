@@ -11,10 +11,11 @@
 //! Prometheus + JSONL export. The gated `bench_hotpath` and
 //! `bench_training` binaries measure the runtime cost of the core
 //! components (GBT prediction, thermal step, MLTD sweep, pipeline step,
-//! histogram training) against their reference implementations.
+//! histogram training) against their reference implementations and
+//! write one typed [`report::KernelBench`] document each.
 
 pub mod experiments;
 pub mod report;
 
 pub use experiments::{Experiment, LOOP_STEPS, RUN_STEPS};
-pub use report::{baseline_speedups, speedup_regressions, Reporting, RunFlag};
+pub use report::{Reporting, RunFlag};

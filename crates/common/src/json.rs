@@ -4,13 +4,14 @@
 //! type from a list of its fields.
 //!
 //! Model files, artifact-cache keys and payloads, engine result rows,
-//! the serving wire protocol and the obs JSONL export all go through it.
-//! The encoding is canonical, so equal values give equal bytes (golden
-//! wire files and cache keys rely on it): structs are objects in the
-//! order their fields are listed, newtypes are their bare inner value,
-//! `None` is `null`, sequences and tuples are arrays, and enums are
-//! externally tagged (a unit variant is its wire name as a string, any
-//! other variant a one-key object `{"<wire name>": <body>}`).
+//! serving responses, the BENCH documents with their baselines and the
+//! obs JSONL export all go through it. The encoding is canonical, so
+//! equal values give equal bytes (golden wire files and cache keys rely
+//! on it): structs are objects in the order their fields are listed,
+//! newtypes are their bare inner value, `None` is `null`, sequences and
+//! tuples are arrays, and enums are externally tagged (a unit variant is
+//! its wire name as a string, any other variant a one-key object
+//! `{"<wire name>": <body>}`).
 //!
 //! Decoding pulls: [`Reader`] is the only tokenizer, and each
 //! [`FromJson`] impl reads its value straight off the borrowed bytes,
@@ -29,8 +30,11 @@
 //! missing field unless the macro gives it a default. A syntax error
 //! anywhere in a document ([`ProtocolKind::Malformed`]) outranks a
 //! schema error ([`ProtocolKind::Schema`]): after a schema error,
-//! [`from_str`] still scans the rest of the document. [`Json`] is one
-//! more `FromJson` type, for readers of untyped documents.
+//! [`from_str`] still scans the rest of the document. Every reader has a
+//! type: there is no untyped document tree.
+//!
+//! [`to_string_pretty`] lays the canonical encoding out one member or
+//! item per line, for committed files that must stay line-diffable.
 
 use crate::{Error, ProtocolKind, Result};
 use std::borrow::Cow;
@@ -39,72 +43,6 @@ use std::fmt::Write as _;
 /// Maximum nesting depth the reader accepts (the wire protocol needs 4,
 /// persisted models 6).
 const MAX_DEPTH: usize = 32;
-
-/// An untyped JSON value, for documents read without a schema.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, kept as its raw token so no precision is lost.
-    Num(String),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// The array's elements, or a protocol error naming `what`.
-    pub fn as_arr(&self, what: &'static str) -> Result<&[Json]> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            other => Err(type_err(what, "array", other.kind().name())),
-        }
-    }
-
-    /// The string's contents, or a protocol error naming `what`.
-    pub fn as_str(&self, what: &'static str) -> Result<&str> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(type_err(what, "string", other.kind().name())),
-        }
-    }
-
-    /// The number as an `f64`, or a protocol error naming `what`.
-    pub fn as_f64(&self, what: &'static str) -> Result<f64> {
-        match self {
-            Json::Num(tok) => parse_f64(tok, what),
-            other => Err(type_err(what, "number", other.kind().name())),
-        }
-    }
-
-    /// Looks up a required object field (the first, if repeated).
-    pub fn get(&self, key: &'static str) -> Result<&Json> {
-        let Json::Obj(fields) = self else {
-            return Err(type_err(key, "object", self.kind().name()));
-        };
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| schema_error(key, "missing field".to_string()))
-    }
-
-    fn kind(&self) -> Kind {
-        match self {
-            Json::Null => Kind::Null,
-            Json::Bool(_) => Kind::Bool,
-            Json::Num(_) => Kind::Num,
-            Json::Str(_) => Kind::Str,
-            Json::Arr(_) => Kind::Arr,
-            Json::Obj(_) => Kind::Obj,
-        }
-    }
-}
 
 /// The type of a JSON value, as told by its first byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -727,6 +665,48 @@ pub fn to_string<T: ToJson + ?Sized>(value: &T) -> Result<String> {
     Ok(out)
 }
 
+/// Encodes `value` as [`to_string`] does, re-indented: each member and
+/// item on its own line, two spaces per level, `": "` after keys, empty
+/// containers kept as `{}`/`[]`, and a final newline. It reads back as
+/// the same value.
+pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> Result<String> {
+    let flat = to_string(value)?;
+    let mut out = String::with_capacity(2 * flat.len());
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        (0..depth).for_each(|_| out.push_str("  "));
+    };
+    let (mut depth, mut in_string, mut escaped) = (0, false, false);
+    let mut chars = flat.chars().peekable();
+    while let Some(c) = chars.next() {
+        if in_string {
+            // Copied as is; only an unescaped quote ends a string.
+            out.push(c);
+            in_string = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+            continue;
+        }
+        if matches!(c, '}' | ']') {
+            depth -= 1;
+            newline(&mut out, depth);
+        }
+        out.push(c);
+        match c {
+            '"' => in_string = true,
+            ':' => out.push(' '),
+            ',' => newline(&mut out, depth),
+            '{' | '[' if matches!(chars.peek(), Some('}' | ']')) => out.extend(chars.next()),
+            '{' | '[' => {
+                depth += 1;
+                newline(&mut out, depth);
+            }
+            _ => {}
+        }
+    }
+    out.push('\n');
+    Ok(out)
+}
+
 /// Reads a JSON document as a `T`.
 ///
 /// # Errors
@@ -950,36 +930,6 @@ tuple!(5: A 0, B 1, C 2, D 3, E 4);
 tuple!(6: A 0, B 1, C 2, D 3, E 4, F 5);
 tuple!(7: A 0, B 1, C 2, D 3, E 4, F 5, G 6);
 
-impl FromJson for Json {
-    fn read_json(r: &mut Reader<'_>, what: &'static str) -> Result<Self> {
-        Ok(match r.start_value()? {
-            Kind::Null => {
-                r.literal("null")?;
-                Json::Null
-            }
-            Kind::Bool => Json::Bool(r.bool(what)?),
-            Kind::Num => Json::Num(r.number(what)?.to_string()),
-            Kind::Str => Json::Str(r.string(what)?.into_owned()),
-            Kind::Arr => {
-                r.array(what)?;
-                let mut items = Vec::new();
-                while r.item()? {
-                    items.push(Json::read_json(r, what)?);
-                }
-                Json::Arr(items)
-            }
-            Kind::Obj => {
-                r.object(what)?;
-                let mut fields = Vec::new();
-                while let Some(key) = r.key()? {
-                    fields.push((key.into_owned(), Json::read_json(r, what)?));
-                }
-                Json::Obj(fields)
-            }
-        })
-    }
-}
-
 /// Implements [`ToJson`] and [`FromJson`] for a type by listing its
 /// fields or variants, next to the type's definition:
 ///
@@ -1191,20 +1141,24 @@ mod tests {
     use super::*;
     use crate::check;
 
-    fn parse(text: &str) -> Result<Json> {
-        from_str(text)
+    /// Checks `text`'s syntax alone, as [`from_str`] does after a
+    /// schema error.
+    fn syntax(text: &str) -> Result<()> {
+        let mut r = Reader::new(text);
+        r.skip()?;
+        r.finish()
     }
 
     #[test]
     fn parses_the_basic_shapes() {
-        let v = parse(r#"{"a":[1,2.5,-3e2],"b":"x\ny","c":null,"d":true}"#).unwrap();
-        assert_eq!(v.get("b").unwrap().as_str("b").unwrap(), "x\ny");
-        let arr = v.get("a").unwrap().as_arr("a").unwrap();
-        assert_eq!(arr[0], Json::Num("1".to_string()));
-        assert_eq!(arr[1].as_f64("a1").unwrap(), 2.5);
-        assert_eq!(arr[2].as_f64("a2").unwrap(), -300.0);
-        assert_eq!(*v.get("c").unwrap(), Json::Null);
-        assert_eq!(*v.get("d").unwrap(), Json::Bool(true));
+        let text = r#"{"id":7,"shapes":[{"circle":{"r":-3e2,"label":"x\ny"}},{"circle":{"r":1,"label":null}}],"scale":[1,2.5],"hidden":true}"#;
+        let v: Scene = from_str(text).unwrap();
+        let circle = |r: f64, label: Option<&str>| Shape::Circle {
+            r: Meters(r),
+            label: label.map(str::to_string),
+        };
+        assert_eq!(v.shapes, [circle(-300.0, Some("x\ny")), circle(1.0, None)]);
+        assert_eq!((v.id, v.scale, v.hidden), (7, [1.0, 2.5], true));
     }
 
     #[test]
@@ -1229,8 +1183,8 @@ mod tests {
         let big = u64::MAX - 1;
         let v: Vec<u64> = from_str(&format!("[{big}]")).unwrap();
         assert_eq!(v, [big]);
-        let v = parse(&format!("{{\"seq\":{big}}}")).unwrap();
-        assert_eq!(*v.get("seq").unwrap(), Json::Num(big.to_string()));
+        let v: Scene = from_str(&format!(r#"{{"id":{big},"shapes":[],"scale":[0,0]}}"#)).unwrap();
+        assert_eq!(v.id, big);
     }
 
     #[test]
@@ -1240,9 +1194,9 @@ mod tests {
         assert_eq!(kind(from_str("-1e999")), Some(ProtocolKind::NonFinite));
         let nested = from_str::<Vec<f64>>("[0.5,1e400]").unwrap_err();
         assert_eq!(nested.protocol_kind(), Some(ProtocolKind::NonFinite));
-        let untyped = parse("{\"f\":1e999}").unwrap();
+        let field = from_str::<Scene>(r#"{"id":1,"shapes":[],"scale":[1e999,0]}"#);
         assert_eq!(
-            kind(untyped.get("f").unwrap().as_f64("f")),
+            field.unwrap_err().protocol_kind(),
             Some(ProtocolKind::NonFinite)
         );
         // Underflow rounds to a finite zero and is kept.
@@ -1423,6 +1377,29 @@ mod tests {
         });
     }
 
+    /// Pretty output reads back as the value it encodes, bit for bit:
+    /// re-encoded, it gives the canonical bytes.
+    #[test]
+    fn pretty_scenes_read_back_equal() {
+        let empty = Scene {
+            id: 1,
+            shapes: Vec::new(),
+            scale: [0.5, -0.0],
+            hidden: false,
+        };
+        assert_eq!(
+            to_string_pretty(&empty).unwrap(),
+            "{\n  \"id\": 1,\n  \"shapes\": [],\n  \"scale\": [\n    0.5,\n    -0\n  ],\n  \"hidden\": false\n}\n"
+        );
+        check::cases(128, |g| {
+            let scene = random_scene(g);
+            let pretty = to_string_pretty(&scene).unwrap();
+            let back: Scene = from_str(&pretty).unwrap();
+            assert_eq!(back, scene, "{pretty}");
+            assert_eq!(to_string(&back).unwrap(), to_string(&scene).unwrap());
+        });
+    }
+
     #[test]
     fn string_escapes_round_trip() {
         let original = "quote\" slash\\ newline\n tab\t nul\u{01} é 日本 \u{1f600}";
@@ -1459,16 +1436,16 @@ mod tests {
             "\"tab\there\"",
         ] {
             assert_eq!(
-                parse(bad).unwrap_err().protocol_kind(),
+                syntax(bad).unwrap_err().protocol_kind(),
                 Some(ProtocolKind::Malformed),
                 "{bad:?}"
             );
         }
         // 33 levels parse; one more is too deep, even for a scalar.
         let nest = |n: usize, inner: &str| format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));
-        assert!(parse(&nest(33, "")).is_ok());
-        assert!(parse(&nest(32, "1")).is_ok());
-        assert!(parse(&nest(33, "1")).is_err());
-        assert!(parse(&nest(34, "")).is_err());
+        assert!(syntax(&nest(33, "")).is_ok());
+        assert!(syntax(&nest(32, "1")).is_ok());
+        assert!(syntax(&nest(33, "1")).is_err());
+        assert!(syntax(&nest(34, "")).is_err());
     }
 }

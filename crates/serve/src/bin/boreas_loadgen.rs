@@ -11,7 +11,10 @@
 //! relies on) and matches each [`Response::Decision`] back to the send
 //! instant of the interval-completing frame. Results — throughput,
 //! p50/p95/p99 decision latency and a served-decision digest — go to
-//! `BENCH_serving.json` (schema v2, one entry per run).
+//! `BENCH_serving.json`: a [`ServingDoc`] (schema
+//! `boreas-bench-serving-v2`, one entry per run) written through the
+//! `common::json` codec and pretty-printed so the committed file stays
+//! line-diffable.
 //!
 //! The digest is an FNV-1a-64 over the canonical re-encoded decision
 //! bodies, sorted by `(die, seq)` with die ids normalized to run-local
@@ -21,16 +24,14 @@
 //! threads.
 //!
 //! Run `boreas_loadgen --help` for the flag list. `--smoke` is the
-//! CI-sized run; `--check BASELINE` compares every run against the
-//! committed floors (`min_throughput_fps`, `max_p99_ms`) and fails on
-//! regression.
+//! CI-sized run; `--check BASELINE` reads the committed floors as a
+//! [`ServingBaseline`] and fails when any run misses them.
 
 use boreas_core::{TelemetryFrame, VfTable};
 use boreas_serve::protocol::{self, Incoming, Response};
 use common::cli::Spec;
-use common::{json, Error, Result, ServerKind};
+use common::{json, json_codec, Error, Result, ServerKind};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use workloads::WorkloadSpec;
@@ -46,21 +47,58 @@ struct Ledger {
     rejected: u64,
 }
 
+/// `BENCH_serving.json`.
+struct ServingDoc {
+    schema: String,
+    smoke: bool,
+    rate_fps: f64,
+    machine: Machine,
+    runs: Vec<RunResult>,
+}
+json_codec! { struct ServingDoc { schema, smoke, rate_fps, machine, runs } }
+
+/// The host a [`ServingDoc`] was recorded on.
+struct Machine {
+    os: String,
+    arch: String,
+    threads: usize,
+}
+json_codec! { struct Machine { os, arch, threads } }
+
 /// One `--connections` entry's measurement.
 struct RunResult {
     connections: usize,
     dies: usize,
     frames: u64,
     send_secs: f64,
-    throughput: f64,
+    throughput_fps: f64,
     decisions: u64,
     rejected: u64,
     unmatched: u64,
-    p50: f64,
-    p95: f64,
-    p99: f64,
-    digest: u64,
+    latency_p50_ms: f64,
+    latency_p95_ms: f64,
+    latency_p99_ms: f64,
+    /// The run's decision digest, 16 hex digits.
+    digest: String,
 }
+json_codec! {
+    struct RunResult {
+        connections, dies, frames, send_secs, throughput_fps, decisions, rejected, unmatched,
+        latency_p50_ms, latency_p95_ms, latency_p99_ms, digest,
+    }
+}
+
+/// `--check`'s committed floors, applied to every run.
+struct ServingBaseline {
+    limits: Limits,
+}
+json_codec! { struct ServingBaseline { limits } }
+
+struct Limits {
+    min_throughput_fps: f64,
+    max_p99_ms: f64,
+}
+json_codec! { struct Limits { min_throughput_fps, max_p99_ms } }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -238,7 +276,8 @@ fn connection_load(
     Ok(ledger)
 }
 
-/// One full measurement at `connections` sockets.
+/// One full measurement at `connections` sockets, and its decision
+/// digest.
 #[allow(clippy::too_many_arguments)]
 fn run_load(
     addr: &str,
@@ -249,7 +288,7 @@ fn run_load(
     traces: &std::sync::Arc<Vec<Vec<hotgauge::StepRecord>>>,
     trace_of_all: &[usize],
     offset: u32,
-) -> Result<RunResult> {
+) -> Result<(RunResult, u64)> {
     let dies = shards.max(connections);
     let steps_per_die = steps_for(frames, dies);
     let gap = if rate > 0.0 {
@@ -293,25 +332,25 @@ fn run_load(
     }
     let send_secs = started.elapsed().as_secs_f64();
     let frames_sent = (dies * steps_per_die) as u64;
-    let throughput = frames_sent as f64 / send_secs.max(1e-9);
 
     let mut sorted = merged.latencies_ms.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let digest = decision_digest(&mut merged.decisions, offset);
-    Ok(RunResult {
+    let run = RunResult {
         connections,
         dies,
         frames: frames_sent,
         send_secs,
-        throughput,
+        throughput_fps: frames_sent as f64 / send_secs.max(1e-9),
         decisions: merged.decisions.len() as u64,
         rejected: merged.rejected,
         unmatched: merged.unmatched,
-        p50: percentile(&sorted, 50.0),
-        p95: percentile(&sorted, 95.0),
-        p99: percentile(&sorted, 99.0),
-        digest,
-    })
+        latency_p50_ms: percentile(&sorted, 50.0),
+        latency_p95_ms: percentile(&sorted, 95.0),
+        latency_p99_ms: percentile(&sorted, 99.0),
+        digest: format!("{digest:016x}"),
+    };
+    Ok((run, digest))
 }
 
 /// Steps per die for a run: the frame budget split across dies, at
@@ -320,42 +359,6 @@ fn steps_for(frames: u64, dies: usize) -> usize {
     let per = common::STEPS_PER_DECISION as usize;
     let raw = (frames as usize / dies.max(1)).max(2 * per);
     (raw / per) * per
-}
-
-fn render_json(smoke: bool, rate: f64, runs: &[RunResult]) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n  \"schema\": \"boreas-bench-serving-v2\",\n  \"smoke\": {smoke},\n  \
-         \"rate_fps\": {rate:.0},\n  \"machine\": {{\n    \"os\": \"{}\",\n    \
-         \"arch\": \"{}\",\n    \"threads\": {threads}\n  }},\n  \"runs\": [\n",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-    ));
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"connections\": {},\n      \"dies\": {},\n      \"frames\": {},\n      \
-             \"send_secs\": {:.3},\n      \"throughput_fps\": {:.1},\n      \"decisions\": {},\n      \
-             \"rejected\": {},\n      \"unmatched\": {},\n      \"latency_p50_ms\": {:.3},\n      \
-             \"latency_p95_ms\": {:.3},\n      \"latency_p99_ms\": {:.3},\n      \
-             \"digest\": \"{:016x}\"\n    }}{}\n",
-            r.connections,
-            r.dies,
-            r.frames,
-            r.send_secs,
-            r.throughput,
-            r.decisions,
-            r.rejected,
-            r.unmatched,
-            r.p50,
-            r.p95,
-            r.p99,
-            r.digest,
-            if i + 1 == runs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// The `--connections` list: one run per entry, each a positive count.
@@ -480,37 +483,43 @@ fn main() -> Result<()> {
     );
 
     let mut runs = Vec::with_capacity(connections.len());
+    // One combined digest line for CI to diff between daemon
+    // configurations.
+    let mut combined = FNV_OFFSET;
     for (i, &c) in connections.iter().enumerate() {
         // Fresh die ids per run so the daemon builds fresh control
         // loops — every run starts from the same controller state.
         let offset = (i as u32) * 1_000_000;
-        let r = run_load(&addr, c, shards, frames, rate, &traces, &trace_of, offset)?;
+        let (r, digest) = run_load(&addr, c, shards, frames, rate, &traces, &trace_of, offset)?;
         println!(
             "loadgen: c={} — {} frames in {:.2}s ({:.0} fps), {} decisions ({} unmatched), {} rejected",
-            r.connections, r.frames, r.send_secs, r.throughput, r.decisions, r.unmatched, r.rejected
+            r.connections, r.frames, r.send_secs, r.throughput_fps, r.decisions, r.unmatched, r.rejected
         );
         println!(
-            "loadgen: c={} — latency p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, digest {:016x}",
-            r.connections, r.p50, r.p95, r.p99, r.digest
+            "loadgen: c={} — latency p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, digest {}",
+            r.connections, r.latency_p50_ms, r.latency_p95_ms, r.latency_p99_ms, r.digest
         );
+        fnv1a(&mut combined, &digest.to_be_bytes());
         runs.push(r);
-    }
-
-    // One combined line for CI to diff between daemon configurations.
-    let mut combined = FNV_OFFSET;
-    for r in &runs {
-        fnv1a(&mut combined, &r.digest.to_be_bytes());
     }
     println!("loadgen digest: {combined:016x}");
 
-    let json = render_json(smoke, rate, &runs);
-    let mut f = std::fs::File::create(&out_path)
-        .map_err(|e| Error::io("create bench output", e.to_string()))?;
-    f.write_all(json.as_bytes())
+    let doc = ServingDoc {
+        schema: "boreas-bench-serving-v2".to_string(),
+        smoke,
+        rate_fps: rate,
+        machine: Machine {
+            os: std::env::consts::OS.to_string(),
+            arch: std::env::consts::ARCH.to_string(),
+            threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        },
+        runs,
+    };
+    std::fs::write(&out_path, json::to_string_pretty(&doc)?)
         .map_err(|e| Error::io("write bench output", e.to_string()))?;
     println!("wrote {out_path}");
 
-    if runs.iter().any(|r| r.decisions == 0) {
+    if doc.runs.iter().any(|r| r.decisions == 0) {
         return Err(Error::server(
             ServerKind::Check,
             "loadgen",
@@ -521,22 +530,22 @@ fn main() -> Result<()> {
     if let Some(baseline_path) = check_path {
         let baseline = std::fs::read_to_string(&baseline_path)
             .map_err(|e| Error::io("read serving baseline", e.to_string()))?;
-        let doc: json::Json = json::from_str(&baseline)?;
-        let limits = doc.get("limits")?;
-        let limit = |key| limits.get(key)?.as_f64(key);
-        let (min_fps, max_p99) = (limit("min_throughput_fps")?, limit("max_p99_ms")?);
+        let Limits {
+            min_throughput_fps: min_fps,
+            max_p99_ms: max_p99,
+        } = json::from_str::<ServingBaseline>(&baseline)?.limits;
         let mut bad = Vec::new();
-        for r in &runs {
-            if r.throughput < min_fps {
+        for r in &doc.runs {
+            if r.throughput_fps < min_fps {
                 bad.push(format!(
                     "c={}: throughput {:.0} fps is below the {min_fps:.0} fps floor",
-                    r.connections, r.throughput
+                    r.connections, r.throughput_fps
                 ));
             }
-            if r.p99 > max_p99 {
+            if r.latency_p99_ms > max_p99 {
                 bad.push(format!(
                     "c={}: p99 latency {:.1} ms exceeds the {max_p99:.1} ms ceiling",
-                    r.connections, r.p99
+                    r.connections, r.latency_p99_ms
                 ));
             }
         }
@@ -553,4 +562,29 @@ fn main() -> Result<()> {
         println!("check vs {baseline_path}: ok");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_serving_baseline_parses() {
+        let text = include_str!("../../../bench/baselines/BENCH_serving_baseline.json");
+        let limits = json::from_str::<ServingBaseline>(text).unwrap().limits;
+        assert_eq!(
+            (limits.min_throughput_fps, limits.max_p99_ms),
+            (2000.0, 500.0)
+        );
+    }
+
+    /// The committed results are exactly what the writer makes of what
+    /// the reader reads from them.
+    #[test]
+    fn committed_serving_results_round_trip_byte_for_byte() {
+        let text = include_str!("../../../../BENCH_serving.json");
+        let doc: ServingDoc = json::from_str(text).unwrap();
+        assert_eq!(doc.runs.len(), 3);
+        assert_eq!(json::to_string_pretty(&doc).unwrap(), text);
+    }
 }
