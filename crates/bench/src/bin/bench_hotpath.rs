@@ -403,7 +403,11 @@ fn isa_mismatch(baseline: &KernelBench, active: Isa) -> Result<Option<String>> {
     }))
 }
 
-fn main() -> Result<()> {
+fn main() {
+    common::cli::run_main(run);
+}
+
+fn run() -> Result<()> {
     let (reporting, args) = boreas_bench::Reporting::parse_env(
         Spec::new("bench_hotpath", "hot-path kernels vs their references")
             .switch("smoke", "short CI-sized run")

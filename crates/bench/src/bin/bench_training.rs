@@ -184,7 +184,11 @@ fn scaling_failure(
     }))
 }
 
-fn main() -> Result<()> {
+fn main() {
+    common::cli::run_main(run);
+}
+
+fn run() -> Result<()> {
     let (reporting, args) = boreas_bench::Reporting::parse_env(
         Spec::new("bench_training", "histogram GBT training benchmark")
             .switch("smoke", "short CI-sized run")

@@ -13,13 +13,25 @@
 //!   that points at `--help` and exit with status 2.
 //!
 //! Parsed values come back as an [`Args`] keyed by flag name, with
-//! typed access through [`Args::parsed`] and [`Args::value`].
+//! typed access through [`Args::parsed`] and [`Args::value`]. A binary
+//! whose work can fail runs it through [`run_main`], so a runtime error
+//! prints one `error: …` line and exits with status 1.
 
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::str::FromStr;
 
 use crate::{Error, Result};
+
+/// Runs a binary's `body`. An error prints one line, `error: ` and the
+/// error's [`Display`](std::fmt::Display) form, to standard error and
+/// exits with status 1.
+pub fn run_main(body: impl FnOnce() -> Result<()>) {
+    if let Err(e) = body() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// One declared flag; `value_name` is `None` for a switch.
 #[derive(Debug, Clone)]

@@ -10,9 +10,9 @@
 //!   workload set, VF table, step budget, and either a severity sweep or
 //!   a closed-loop controller matrix with optional [`FaultCell`]s;
 //! * [`Session`] — expands a scenario into a deterministic job graph and
-//!   runs it on a thread pool that claims jobs from one shared queue,
-//!   with per-thread controller reuse, memoising every job result in a
-//!   content-addressed [`ArtifactCache`];
+//!   runs it on worker threads that live as long as the session and
+//!   claim jobs from one shared queue, with per-thread controller reuse,
+//!   memoising every job result in a content-addressed [`ArtifactCache`];
 //! * [`SessionReport`] — results in scenario order (byte-identical
 //!   regardless of thread count) plus [`EngineCounters`]: jobs run vs
 //!   cached, per-stage wall time and the cache hit rate.

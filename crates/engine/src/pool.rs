@@ -1,4 +1,13 @@
-//! Shared-queue execution pool with per-job panic isolation.
+//! Persistent execution pool with per-job panic isolation.
+//!
+//! A [`Pool`] of `t` threads is the calling thread plus `t − 1` worker
+//! threads that it starts on its first multi-threaded batch and keeps
+//! parked on a `Mutex`/`Condvar` between batches, until the pool drops
+//! and joins them. A batch is posted to every parked worker; the calling
+//! thread works as worker 0, the same pattern as the GBT trainer's crew.
+//! Spawning a fresh set of threads per batch cost a freshly spawned
+//! thread's first job up to 4 ms of scheduling delay on a busy 2-vCPU
+//! host, about a fifth of a Fig. 8 pass; parked threads do not pay it.
 //!
 //! Jobs are tagged with their index in the scenario's deterministic
 //! expansion order before being scattered across threads, so the caller
@@ -6,18 +15,20 @@
 //! Workers claim jobs one at a time from one `Mutex`-guarded iterator:
 //! a job is a whole simulated run (milliseconds), so the lock is taken
 //! a few hundred times per sweep and never contended for long.
-//! Per-thread state (built controllers, scratch buffers) is created
-//! once per worker by the `init` closure and reused across every job
-//! that worker executes.
+//! Per-thread state (built controllers, scratch buffers) is created by
+//! the `init` closure when a thread claims its first job of a batch and
+//! reused across every job that thread executes in the batch.
 //!
 //! Every job body runs under `catch_unwind`: a panicking job produces a
-//! per-job [`JobOutcome::Panicked`] instead of unwinding through
-//! `std::thread::scope` and losing the whole batch. A worker whose job
-//! panicked discards its state and rebuilds it with `init` before the
-//! next job, since the panic may have left it half-mutated.
+//! per-job [`JobOutcome::Panicked`] instead of unwinding through the
+//! batch and losing it. A thread whose job panicked discards its state
+//! and rebuilds it with `init` before the next job, since the panic may
+//! have left it half-mutated.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// What became of one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,87 +52,283 @@ impl<R> JobOutcome<R> {
     }
 }
 
-/// Runs `jobs` on `threads` workers and returns `(index, result)` pairs
-/// in unspecified order; callers place results by index.
-///
-/// A panicking job re-raises here, after every other job has finished —
-/// callers that want partial results use [`run_jobs_supervised`].
-pub fn run_jobs<J, R, S>(
+/// The outcomes of one [`Pool::run`] batch.
+#[derive(Debug)]
+pub struct Batch<R> {
+    /// `(index, outcome)`, one per input job, in unspecified order;
+    /// callers place results by index.
+    pub outcomes: Vec<(usize, JobOutcome<R>)>,
+    /// Worker threads this batch started: `threads − 1` on the pool's
+    /// first multi-threaded batch, 0 on every other.
+    pub workers_started: usize,
+}
+
+/// A calling thread plus worker threads that live as long as the pool
+/// (see the [module docs](self)).
+pub struct Pool {
     threads: usize,
-    jobs: Vec<(usize, J)>,
-    init: impl Fn() -> S + Sync,
-    exec: impl Fn(&mut S, J) -> R + Sync,
-) -> Vec<(usize, R)>
-where
-    J: Send,
-    R: Send,
-{
-    let mut out = Vec::new();
-    for (idx, outcome) in run_jobs_supervised(threads, jobs, init, exec) {
-        match outcome {
-            JobOutcome::Completed(r) => out.push((idx, r)),
-            JobOutcome::Panicked { message } => {
-                panic!("job {idx} panicked: {message}")
+    /// Started on the first multi-threaded batch. The lock is held for
+    /// a whole batch, so batches from two threads sharing the pool run
+    /// one after the other.
+    crew: Mutex<Option<Crew>>,
+}
+
+impl Pool {
+    /// A pool of `threads` threads (clamped to ≥ 1), the caller's
+    /// included. No thread starts until a batch needs one.
+    pub fn new(threads: usize) -> Pool {
+        Pool {
+            threads: threads.max(1),
+            crew: Mutex::new(None),
+        }
+    }
+
+    /// Threads a batch runs on, the caller's included.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Runs `jobs` and returns one outcome per job; panics are contained
+    /// per job.
+    ///
+    /// With one thread (or at most one job) everything runs inline on
+    /// the calling thread, in job order, which is the reference order
+    /// for determinism tests.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of `init` (outside any job's `catch_unwind`),
+    /// after every thread has left the batch.
+    pub fn run<J, R, S>(
+        &self,
+        jobs: Vec<(usize, J)>,
+        init: impl Fn() -> S + Sync,
+        exec: impl Fn(&mut S, J) -> R + Sync,
+    ) -> Batch<R>
+    where
+        J: Send,
+        R: Send,
+    {
+        if self.threads == 1 || jobs.len() <= 1 {
+            let mut state = None;
+            let outcomes = jobs
+                .into_iter()
+                .map(|(idx, job)| {
+                    let state = state.get_or_insert_with(&init);
+                    (idx, guarded(state, &init, &exec, job))
+                })
+                .collect();
+            return Batch {
+                outcomes,
+                workers_started: 0,
+            };
+        }
+
+        let results = Mutex::new(Vec::with_capacity(jobs.len()));
+        let queue = Mutex::new(jobs.into_iter());
+        let share = || {
+            let mut state = None;
+            let mut done = Vec::new();
+            // Jobs run under `catch_unwind`, so the queue lock is never
+            // held across a panic; recover it anyway.
+            let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            while let Some((idx, job)) = claim() {
+                let state = state.get_or_insert_with(&init);
+                done.push((idx, guarded(state, &init, &exec, job)));
+            }
+            // A panic elsewhere cannot poison this sink into losing
+            // results: recover the guard and extend anyway.
+            results
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend(done);
+        };
+        let workers_started = self.scatter(&share);
+        Batch {
+            outcomes: results.into_inner().unwrap_or_else(PoisonError::into_inner),
+            workers_started,
+        }
+    }
+
+    /// Runs `share` once on every thread of the pool, the caller's
+    /// included, and returns once all of them are done; returns how many
+    /// worker threads it had to start first.
+    fn scatter(&self, share: &(dyn Fn() + Sync)) -> usize {
+        let mut crew = self.crew.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut started = 0;
+        let crew = crew.get_or_insert_with(|| {
+            started = self.threads - 1;
+            Crew::start(started)
+        });
+        let board = &crew.board;
+        // SAFETY: only the lifetime is erased (same pointer, same
+        // vtable). Workers dereference the pointer only between this
+        // post and their decrement of `running`, and `Posted`'s drop,
+        // which runs when this function returns or unwinds, waits until
+        // `running` is 0 and takes the pointer back off the board. So
+        // no worker touches `share` after this borrow ends: the
+        // contract `std::thread::scope` keeps for its spawned threads.
+        let task = Task(unsafe {
+            std::mem::transmute::<*const (dyn Fn() + Sync + '_), *const (dyn Fn() + Sync)>(share)
+        });
+        board.update(|state| {
+            state.task = Some(task);
+            state.batch += 1;
+            state.running = crew.workers.len();
+            state.panic = None;
+        });
+        let posted = Posted(board);
+        share();
+        drop(posted);
+        if let Some(payload) = board.lock().panic.take() {
+            resume_unwind(payload);
+        }
+        started
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        let crew = self
+            .crew
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(crew) = crew {
+            crew.board.update(|state| state.closed = true);
+            for worker in crew.workers {
+                // A worker catches every panic of its share, so its
+                // thread only ends by returning.
+                let _ = worker.join();
             }
         }
     }
-    out
 }
 
-/// Like [`run_jobs`], but panics are contained per job: the returned
-/// vector always has one entry per input job.
-///
-/// With one thread (or one job) everything runs inline on the calling
-/// thread — no spawning, same code path for state reuse — which is also
-/// the reference order for determinism tests.
-pub fn run_jobs_supervised<J, R, S>(
-    threads: usize,
-    jobs: Vec<(usize, J)>,
-    init: impl Fn() -> S + Sync,
-    exec: impl Fn(&mut S, J) -> R + Sync,
-) -> Vec<(usize, JobOutcome<R>)>
-where
-    J: Send,
-    R: Send,
-{
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads == 1 {
-        let mut state = init();
-        return jobs
-            .into_iter()
-            .map(|(idx, job)| (idx, guarded(&mut state, &init, &exec, job)))
+/// The worker threads and their shared board.
+struct Crew {
+    board: Arc<Board>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Crew {
+    fn start(workers: usize) -> Crew {
+        let board = Arc::new(Board {
+            state: Mutex::new(State {
+                task: None,
+                batch: 0,
+                running: 0,
+                panic: None,
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        });
+        let workers = (1..=workers)
+            .map(|k| {
+                let board = Arc::clone(&board);
+                std::thread::Builder::new()
+                    .name(format!("boreas-engine-{k}"))
+                    .spawn(move || work(&board))
+                    .expect("spawn an engine worker thread")
+            })
             .collect();
+        Crew { board, workers }
+    }
+}
+
+/// A posted batch's share, its borrow's lifetime erased.
+#[derive(Clone, Copy)]
+struct Task(*const (dyn Fn() + Sync));
+
+// SAFETY: the pointee is `Sync`, so calling it from another thread
+// through a shared reference is sound; how long the pointer stays valid
+// is `Pool::scatter`'s business.
+unsafe impl Send for Task {}
+
+/// What the calling thread and the workers share.
+struct State {
+    /// The posted batch's share while it runs.
+    task: Option<Task>,
+    /// Counts posted batches; a worker runs each one once.
+    batch: u64,
+    /// Workers that have not yet finished the posted batch.
+    running: usize,
+    /// The first panic a worker's share raised outside any job.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set when the pool drops: the workers return.
+    closed: bool,
+}
+
+/// The board and the one condvar both sides wait on: workers for a new
+/// batch or the close, the calling thread for `running` to reach 0.
+struct Board {
+    state: Mutex<State>,
+    wake: Condvar,
+}
+
+impl Board {
+    /// Locks the state. Nothing panics while holding the lock, so a
+    /// poisoned lock still holds consistent state.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    let results = Mutex::new(Vec::with_capacity(jobs.len()));
-    let queue = Mutex::new(jobs.into_iter());
+    fn wait<'a>(&self, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.wake
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let queue = &queue;
-            let results = &results;
-            let init = &init;
-            let exec = &exec;
-            scope.spawn(move || {
-                let mut state = init();
-                let mut done = Vec::new();
-                // Jobs run under `catch_unwind`, so the queue lock is
-                // never held across a panic; recover it anyway.
-                let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                while let Some((idx, job)) = claim() {
-                    done.push((idx, guarded(&mut state, init, exec, job)));
-                }
-                // A panic elsewhere cannot poison this sink into losing
-                // results: recover the guard and extend anyway.
-                results
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .extend(done);
-            });
+    fn update(&self, change: impl FnOnce(&mut State)) {
+        change(&mut self.lock());
+        self.wake.notify_all();
+    }
+}
+
+/// Waits, on drop, until every worker has finished the posted batch,
+/// then takes the batch's share off the board. Runs on unwind too.
+struct Posted<'a>(&'a Board);
+
+impl Drop for Posted<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        while state.running > 0 {
+            state = self.0.wait(state);
         }
-    });
+        state.task = None;
+    }
+}
 
-    results.into_inner().unwrap_or_else(PoisonError::into_inner)
+/// A worker thread's loop: run each posted batch's share once, park in
+/// between, return once the pool closes.
+fn work(board: &Board) {
+    let mut seen = 0;
+    loop {
+        let task = {
+            let mut state = board.lock();
+            loop {
+                if state.closed {
+                    return;
+                }
+                match state.task {
+                    Some(task) if state.batch != seen => {
+                        seen = state.batch;
+                        break task;
+                    }
+                    _ => state = board.wait(state),
+                }
+            }
+        };
+        // SAFETY: the pointer was posted by `Pool::scatter`, which does
+        // not return before `running` drops to 0 below (see there).
+        let ran = catch_unwind(AssertUnwindSafe(|| unsafe { (*task.0)() }));
+        board.update(|state| {
+            if let Err(payload) = ran {
+                state.panic.get_or_insert(payload);
+            }
+            state.running -= 1;
+        });
+    }
 }
 
 /// Runs one job under `catch_unwind`; on panic the worker state is
@@ -144,7 +351,7 @@ fn guarded<J, R, S>(
 }
 
 /// Best-effort extraction of the conventional `&str`/`String` payloads.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -181,53 +388,69 @@ pub(crate) mod tests {
         });
     }
 
+    /// The completed values by index; panics on a panicked job.
+    fn completed<R>(batch: Batch<R>) -> Vec<(usize, R)> {
+        let mut out: Vec<(usize, R)> = batch
+            .outcomes
+            .into_iter()
+            .map(|(idx, outcome)| (idx, outcome.completed().expect("job completed")))
+            .collect();
+        out.sort_by_key(|(idx, _)| *idx);
+        out
+    }
+
     #[test]
     fn all_jobs_run_exactly_once() {
         for threads in [1, 2, 4] {
-            let jobs: Vec<(usize, u64)> = (0..97).map(|i| (i, i as u64)).collect();
-            let inits = AtomicUsize::new(0);
-            let mut out = run_jobs(
-                threads,
-                jobs,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    0u64
-                },
-                |state, job| {
-                    *state += 1;
-                    job * 3
-                },
-            );
-            out.sort_by_key(|(idx, _)| *idx);
-            assert_eq!(out.len(), 97);
-            for (idx, val) in out {
-                assert_eq!(val, idx as u64 * 3);
+            let pool = Pool::new(threads);
+            // The second batch runs on the workers the first one started.
+            for batch in 0..2 {
+                let jobs: Vec<(usize, u64)> = (0..97).map(|i| (i, i as u64)).collect();
+                let inits = AtomicUsize::new(0);
+                let out = pool.run(
+                    jobs,
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        0u64
+                    },
+                    |state, job| {
+                        *state += 1;
+                        job * 3
+                    },
+                );
+                let expected = if batch == 0 { threads - 1 } else { 0 };
+                assert_eq!(out.workers_started, expected, "batch {batch}");
+                let out = completed(out);
+                assert_eq!(out.len(), 97);
+                for (idx, val) in out {
+                    assert_eq!(val, idx as u64 * 3);
+                }
+                assert!(
+                    inits.load(Ordering::Relaxed) <= threads,
+                    "at most one state per thread"
+                );
             }
-            assert!(
-                inits.load(Ordering::Relaxed) <= threads,
-                "at most one state per worker"
-            );
         }
     }
 
     #[test]
     fn empty_job_list_is_fine() {
-        let out = run_jobs(4, Vec::<(usize, ())>::new(), || (), |(), ()| ());
-        assert!(out.is_empty());
+        let batch = Pool::new(4).run(Vec::<(usize, ())>::new(), || (), |(), ()| ());
+        assert!(batch.outcomes.is_empty());
+        assert_eq!(batch.workers_started, 0, "nothing to run, nothing started");
     }
 
     #[test]
     fn worker_state_is_reused_across_jobs() {
         let jobs: Vec<(usize, ())> = (0..16).map(|i| (i, ())).collect();
-        let out = run_jobs(
-            1,
+        let out = completed(Pool::new(1).run(
             jobs,
             || 0usize,
             |count, ()| {
                 *count += 1;
                 *count
             },
-        );
+        ));
         let max_seen = out.iter().map(|(_, c)| *c).max().unwrap();
         assert_eq!(max_seen, 16, "single worker sees every job in one state");
     }
@@ -236,29 +459,33 @@ pub(crate) mod tests {
     fn panicking_job_does_not_lose_siblings() {
         quiet_panics();
         for threads in [1, 2, 4] {
-            let jobs: Vec<(usize, u64)> = (0..24).map(|i| (i, i as u64)).collect();
-            let mut out = run_jobs_supervised(
-                threads,
-                jobs,
-                || (),
-                |(), job| {
-                    if job % 7 == 3 {
-                        panic!("deliberate test panic on {job}");
-                    }
-                    job * 2
-                },
-            );
-            out.sort_by_key(|(idx, _)| *idx);
-            assert_eq!(out.len(), 24, "one outcome per job");
-            for (idx, outcome) in out {
-                match outcome {
-                    JobOutcome::Completed(v) => {
-                        assert_ne!(idx as u64 % 7, 3);
-                        assert_eq!(v, idx as u64 * 2);
-                    }
-                    JobOutcome::Panicked { message } => {
-                        assert_eq!(idx as u64 % 7, 3);
-                        assert!(message.contains("deliberate test panic"), "{message}");
+            let pool = Pool::new(threads);
+            for _ in 0..2 {
+                let jobs: Vec<(usize, u64)> = (0..24).map(|i| (i, i as u64)).collect();
+                let mut out = pool
+                    .run(
+                        jobs,
+                        || (),
+                        |(), job| {
+                            if job % 7 == 3 {
+                                panic!("deliberate test panic on {job}");
+                            }
+                            job * 2
+                        },
+                    )
+                    .outcomes;
+                out.sort_by_key(|(idx, _)| *idx);
+                assert_eq!(out.len(), 24, "one outcome per job");
+                for (idx, outcome) in out {
+                    match outcome {
+                        JobOutcome::Completed(v) => {
+                            assert_ne!(idx as u64 % 7, 3);
+                            assert_eq!(v, idx as u64 * 2);
+                        }
+                        JobOutcome::Panicked { message } => {
+                            assert_eq!(idx as u64 % 7, 3);
+                            assert!(message.contains("deliberate test panic"), "{message}");
+                        }
                     }
                 }
             }
@@ -270,8 +497,7 @@ pub(crate) mod tests {
         quiet_panics();
         let inits = AtomicUsize::new(0);
         let jobs: Vec<(usize, usize)> = (0..6).map(|i| (i, i)).collect();
-        let out = run_jobs_supervised(
-            1,
+        let out = Pool::new(1).run(
             jobs,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
@@ -289,6 +515,7 @@ pub(crate) mod tests {
         assert_eq!(inits.load(Ordering::Relaxed), 2);
         // Jobs after the panic count from a fresh state.
         let last = out
+            .outcomes
             .iter()
             .find(|(idx, _)| *idx == 5)
             .and_then(|(_, o)| o.clone().completed())
@@ -297,16 +524,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn run_jobs_repanics_on_job_panic() {
+    fn a_panic_outside_a_job_re_raises_and_the_pool_serves_on() {
         quiet_panics();
-        let caught = std::panic::catch_unwind(|| {
-            run_jobs(
-                1,
-                vec![(0usize, ())],
-                || (),
-                |(), ()| -> usize { panic!("deliberate test panic") },
-            )
-        });
-        assert!(caught.is_err(), "legacy entry point re-raises");
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(
+                    (0..8).map(|i| (i, ())).collect(),
+                    || -> u8 { panic!("deliberate test panic in init") },
+                    |_, ()| (),
+                )
+            }));
+            assert!(caught.is_err(), "{threads} threads: init's panic re-raises");
+            let out = completed(pool.run((0..8).map(|i| (i, i)).collect(), || (), |(), i| i));
+            assert_eq!(out, (0..8).map(|i| (i, i)).collect::<Vec<_>>());
+        }
     }
 }

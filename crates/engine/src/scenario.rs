@@ -22,8 +22,9 @@ use workloads::WorkloadSpec;
 ///
 /// Specs carry data (models, thresholds, guardbands) rather than built
 /// controllers so that a scenario can be hashed for caching and shipped
-/// across worker threads; each worker builds its own controller instance
-/// once and reuses it (with [`Controller::reset`] between jobs).
+/// across worker threads. A session run builds one [`ControllerFactory`]
+/// per spec it needs; each worker clones its own controller instance
+/// from it once and reuses it (with [`Controller::reset`] between jobs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControllerSpec {
     /// The single globally safe operating point (§III-C).

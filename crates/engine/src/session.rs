@@ -9,9 +9,17 @@
 //! cache *as they finish*, together with a checkpoint line in a session
 //! manifest, so a killed process can pick up where it left off via
 //! [`Session::resume`].
+//!
+//! A session's worker threads live as long as the session: its first
+//! multi-threaded run starts them, every later run posts its jobs to
+//! them where they park, and dropping the session joins them (see
+//! [`crate::pool`]). Each run builds one [`ControllerFactory`] per
+//! controller its misses use, on the calling thread, so a worker's
+//! controller is a clone that shares the factory's compiled model.
 
 use crate::cache::{ArtifactCache, CacheLookup};
-use crate::scenario::{BuiltController, JobRef, Scenario, ScenarioKind};
+use crate::pool::Pool;
+use crate::scenario::{BuiltController, ControllerFactory, JobRef, Scenario, ScenarioKind};
 use crate::supervisor::{self, QuarantinedJob, RetryPolicy, SupervisorEvent};
 use boreas_core::{RunSpec, SweepTable};
 use common::{Error, Result};
@@ -126,6 +134,10 @@ impl JobResult {
 pub struct EngineCounters {
     /// Worker threads used for the execute stage.
     pub threads: usize,
+    /// Worker threads this run started: `threads − 1` on a session's
+    /// first multi-threaded run, 0 on every later run and at one
+    /// thread. Not part of [`EngineCounters::summary`].
+    pub workers_started: usize,
     /// Jobs in the expanded graph.
     pub jobs_total: usize,
     /// Jobs served from the artifact cache.
@@ -352,7 +364,7 @@ common::json_codec! {
 /// families.
 pub struct Session {
     pipeline: Pipeline,
-    threads: usize,
+    pool: Pool,
     cache: Option<ArtifactCache>,
     obs: obs::Obs,
     retry: RetryPolicy,
@@ -371,7 +383,7 @@ impl Session {
     pub fn new(pipeline: Pipeline, obs: impl Into<Option<obs::Obs>>) -> Result<Session> {
         Ok(Session {
             pipeline,
-            threads: default_threads(),
+            pool: Pool::new(default_threads()),
             cache: Some(ArtifactCache::open_default()?),
             obs: obs.into().unwrap_or_default(),
             retry: RetryPolicy::default(),
@@ -390,7 +402,7 @@ impl Session {
     ) -> Result<Session> {
         Ok(Session {
             pipeline,
-            threads: default_threads(),
+            pool: Pool::new(default_threads()),
             cache: Some(ArtifactCache::open(dir)?),
             obs: obs::Obs::disabled(),
             retry: RetryPolicy::default(),
@@ -403,7 +415,7 @@ impl Session {
     pub fn without_cache(pipeline: Pipeline) -> Session {
         Session {
             pipeline,
-            threads: default_threads(),
+            pool: Pool::new(default_threads()),
             cache: None,
             obs: obs::Obs::disabled(),
             retry: RetryPolicy::default(),
@@ -415,7 +427,7 @@ impl Session {
     /// parallelism).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.pool = Pool::new(threads);
         self
     }
 
@@ -573,6 +585,7 @@ impl Session {
             .map(|(idx, job)| (idx, *job))
             .collect();
         let jobs_run = misses.len();
+        let factories = factories(scenario, &misses);
 
         let job_ms = self.obs.metrics.histogram(
             "engine_job_ms",
@@ -583,7 +596,7 @@ impl Session {
         let t_execute = Instant::now();
         let supervised = supervisor::run_supervised(
             &self.retry,
-            self.threads,
+            &self.pool,
             misses,
             WorkerState::default,
             |state, idx, job, attempt| {
@@ -595,7 +608,7 @@ impl Session {
                 let _job_span = self.obs.tracer.span("engine.job");
                 let t_job = Instant::now();
                 let result = self
-                    .execute(scenario, state, *job)
+                    .execute(scenario, &factories, state, *job)
                     .map_err(|e| e.to_string())?;
                 job_ms.observe(ms_since(t_job));
                 // Persist immediately (artifact first, then the
@@ -659,7 +672,8 @@ impl Session {
             results,
             quarantined,
             counters: EngineCounters {
-                threads: self.threads,
+                threads: self.pool.threads(),
+                workers_started: supervised.workers_started,
                 jobs_total: n,
                 jobs_cached,
                 jobs_run,
@@ -796,6 +810,7 @@ impl Session {
     fn execute(
         &self,
         scenario: &Scenario,
+        factories: &[Option<Result<ControllerFactory>>],
         state: &mut WorkerState,
         job: JobRef,
     ) -> Result<JobResult> {
@@ -830,7 +845,12 @@ impl Session {
                 },
             ) => {
                 let spec = &scenario.workloads[w];
-                let controller = state.controller(ctrl, &controllers[ctrl])?;
+                let factory = factories[ctrl]
+                    .as_ref()
+                    .expect("a factory for every controller a miss runs")
+                    .as_ref()
+                    .map_err(Clone::clone)?;
+                let controller = state.controller(ctrl, factory);
                 let mut run_spec = RunSpec::new(&self.pipeline)
                     .vf(scenario.vf.clone())
                     .sensor(*sensor_idx)
@@ -975,26 +995,43 @@ fn manifest_io(path: &std::path::Path, what: &str, e: &std::io::Error) -> Error 
     )
 }
 
-/// Per-worker reusable state: controllers built once per thread, reset
-/// (inside [`RunSpec::run`]) between jobs.
+/// One factory per controller of a closed-loop scenario that `misses`
+/// run (`None` for the rest, and nothing for a sweep). A spec that does
+/// not build keeps its error, which fails each job that needs it.
+fn factories(
+    scenario: &Scenario,
+    misses: &[(usize, JobRef)],
+) -> Vec<Option<Result<ControllerFactory>>> {
+    let ScenarioKind::ClosedLoop { controllers, .. } = &scenario.kind else {
+        return Vec::new();
+    };
+    let mut used = vec![false; controllers.len()];
+    for (_, job) in misses {
+        if let JobRef::Loop { ctrl, .. } = job {
+            used[*ctrl] = true;
+        }
+    }
+    controllers
+        .iter()
+        .zip(used)
+        .map(|(spec, used)| used.then(|| ControllerFactory::new(spec)))
+        .collect()
+}
+
+/// Per-worker reusable state: controllers cloned from the run's
+/// factories once per thread, reset (inside [`RunSpec::run`]) between
+/// jobs.
 #[derive(Default)]
 struct WorkerState {
     controllers: Vec<Option<BuiltController>>,
 }
 
 impl WorkerState {
-    fn controller(
-        &mut self,
-        idx: usize,
-        spec: &crate::ControllerSpec,
-    ) -> Result<&mut BuiltController> {
+    fn controller(&mut self, idx: usize, factory: &ControllerFactory) -> &mut BuiltController {
         if self.controllers.len() <= idx {
             self.controllers.resize_with(idx + 1, || None);
         }
-        if self.controllers[idx].is_none() {
-            self.controllers[idx] = Some(spec.build()?);
-        }
-        Ok(self.controllers[idx].as_mut().expect("just built"))
+        self.controllers[idx].get_or_insert_with(|| factory.build())
     }
 }
 

@@ -15,7 +15,7 @@
 //! *between* waves, off the result path, so results stay byte-identical
 //! whether or not the supervisor ever waited.
 
-use crate::pool::{self, JobOutcome};
+use crate::pool::{JobOutcome, Pool};
 use std::time::Duration;
 
 /// How failed jobs are retried.
@@ -118,9 +118,13 @@ pub struct SupervisedRun<R> {
     pub quarantined: Vec<QuarantinedJob>,
     /// Retry dispatches performed (sum over jobs of attempts − 1).
     pub retries: usize,
+    /// Worker threads the pool started for this run (see
+    /// [`Batch::workers_started`](crate::pool::Batch::workers_started)).
+    pub workers_started: usize,
 }
 
-/// Runs `jobs` under `policy`, retrying failures in deterministic waves.
+/// Runs `jobs` on `pool` under `policy`, retrying failures in
+/// deterministic waves.
 ///
 /// `exec` receives `(state, index, &job, attempt)` and returns
 /// `Ok(result)` or `Err(message)`; panics inside `exec` are caught by
@@ -130,7 +134,7 @@ pub struct SupervisedRun<R> {
 /// of the same scenario replays the identical attempt sequence.
 pub fn run_supervised<J, R, S>(
     policy: &RetryPolicy,
-    threads: usize,
+    pool: &Pool,
     jobs: Vec<(usize, J)>,
     init: impl Fn() -> S + Sync,
     exec: impl Fn(&mut S, usize, &J, usize) -> Result<R, String> + Sync,
@@ -144,6 +148,7 @@ where
     let mut completed = Vec::with_capacity(jobs.len());
     let mut quarantined = Vec::new();
     let mut retries = 0usize;
+    let mut workers_started = 0usize;
     // Indices still in flight; the jobs themselves never leave this
     // function, so a panicked attempt can always be re-dispatched.
     let mut wave: Vec<usize> = (0..jobs.len()).collect();
@@ -159,14 +164,14 @@ where
             .iter()
             .map(|&slot| (jobs[slot].0, (slot, &jobs[slot].1)))
             .collect();
-        let outcomes =
-            pool::run_jobs_supervised(threads, tasks, &init, |state, (slot, job): (usize, &J)| {
-                let index = jobs[slot].0;
-                (slot, exec(state, index, job, attempt))
-            });
+        let batch = pool.run(tasks, &init, |state, (slot, job): (usize, &J)| {
+            let index = jobs[slot].0;
+            (slot, exec(state, index, job, attempt))
+        });
+        workers_started += batch.workers_started;
 
         let mut failed: Vec<(usize, bool, String)> = Vec::new();
-        for (index, outcome) in outcomes {
+        for (index, outcome) in batch.outcomes {
             match outcome {
                 JobOutcome::Completed((_, Ok(result))) => completed.push((index, result)),
                 JobOutcome::Completed((slot, Err(message))) => {
@@ -226,6 +231,7 @@ where
         completed,
         quarantined,
         retries,
+        workers_started,
     }
 }
 
@@ -247,7 +253,7 @@ mod tests {
             let mut events = Vec::new();
             let run = run_supervised(
                 &policy,
-                threads,
+                &Pool::new(threads),
                 jobs,
                 || (),
                 |(), idx, job, attempt| {
@@ -286,7 +292,7 @@ mod tests {
         let jobs: Vec<(usize, ())> = (0..8).map(|i| (i, ())).collect();
         let run = run_supervised(
             &policy,
-            2,
+            &Pool::new(2),
             jobs,
             || (),
             |(), idx, (), _attempt| {
@@ -315,7 +321,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let run = run_supervised(
                 &policy,
-                threads,
+                &Pool::new(threads),
                 (0..6).map(|i| (i, i)).collect::<Vec<(usize, usize)>>(),
                 || (),
                 |(), _idx, job, attempt| {
@@ -340,7 +346,7 @@ mod tests {
         quiet();
         let run = run_supervised(
             &RetryPolicy::no_retries(),
-            2,
+            &Pool::new(2),
             (0..4).map(|i| (i, ())).collect::<Vec<(usize, ())>>(),
             || (),
             |(), idx, (), _attempt| {
@@ -368,7 +374,7 @@ mod tests {
             let mut log = Vec::new();
             let run = run_supervised(
                 &policy,
-                threads,
+                &Pool::new(threads),
                 (0..9).map(|i| (i, ())).collect::<Vec<(usize, ())>>(),
                 || (),
                 |(), idx, (), attempt| {
@@ -395,7 +401,7 @@ mod tests {
         let jobs = vec![(42usize, "a"), (7, "b"), (100, "c")];
         let run = run_supervised(
             &RetryPolicy::default(),
-            2,
+            &Pool::new(2),
             jobs,
             || (),
             |(), idx, job, attempt| {

@@ -2,6 +2,7 @@
 //! sibling results, quarantine accounting is exact, and the whole
 //! supervision transcript is independent of the thread count.
 
+use boreas_engine::pool::Pool;
 use boreas_engine::supervisor::{run_supervised, RetryPolicy, SupervisorEvent};
 use common::check;
 
@@ -36,7 +37,7 @@ fn quiet_injected_panics() {
 fn run_once(
     fail_counts: &[usize],
     max_attempts: usize,
-    threads: usize,
+    pool: &Pool,
 ) -> (
     Vec<(usize, usize)>,
     Vec<(usize, usize, bool)>,
@@ -48,7 +49,7 @@ fn run_once(
     let mut transcript = Vec::new();
     let run = run_supervised(
         &policy,
-        threads,
+        pool,
         jobs,
         || (),
         |(), index, job, attempt| {
@@ -73,14 +74,17 @@ fn run_once(
 /// Whatever subset of jobs panics (for however many attempts), every
 /// job ends up either completed with the right value or quarantined
 /// with exact attempt accounting — and the outcome, including the
-/// event transcript, is identical on 1, 2 and 4 threads.
+/// event transcript, is identical on 1, 2 and 4 threads. Each thread
+/// count's pool serves every case, so its workers run one batch after
+/// another between parks.
 #[test]
 fn panicking_jobs_never_lose_results() {
+    let pools = [Pool::new(1), Pool::new(2), Pool::new(4)];
     check::cases(256, |g| {
         let fail_counts = g.vec(0..12, |g| g.usize_in(0..4));
         let max_attempts = g.usize_in(1..4);
         quiet_injected_panics();
-        let reference = run_once(&fail_counts, max_attempts, 1);
+        let reference = run_once(&fail_counts, max_attempts, &pools[0]);
         let (completed, quarantined, retries, _) = &reference;
 
         // Exact partition: job i completes iff it recovers within the
@@ -102,9 +106,9 @@ fn panicking_jobs_never_lose_results() {
         assert_eq!(quarantined, &want_quarantined);
         assert_eq!(*retries, want_retries);
 
-        for threads in [2usize, 4] {
-            let other = run_once(&fail_counts, max_attempts, threads);
-            assert_eq!(&reference, &other, "threads = {}", threads);
+        for pool in &pools[1..] {
+            let other = run_once(&fail_counts, max_attempts, pool);
+            assert_eq!(&reference, &other, "threads = {}", pool.threads());
         }
     });
 }

@@ -431,7 +431,11 @@ fn spec() -> Spec {
     .switch("smoke", "CI-sized run")
 }
 
-fn main() -> Result<()> {
+fn main() {
+    common::cli::run_main(run);
+}
+
+fn run() -> Result<()> {
     let args = spec().parse_env();
     let addr = args.value::<String>("addr");
     let smoke = args.has("smoke");

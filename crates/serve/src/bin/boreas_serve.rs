@@ -66,7 +66,11 @@ fn spec() -> Spec {
     )
 }
 
-fn main() -> Result<()> {
+fn main() {
+    common::cli::run_main(run);
+}
+
+fn run() -> Result<()> {
     signal::install();
     let args = spec().parse_env();
 

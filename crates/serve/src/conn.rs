@@ -80,10 +80,11 @@ impl Conn {
         }
     }
 
-    /// Reads until the socket would block or [`READ_BUDGET`] bytes have
-    /// arrived, feeding the framing state machine and passing each
-    /// complete frame body to `on_frame`, in arrival order, as soon as
-    /// its last byte lands, together with this connection's write ring.
+    /// Reads, in a pass that started at `now`, until the socket would
+    /// block or [`READ_BUDGET`] bytes have arrived, feeding the framing
+    /// state machine and passing each complete frame body to
+    /// `on_frame`, in arrival order, as soon as its last byte lands,
+    /// together with this connection's write ring.
     /// The body is borrowed from the decoder's buffer: no per-frame copy.
     ///
     /// # Errors
@@ -92,6 +93,7 @@ impl Conn {
     /// either way the connection is beyond recovery.
     pub fn read_ready(
         &mut self,
+        now: Instant,
         mut on_frame: impl FnMut(&[u8], &mut VecDeque<u8>),
     ) -> common::Result<ReadPass> {
         let mut pass = ReadPass {
@@ -131,7 +133,7 @@ impl Conn {
             }
         }
         if pass.progress {
-            self.last_activity = Instant::now();
+            self.last_activity = now;
         }
         Ok(pass)
     }
@@ -240,7 +242,7 @@ mod tests {
         loop {
             let mut frames = Vec::new();
             let pass = conn
-                .read_ready(|body, _| frames.push(body.to_vec()))
+                .read_ready(Instant::now(), |body, _| frames.push(body.to_vec()))
                 .unwrap();
             if first && pass.progress {
                 assert!(wire_len(&frames) <= READ_BUDGET);

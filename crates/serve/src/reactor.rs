@@ -324,7 +324,10 @@ impl Reactor {
         }
         if mask & (EPOLLIN | EPOLLRDHUP) != 0 && conn.read_open && !self.draining {
             let (dies, metrics, scratch) = (&*self.dies, &self.metrics, &mut self.scratch);
-            match conn.read_ready(|body, out| serve_frame(body, dies, metrics, scratch, out)) {
+            let now = std::time::Instant::now();
+            match conn.read_ready(now, |body, out| {
+                serve_frame(body, now, dies, metrics, scratch, out);
+            }) {
                 Ok(pass) => {
                     if pass.frames > 0 {
                         metrics.batch.observe(pass.frames as f64);
@@ -511,7 +514,11 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let reactor = spawn_reactor(
             0,
-            Arc::new(DieTable::new(crate::server::MAX_DIES, build)),
+            Arc::new(DieTable::new(
+                crate::server::MAX_DIES,
+                crate::server::EVICT_AFTER,
+                build,
+            )),
             Duration::from_secs(60),
             Metrics::new(&registry),
             shutdown.clone(),

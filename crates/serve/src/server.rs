@@ -34,9 +34,12 @@
 //!   mutex, which is uncontended unless one die streams over two live
 //!   connections at once. Every loop's controller comes from one
 //!   [`ControllerFactory`] and shares its compiled model. The table
-//!   holds at most `MAX_DIES` loops (4,096, about 11 MB): a frame for a
-//!   new die beyond that is answered [`Response::Rejected`] with reason
-//!   `die table full`, while the dies already in it keep being served.
+//!   holds at most `MAX_DIES` loops (4,096, about 11 MB). A frame for a
+//!   new die that finds it full evicts the least recently served loop
+//!   if that die has sent nothing for `EVICT_IDLE_INTERVALS` decision
+//!   intervals (counted in `boreas_serve_evicted_total`); otherwise it
+//!   is answered [`Response::Rejected`] with reason `die table full`,
+//!   while the dies already in the table keep being served.
 //! * **Panic isolation**: each frame's observe runs under
 //!   `catch_unwind`. A panic answers [`Response::Rejected`] with reason
 //!   `internal error` and counts in `boreas_serve_panics_total`; the
@@ -62,10 +65,10 @@ use obs::{Counter, Gauge, Histogram, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::protocol::{self, Response};
 
@@ -317,6 +320,7 @@ pub(crate) struct Metrics {
     pub frames: Counter,
     pub decisions: Counter,
     pub rejected: Counter,
+    pub evicted: Counter,
     pub panics: Counter,
     pub connections: Counter,
     pub connections_active: Gauge,
@@ -342,6 +346,10 @@ impl Metrics {
             rejected: registry.counter(
                 "boreas_serve_rejected_total",
                 "Frames answered with a rejection (malformed, a full die table, or the control step failed)",
+            ),
+            evicted: registry.counter(
+                "boreas_serve_evicted_total",
+                "Idle die loops evicted from a full die table to admit a new die",
             ),
             panics: registry.counter(
                 "boreas_serve_panics_total",
@@ -396,52 +404,101 @@ type BuildLoop = dyn Fn(u32) -> Result<DieLoop> + Send + Sync;
 /// default runs) and about 11 MB of loops at 2.6 KB each.
 pub(crate) const MAX_DIES: usize = 4096;
 
+/// Decision intervals (960 µs each) a die must have sent nothing for
+/// before a new die may evict its loop from a full table: 10,000 is
+/// 9.6 s, some ten thousand times a streaming die's frame gap.
+const EVICT_IDLE_INTERVALS: u64 = 10_000;
+
+/// [`EVICT_IDLE_INTERVALS`] as a duration, the daemon's idle threshold.
+pub(crate) const EVICT_AFTER: Duration =
+    Duration::from_micros(common::time::DECISION_MICROS * EVICT_IDLE_INTERVALS);
+
 /// The rejection reason for a new die's frame once the table is full.
 const TABLE_FULL: &str = "die table full";
+
+/// One die's loop and when it last served a frame.
+pub(crate) struct DieSlot {
+    online: Mutex<DieLoop>,
+    /// Nanoseconds from the table's `epoch` to the read pass that
+    /// served the die's latest frame.
+    last_served: AtomicU64,
+}
 
 /// Every die's control loop, by die id, shared by all reactors; see the
 /// [module docs](self).
 pub(crate) struct DieTable {
-    loops: Mutex<HashMap<u32, Arc<Mutex<DieLoop>>>>,
+    loops: Mutex<HashMap<u32, Arc<DieSlot>>>,
     max_dies: usize,
+    /// How long a die must be quiet before a new die may evict it.
+    evict_after: Duration,
+    epoch: Instant,
     build: Box<BuildLoop>,
 }
 
 impl DieTable {
     /// An empty table of at most `max_dies` loops, which `build` makes,
-    /// each on its die's first frame.
+    /// each on its die's first frame; a loop idle for longer than
+    /// `evict_after` may make room for a new die.
     pub fn new(
         max_dies: usize,
+        evict_after: Duration,
         build: impl Fn(u32) -> Result<DieLoop> + Send + Sync + 'static,
     ) -> DieTable {
         DieTable {
             loops: Mutex::new(HashMap::new()),
             max_dies,
+            evict_after,
+            epoch: Instant::now(),
             build: Box::new(build),
         }
     }
 
-    /// `die`'s loop: built on the die's first frame, and built afresh
-    /// if a panic has poisoned it.
+    /// `die`'s loop, marked served at `now`: built on the die's first
+    /// frame, and built afresh if a panic has poisoned it. A new die
+    /// that finds the table full evicts the least recently served loop
+    /// if it has been idle for longer than `evict_after`, counting it
+    /// in `evicted`.
     ///
     /// # Errors
     ///
-    /// The rejection reason: [`TABLE_FULL`] for a new die once the
-    /// table holds `max_dies` loops, or whatever building the loop
-    /// reports.
-    fn get(&self, die: u32) -> std::result::Result<Arc<Mutex<DieLoop>>, String> {
+    /// The rejection reason: [`TABLE_FULL`] for a new die when the
+    /// table is full of loops that are not idle, or whatever building
+    /// the loop reports.
+    fn get(
+        &self,
+        die: u32,
+        now: Instant,
+        evicted: &Counter,
+    ) -> std::result::Result<Arc<DieSlot>, String> {
+        let stamp = now.saturating_duration_since(self.epoch).as_nanos() as u64;
         // Nothing panics while the table lock is held except a loop
         // build, which leaves the map as it was.
         let mut loops = self.loops.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(online) = loops.get(&die).filter(|online| !online.is_poisoned()) {
-            return Ok(online.clone());
+        if let Some(slot) = loops.get(&die).filter(|slot| !slot.online.is_poisoned()) {
+            slot.last_served.store(stamp, Ordering::Relaxed);
+            return Ok(slot.clone());
         }
         if !loops.contains_key(&die) && loops.len() >= self.max_dies {
-            return Err(TABLE_FULL.to_string());
+            let idlest = loops
+                .iter()
+                .map(|(&id, slot)| (slot.last_served.load(Ordering::Relaxed), id))
+                .min();
+            match idlest {
+                Some((last, id))
+                    if stamp.saturating_sub(last) > self.evict_after.as_nanos() as u64 =>
+                {
+                    loops.remove(&id);
+                    evicted.inc();
+                }
+                _ => return Err(TABLE_FULL.to_string()),
+            }
         }
-        let online = Arc::new(Mutex::new((self.build)(die).map_err(|e| e.to_string())?));
-        loops.insert(die, online.clone());
-        Ok(online)
+        let slot = Arc::new(DieSlot {
+            online: Mutex::new((self.build)(die).map_err(|e| e.to_string())?),
+            last_served: AtomicU64::new(stamp),
+        });
+        loops.insert(die, slot.clone());
+        Ok(slot)
     }
 }
 
@@ -450,14 +507,15 @@ impl DieTable {
 /// it.
 pub(crate) const RESPONSE_BUFFER_BYTES: usize = 512;
 
-/// Serves one frame body to completion: validates it, writes it into
-/// the next window slot of its die's loop and encodes the response, if
-/// any, into the write ring `out`, through the reused body buffer
-/// `scratch`. A frame of a die past its first interval allocates
-/// nothing here, deciding or not (given a controller that does not
-/// allocate).
+/// Serves one frame body, read in the pass that started at `now`, to
+/// completion: validates it, writes it into the next window slot of its
+/// die's loop and encodes the response, if any, into the write ring
+/// `out`, through the reused body buffer `scratch`. A frame of a die
+/// past its first interval allocates nothing here, deciding or not
+/// (given a controller that does not allocate).
 pub(crate) fn serve_frame(
     body: &[u8],
+    now: Instant,
     dies: &DieTable,
     metrics: &Metrics,
     scratch: &mut String,
@@ -472,10 +530,10 @@ pub(crate) fn serve_frame(
     let (die, seq) = (frame.shard(), frame.seq());
     // Err carries the rejection's reason.
     let observed = catch_unwind(AssertUnwindSafe(|| -> std::result::Result<_, String> {
-        let online = dies.get(die)?;
+        let slot = dies.get(die, now, &metrics.evicted)?;
         // Poisoned since `get` only if another connection's frame for
         // this die panicked in between.
-        let mut online = online.lock().map_err(|_| INTERNAL_ERROR.to_string())?;
+        let mut online = slot.online.lock().map_err(|_| INTERNAL_ERROR.to_string())?;
         Ok(online.observe_with(|slot| frame.write_record(slot)))
     }));
     match observed {
@@ -586,7 +644,7 @@ impl Server {
             let dies = {
                 let (vf, start_idx, sensor_idx) =
                     (config.vf.clone(), config.start_idx, config.sensor_idx);
-                Arc::new(DieTable::new(MAX_DIES, move |_die| {
+                Arc::new(DieTable::new(MAX_DIES, EVICT_AFTER, move |_die| {
                     Ok(
                         OnlineController::new(build_controller(&factory), vf.clone())?
                             .start(start_idx)?
@@ -756,12 +814,12 @@ mod tests {
         got
     }
 
-    #[test]
-    fn a_full_die_table_rejects_new_dies_and_serves_the_rest() {
+    /// One decision interval of `gcc` at the baseline point, on a small
+    /// grid.
+    fn gcc_interval() -> Vec<StepRecord> {
         let mut cfg = hotgauge::PipelineConfig::paper();
         cfg.grid = floorplan::GridSpec::new(8, 6).unwrap();
-        let trace = cfg
-            .build()
+        cfg.build()
             .unwrap()
             .run_fixed(
                 &workloads::WorkloadSpec::by_name("gcc").unwrap(),
@@ -770,14 +828,24 @@ mod tests {
                 12,
             )
             .unwrap()
-            .records;
-        let (cap, extra) = (3u32, 5u32);
-        let dies = DieTable::new(cap as usize, |_die| {
+            .records
+    }
+
+    /// A table of at most `cap` TH-00 loops.
+    fn thermal_table(cap: u32, evict_after: Duration) -> DieTable {
+        DieTable::new(cap as usize, evict_after, |_die| {
             let thresholds = vec![Some(70.0); VfTable::paper().len()];
             let ctrl = ThermalController::from_thresholds(thresholds, 0.0);
             let ctrl: Box<dyn Controller + Send> = Box::new(ctrl);
             OnlineController::new(ctrl, VfTable::paper())
-        });
+        })
+    }
+
+    #[test]
+    fn a_full_die_table_rejects_new_dies_and_serves_the_rest() {
+        let trace = gcc_interval();
+        let (cap, extra) = (3u32, 5u32);
+        let dies = thermal_table(cap, EVICT_AFTER);
         let registry = Registry::new();
         let metrics = Metrics::new(&registry);
         let (mut scratch, mut out) = (String::new(), VecDeque::new());
@@ -785,6 +853,7 @@ mod tests {
             let frame = TelemetryFrame::new(die, t as u64, trace[t].clone());
             serve_frame(
                 &protocol::encode_frame(&frame).unwrap(),
+                Instant::now(),
                 &dies,
                 &metrics,
                 &mut scratch,
@@ -825,6 +894,67 @@ mod tests {
             .collect();
         assert_eq!(decided, (0..cap).map(|d| (d, 11)).collect::<Vec<_>>());
         assert_eq!(metrics.rejected.value(), u64::from(extra));
+        assert_eq!(metrics.evicted.value(), 0, "no die was idle");
+    }
+
+    #[test]
+    fn a_full_die_table_evicts_idle_dies_but_never_a_streaming_one() {
+        let trace = gcc_interval();
+        let dies = thermal_table(3, Duration::from_millis(10));
+        let metrics = Metrics::new(&Registry::new());
+        // Serves die `die`'s frame `seq` in a read pass at a made-up
+        // instant, `ms` after the table's start; returns the responses.
+        let start = Instant::now();
+        let serve = |die: u32, seq: u64, ms: u64| {
+            let frame = TelemetryFrame::new(die, seq, trace[seq as usize % 12].clone());
+            let (mut scratch, mut out) = (String::new(), VecDeque::new());
+            serve_frame(
+                &protocol::encode_frame(&frame).unwrap(),
+                start + Duration::from_millis(ms),
+                &dies,
+                &metrics,
+                &mut scratch,
+                &mut out,
+            );
+            responses(&mut out)
+        };
+        // Sends `die`'s interval `k` at `ms`; true if it decided.
+        let interval = |die: u32, k: u64, ms: u64| {
+            let got: Vec<_> = (12 * k..12 * k + 12)
+                .flat_map(|seq| serve(die, seq, ms))
+                .collect();
+            matches!(&got[..], [Response::Decision { shard, .. }] if *shard == die)
+        };
+
+        // Dies 1 and 2 send one frame at 0 ms; die 0 keeps sending, one
+        // interval every 5 ms. The table was never full.
+        for die in 1..3 {
+            assert!(serve(die, 0, 0).is_empty());
+        }
+        for k in 0..5 {
+            assert!(interval(0, k, 5 * k), "die 0 decides at {} ms", 5 * k);
+        }
+        assert_eq!(
+            metrics.evicted.value(),
+            0,
+            "no eviction while there is room"
+        );
+
+        // At 20 ms dies 1 and 2 have been idle for twice the threshold:
+        // new dies 3 and 4 evict them and decide.
+        assert!(interval(3, 0, 20));
+        assert!(interval(4, 0, 20));
+        assert_eq!(metrics.evicted.value(), 2);
+
+        // At 25 ms nothing in the table is idle: die 5 is refused, and
+        // the streaming die 0 is still served from its own loop.
+        let refused = serve(5, 0, 25);
+        assert!(
+            matches!(&refused[..], [Response::Rejected { shard: 5, reason, .. }] if reason == TABLE_FULL),
+            "{refused:?}"
+        );
+        assert!(interval(0, 5, 25), "die 0 decides on");
+        assert_eq!(metrics.evicted.value(), 2, "die 0 was never evicted");
     }
 
     /// A record with `sensors` readings, every value drawn from `g`.
@@ -921,7 +1051,7 @@ mod tests {
             let sensors: Vec<usize> = (0..dies).map(|_| g.usize_in(0..=16)).collect();
             let lens: Vec<u64> = (0..dies).map(|_| g.u64_in(12..=40)).collect();
             let build = controller.clone();
-            let table = DieTable::new(MAX_DIES, move |_die| {
+            let table = DieTable::new(MAX_DIES, EVICT_AFTER, move |_die| {
                 OnlineController::new(build(), VfTable::paper())
             });
             let mut replay: Vec<DieLoop> = (0..dies)
@@ -942,7 +1072,14 @@ mod tests {
                         .unwrap();
                 if g.usize_in(0..8) == 0 {
                     let bad = corrupt(g, body.clone());
-                    serve_frame(&bad, &table, &metrics, &mut scratch, &mut out);
+                    serve_frame(
+                        &bad,
+                        Instant::now(),
+                        &table,
+                        &metrics,
+                        &mut scratch,
+                        &mut out,
+                    );
                     let got = responses(&mut out);
                     assert!(
                         matches!(
@@ -957,7 +1094,14 @@ mod tests {
                     );
                 }
                 let before = alloc_count::allocations();
-                serve_frame(&body, &table, &metrics, &mut scratch, &mut out);
+                serve_frame(
+                    &body,
+                    Instant::now(),
+                    &table,
+                    &metrics,
+                    &mut scratch,
+                    &mut out,
+                );
                 let allocations = alloc_count::allocations() - before;
                 if seq >= STEPS_PER_DECISION {
                     assert_eq!(allocations, 0, "die {d}, frame {seq}");
@@ -1017,7 +1161,7 @@ mod tests {
     #[test]
     fn an_unencodable_decision_is_rejected_not_dropped() {
         check::cases(1, |g| {
-            let dies = DieTable::new(MAX_DIES, |_die| {
+            let dies = DieTable::new(MAX_DIES, EVICT_AFTER, |_die| {
                 let ctrl: Box<dyn Controller + Send> =
                     Box::new(NanDiagnostics(thermal_controller()));
                 OnlineController::new(ctrl, VfTable::paper())
@@ -1027,7 +1171,14 @@ mod tests {
             for seq in 0..STEPS_PER_DECISION {
                 let frame = TelemetryFrame::new(5, seq, random_record(g, 7, seq));
                 let body = protocol::encode_frame(&frame).unwrap();
-                serve_frame(&body, &dies, &metrics, &mut scratch, &mut out);
+                serve_frame(
+                    &body,
+                    Instant::now(),
+                    &dies,
+                    &metrics,
+                    &mut scratch,
+                    &mut out,
+                );
             }
             let got = responses(&mut out);
             let [Response::Rejected { shard, seq, reason }] = got.as_slice() else {

@@ -1,7 +1,8 @@
 //! The command-line contract of `boreas_serve` and `boreas_loadgen`:
 //! `--help` exits 0 and lists exactly the flags the binary acts on, and
 //! a bad argument exits 2 with a one-line error before the daemon binds
-//! or the load generator builds a trace.
+//! or the load generator builds a trace, and a runtime error exits 1
+//! with one `error:` line.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -115,4 +116,17 @@ fn bad_arguments_exit_2_before_any_work() {
         env!("CARGO_BIN_EXE_boreas_loadgen"),
         &["--connections", "1,0"],
     );
+}
+
+#[test]
+fn a_runtime_error_exits_1_with_one_error_line() {
+    // Parses, so it gets past the argument check, but the daemon's
+    // config builder refuses it before anything binds.
+    let bin = env!("CARGO_BIN_EXE_boreas_serve");
+    let out = run(bin, &["--io-threads", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("io_threads"), "{stderr}");
 }

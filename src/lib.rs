@@ -40,8 +40,9 @@
 //! # Quickstart
 //!
 //! Describe an experiment as a [`engine::Scenario`] and hand it to a
-//! [`engine::Session`]; the session expands it into jobs, runs them on a
-//! shared-queue thread pool and memoizes every job result on disk.
+//! [`engine::Session`]; the session expands it into jobs, runs them on
+//! worker threads that live as long as the session and memoizes every
+//! job result on disk.
 //! Pass an [`obs::Obs`] bundle to watch it work — metrics, span
 //! timings and per-decision flight events — and render the snapshot in
 //! the Prometheus text format:
