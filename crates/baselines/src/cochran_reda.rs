@@ -75,7 +75,9 @@ pub struct CochranRedaModel {
 
 impl CochranRedaModel {
     /// Fits the baseline on pipeline runs of `workloads` over the whole
-    /// VF table.
+    /// VF table, run on every available core by
+    /// [`Pipeline::run_fixed_grid`] (rows keep the serial grid order, so
+    /// the fit does not depend on the core count).
     ///
     /// `features` should be the counter schema (it may include the
     /// temperature feature; the current temperature is additionally
@@ -102,9 +104,12 @@ impl CochranRedaModel {
         // future temp).
         let mut rows: Vec<Vec<f64>> = Vec::new();
         let mut per_freq: Vec<Vec<(Vec<f64>, f64, f64)>> = vec![Vec::new(); vf.len()];
-        for w in workloads {
-            for (f_idx, point) in vf.points().iter().enumerate() {
-                let out = pipeline.run_fixed(w, point.frequency, point.voltage, params.steps)?;
+        pipeline.run_fixed_grid(
+            workloads,
+            &vf.pairs(),
+            params.steps,
+            common::available_threads(),
+            |_, f_idx, out| {
                 for t in 0..out.records.len() - params.horizon {
                     let x = features.extract(&out.records[t], params.sensor_idx);
                     let now_temp = observed_temperature(&out.records[t], params.sensor_idx);
@@ -113,8 +118,9 @@ impl CochranRedaModel {
                     rows.push(x.clone());
                     per_freq[f_idx].push((x, now_temp, future_temp));
                 }
-            }
-        }
+                Ok(())
+            },
+        )?;
         if rows.is_empty() {
             return Err(Error::EmptyDataset("cochran-reda training rows"));
         }
@@ -205,7 +211,7 @@ impl CochranRedaModel {
     }
 
     /// MSE of the future-temperature prediction on held-out pipeline
-    /// runs.
+    /// runs (on every available core, summed in grid order).
     ///
     /// # Errors
     ///
@@ -213,10 +219,12 @@ impl CochranRedaModel {
     pub fn temperature_mse(&self, pipeline: &Pipeline, workloads: &[WorkloadSpec]) -> Result<f64> {
         let mut se = 0.0;
         let mut n = 0usize;
-        for w in workloads {
-            for (f_idx, point) in self.vf.points().iter().enumerate() {
-                let out =
-                    pipeline.run_fixed(w, point.frequency, point.voltage, self.params.steps)?;
+        pipeline.run_fixed_grid(
+            workloads,
+            &self.vf.pairs(),
+            self.params.steps,
+            common::available_threads(),
+            |_, f_idx, out| {
                 for t in 0..out.records.len() - self.params.horizon {
                     let x = self
                         .features
@@ -230,8 +238,9 @@ impl CochranRedaModel {
                     se += (pred - truth) * (pred - truth);
                     n += 1;
                 }
-            }
-        }
+                Ok(())
+            },
+        )?;
         if n == 0 {
             return Err(Error::EmptyDataset("cochran-reda evaluation rows"));
         }

@@ -12,6 +12,11 @@
 //! * the baseline is [`gbt::GbtModel::train_reference`], the seed's
 //!   exact greedy scan, on the same dataset and hyper-parameters.
 //!
+//! A full run also times the extraction itself: `extract_fig8` is
+//! [`telemetry::build_dataset_on`] on every core, with the same grid
+//! runner on one thread as its reference (the two must extract the same
+//! dataset). It has no `--check` floor.
+//!
 //! Beside timing, the run *asserts* the determinism contract: the three
 //! thread counts must produce bit-identical predictions on every
 //! training row, and prints the 1-thread model's prediction digest (CI
@@ -34,10 +39,13 @@
 //! Prometheus gauges.
 
 use boreas_bench::report::{publish, speedup_regressions, DatasetShape, Kernel, KernelBench};
+use boreas_core::VfTable;
 use common::cli::Spec;
 use common::{json, Result};
 use gbt::{Dataset, GbtModel, GbtParams, TrainMethod};
+use hotgauge::Pipeline;
 use std::time::Instant;
+use telemetry::{DatasetSpec, FeatureSet};
 use workloads::WorkloadSpec;
 
 /// The `schema` of every document this binary writes.
@@ -65,16 +73,48 @@ fn median_sample<T>(mut runs: Vec<(f64, T)>) -> (f64, T) {
     runs.swap_remove(runs.len() / 2)
 }
 
-/// The Fig. 8 training extraction: the paper training workloads over the
-/// paper VF table (1 estimator — only the dataset is wanted here).
-fn fig8_dataset() -> Result<Dataset> {
+/// The Fig. 8 training extraction on `threads` threads: the paper
+/// training workloads over the paper VF table with all 78 features and
+/// the default [`DatasetSpec`] — what [`boreas_core::TrainSpec`] extracts
+/// by default.
+fn fig8_dataset(pipeline: &Pipeline, threads: usize) -> Result<Dataset> {
+    telemetry::build_dataset_on(
+        pipeline,
+        &FeatureSet::full(),
+        &WorkloadSpec::train_set(),
+        &VfTable::paper().pairs(),
+        &DatasetSpec::default(),
+        threads,
+    )
+}
+
+/// Times the Fig. 8 extraction on every core (`extract_fig8`) against the
+/// same grid runner on one thread, in rounds of one extraction each after
+/// one untimed round, and asserts both extract the same dataset; returns
+/// the kernel and the dataset.
+fn extract_fig8(samples: usize) -> Result<(Kernel, Dataset)> {
     let pipeline = hotgauge::PipelineConfig::paper().build()?;
-    let report = boreas_core::TrainSpec::new(&pipeline)
-        .workloads(&WorkloadSpec::train_set())
-        .params(GbtParams::default().with_estimators(1))
-        .threads(1)
-        .fit()?;
-    Ok(report.dataset)
+    let cores = common::available_threads();
+    let (mut one, mut every) = (Vec::new(), Vec::new());
+    let mut data = None;
+    for round in 0..=samples {
+        let (one_ns, serial) = timed(|| fig8_dataset(&pipeline, 1));
+        let (every_ns, parallel) = timed(|| fig8_dataset(&pipeline, cores));
+        let (serial, parallel) = (serial?, parallel?);
+        assert!(
+            serial == parallel,
+            "1- and {cores}-thread extractions differ"
+        );
+        if round > 0 {
+            one.push((one_ns, ()));
+            every.push((every_ns, ()));
+        }
+        data = Some(parallel);
+    }
+    let (reference_ns, ()) = median_sample(one);
+    let (median_ns, ()) = median_sample(every);
+    let data = data.expect("at least one round");
+    Ok((Kernel::new("extract_fig8", median_ns, reference_ns), data))
 }
 
 /// Synthetic stand-in for smoke mode: same row/feature shape class, a
@@ -206,14 +246,23 @@ fn run() -> Result<()> {
     );
     // Reduced ensemble: per-tree cost is what the two trainers differ
     // in, and a short boost keeps one timing sample interactive.
-    let (data, params, samples) = if smoke {
+    let samples = if smoke { 7 } else { 5 };
+    let (data, params, extraction) = if smoke {
         (
             synthetic_dataset(6_000, 12)?,
             GbtParams::default().with_estimators(8),
-            7,
+            None,
         )
     } else {
-        (fig8_dataset()?, GbtParams::default().with_estimators(20), 5)
+        let (kernel, data) = extract_fig8(samples)?;
+        println!(
+            "  {:<14} {:>12.0} ns/extraction on {} threads ({:.2}x vs 1 thread)",
+            kernel.name,
+            kernel.median_ns,
+            common::available_threads(),
+            kernel.speedup
+        );
+        (data, GbtParams::default().with_estimators(20), Some(kernel))
     };
     println!(
         "  dataset: {} rows x {} features, {} trees/training",
@@ -283,6 +332,7 @@ fn run() -> Result<()> {
         fastest_ns[0] / fastest_ns[2]
     );
 
+    kernels.extend(extraction);
     let doc = KernelBench {
         dataset: Some(DatasetShape {
             rows: data.len(),

@@ -3,7 +3,6 @@
 //! no accuracy loss versus all 78 features.
 
 use boreas_bench::experiments::{Experiment, RUN_STEPS};
-use common::units::{GigaHertz, Volts};
 use telemetry::{build_dataset, DatasetSpec, FeatureSet, TEMPERATURE_FEATURE};
 use workloads::WorkloadSpec;
 
@@ -35,12 +34,7 @@ fn main() {
 
     // Accuracy with top-20 vs all-78 on the unseen test workloads.
     let (top20, features20) = exp.boreas_model().expect("top-20 model");
-    let points: Vec<(GigaHertz, Volts)> = exp
-        .vf
-        .points()
-        .iter()
-        .map(|p| (p.frequency, p.voltage))
-        .collect();
+    let points = exp.vf.pairs();
     let spec = DatasetSpec {
         steps: RUN_STEPS,
         horizon: 12,

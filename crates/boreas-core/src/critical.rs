@@ -30,7 +30,9 @@ impl CriticalTemps {
     /// Measures critical temperatures by fixed-frequency runs.
     ///
     /// `sensor_idx` selects the sensor within the pipeline's bank (whose
-    /// delay/quantisation come from the pipeline config).
+    /// delay/quantisation come from the pipeline config). The runs go
+    /// through [`Pipeline::run_fixed_grid`] on every available core; the
+    /// table is the same at any core count.
     ///
     /// # Errors
     ///
@@ -42,22 +44,36 @@ impl CriticalTemps {
         sensor_idx: usize,
         steps: usize,
     ) -> Result<CriticalTemps> {
-        let mut temps = Vec::with_capacity(workloads.len());
-        for w in workloads {
-            let mut row = Vec::with_capacity(vf.len());
-            for p in vf.points() {
-                let out = pipeline.run_fixed(w, p.frequency, p.voltage, steps)?;
-                let mut crit: Option<f64> = None;
-                for r in &out.records {
-                    if r.max_severity.is_incursion() {
-                        let t = telemetry::observed_temperature(r, sensor_idx);
-                        crit = Some(crit.map_or(t, |c: f64| c.min(t)));
-                    }
-                }
-                row.push(crit);
-            }
-            temps.push(row);
-        }
+        Self::measure_on(
+            pipeline,
+            workloads,
+            vf,
+            sensor_idx,
+            steps,
+            common::available_threads(),
+        )
+    }
+
+    /// [`CriticalTemps::measure`] on `threads` threads.
+    fn measure_on(
+        pipeline: &Pipeline,
+        workloads: &[WorkloadSpec],
+        vf: &VfTable,
+        sensor_idx: usize,
+        steps: usize,
+        threads: usize,
+    ) -> Result<CriticalTemps> {
+        let mut temps = vec![Vec::new(); workloads.len()];
+        pipeline.run_fixed_grid(workloads, &vf.pairs(), steps, threads, |w, _, out| {
+            let crit = out
+                .records
+                .iter()
+                .filter(|r| r.max_severity.is_incursion())
+                .map(|r| telemetry::observed_temperature(r, sensor_idx))
+                .reduce(f64::min);
+            temps[w].push(crit);
+            Ok(())
+        })?;
         Ok(CriticalTemps {
             workloads: workloads.iter().map(|w| w.name.clone()).collect(),
             temps,
@@ -159,6 +175,67 @@ mod tests {
         let c = manual();
         assert_eq!(c.spread_at(0), None);
         assert_eq!(c.spread_at(1), Some(16.5));
+    }
+
+    /// The serial sweep `measure` replaced, kept as its oracle.
+    fn serial_reference(
+        pipeline: &Pipeline,
+        workloads: &[WorkloadSpec],
+        vf: &VfTable,
+        sensor_idx: usize,
+        steps: usize,
+    ) -> Vec<Vec<Option<f64>>> {
+        let mut temps = Vec::new();
+        for w in workloads {
+            let mut row = Vec::new();
+            for p in vf.points() {
+                let out = pipeline
+                    .run_fixed(w, p.frequency, p.voltage, steps)
+                    .unwrap();
+                let mut crit: Option<f64> = None;
+                for r in &out.records {
+                    if r.max_severity.is_incursion() {
+                        let t = telemetry::observed_temperature(r, sensor_idx);
+                        crit = Some(crit.map_or(t, |c: f64| c.min(t)));
+                    }
+                }
+                row.push(crit);
+            }
+            temps.push(row);
+        }
+        temps
+    }
+
+    #[test]
+    fn tables_on_any_thread_count_equal_the_serial_reference() {
+        const NAMES: [&str; 5] = ["gcc", "gromacs", "libquantum", "mcf", "gamess"];
+        let mut cfg = hotgauge::PipelineConfig::paper();
+        cfg.grid = floorplan::GridSpec::new(16, 12).unwrap();
+        let p = cfg.build().unwrap();
+        let paper = VfTable::paper();
+        let mut incursions = 0;
+        common::check::cases(12, |g| {
+            let ws = g.vec(1..=3, |g| WorkloadSpec::by_name(g.pick(&NAMES)).unwrap());
+            let start = g.usize_in(6..paper.len());
+            let n = g.usize_in(1..=(paper.len() - start).min(3));
+            let vf = VfTable::new(paper.points()[start..start + n].to_vec()).unwrap();
+            let sensor = g.usize_in(0..7);
+            let steps = g.usize_in(20..=60);
+            let want = serial_reference(&p, &ws, &vf, sensor, steps);
+            incursions += want.iter().flatten().filter(|t| t.is_some()).count();
+            let jobs = ws.len() * vf.len();
+            for threads in [1, 2, 4, jobs + 1] {
+                let got = CriticalTemps::measure_on(&p, &ws, &vf, sensor, steps, threads).unwrap();
+                let bits = |t: &[Vec<Option<f64>>]| -> Vec<Vec<Option<u64>>> {
+                    t.iter()
+                        .map(|row| row.iter().map(|c| c.map(f64::to_bits)).collect())
+                        .collect()
+                };
+                assert_eq!(bits(&got.temps), bits(&want), "at {threads} threads");
+                assert_eq!(got.vf, vf);
+            }
+        });
+        assert!(incursions > 0, "the grids must reach some incursions");
     }
 
     #[test]

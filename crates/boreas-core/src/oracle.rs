@@ -17,7 +17,8 @@ pub struct SweepTable {
 
 impl SweepTable {
     /// Measures the table by running every workload for `steps` steps at
-    /// every VF point.
+    /// every VF point, on every available core
+    /// ([`Pipeline::run_fixed_grid`]).
     ///
     /// # Errors
     ///
@@ -28,15 +29,17 @@ impl SweepTable {
         vf: &VfTable,
         steps: usize,
     ) -> Result<SweepTable> {
-        let mut peaks = Vec::with_capacity(workloads.len());
-        for w in workloads {
-            let mut row = Vec::with_capacity(vf.len());
-            for p in vf.points() {
-                let out = pipeline.run_fixed(w, p.frequency, p.voltage, steps)?;
-                row.push(out.peak_severity_raw);
-            }
-            peaks.push(row);
-        }
+        let mut peaks = vec![Vec::new(); workloads.len()];
+        pipeline.run_fixed_grid(
+            workloads,
+            &vf.pairs(),
+            steps,
+            common::available_threads(),
+            |w, _, out| {
+                peaks[w].push(out.peak_severity_raw);
+                Ok(())
+            },
+        )?;
         Ok(SweepTable {
             workloads: workloads.iter().map(|w| w.name.clone()).collect(),
             peaks,

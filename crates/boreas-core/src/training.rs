@@ -13,7 +13,6 @@
 
 use crate::runner::RunSpec;
 use crate::vf::VfTable;
-use common::units::{GigaHertz, Volts};
 use common::Result;
 use gbt::{GbtModel, GbtParams};
 use hotgauge::Pipeline;
@@ -164,12 +163,7 @@ impl<'a> TrainSpec<'a> {
     ///
     /// Propagates pipeline and training errors.
     pub fn fit(&self) -> Result<TrainReport> {
-        let points: Vec<(GigaHertz, Volts)> = self
-            .vf
-            .points()
-            .iter()
-            .map(|p| (p.frequency, p.voltage))
-            .collect();
+        let points = self.vf.pairs();
         let spec = DatasetSpec {
             steps: self.config.steps,
             horizon: self.config.horizon,
@@ -296,6 +290,7 @@ pub fn smoke_model(threads: usize) -> (GbtModel, FeatureSet) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use common::units::{GigaHertz, Volts};
 
     #[test]
     fn trains_a_usable_model_on_a_tiny_flow() {

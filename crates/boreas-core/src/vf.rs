@@ -125,6 +125,16 @@ impl VfTable {
         &self.points
     }
 
+    /// The operating points as `(frequency, voltage)` pairs, the form
+    /// [`hotgauge::Pipeline::run_fixed_grid`] and
+    /// [`telemetry::build_dataset`] take.
+    pub fn pairs(&self) -> Vec<(GigaHertz, Volts)> {
+        self.points
+            .iter()
+            .map(|p| (p.frequency, p.voltage))
+            .collect()
+    }
+
     /// Number of points.
     pub fn len(&self) -> usize {
         self.points.len()

@@ -39,3 +39,10 @@ pub mod units;
 pub use error::{Error, ProtocolKind, Result, ServerKind};
 pub use rng::SplitMix64;
 pub use time::{SimTime, STEPS_PER_DECISION, STEP_MICROS};
+
+/// One thread per available core (1 if that cannot be read): the default
+/// thread count of the GBT trainer, the experiment engine and the
+/// fixed-VF sweeps.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}

@@ -383,7 +383,7 @@ impl Session {
     pub fn new(pipeline: Pipeline, obs: impl Into<Option<obs::Obs>>) -> Result<Session> {
         Ok(Session {
             pipeline,
-            pool: Pool::new(default_threads()),
+            pool: Pool::new(common::available_threads()),
             cache: Some(ArtifactCache::open_default()?),
             obs: obs.into().unwrap_or_default(),
             retry: RetryPolicy::default(),
@@ -402,7 +402,7 @@ impl Session {
     ) -> Result<Session> {
         Ok(Session {
             pipeline,
-            pool: Pool::new(default_threads()),
+            pool: Pool::new(common::available_threads()),
             cache: Some(ArtifactCache::open(dir)?),
             obs: obs::Obs::disabled(),
             retry: RetryPolicy::default(),
@@ -415,7 +415,7 @@ impl Session {
     pub fn without_cache(pipeline: Pipeline) -> Session {
         Session {
             pipeline,
-            pool: Pool::new(default_threads()),
+            pool: Pool::new(common::available_threads()),
             cache: None,
             obs: obs::Obs::disabled(),
             retry: RetryPolicy::default(),
@@ -1033,10 +1033,6 @@ impl WorkerState {
         }
         self.controllers[idx].get_or_insert_with(|| factory.build())
     }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 fn ms_since(t: Instant) -> f64 {

@@ -24,17 +24,30 @@ impl Dataset {
     ///
     /// Panics if `feature_names` is empty or contains duplicates.
     pub fn new(feature_names: Vec<String>) -> Self {
+        Self::with_capacity(feature_names, 0)
+    }
+
+    /// Creates an empty dataset with room for exactly `rows` rows in
+    /// every column, so a builder that knows its row count up front
+    /// never grows (and so never over-allocates) a column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `feature_names` is empty or contains duplicates.
+    pub fn with_capacity(feature_names: Vec<String>, rows: usize) -> Self {
         assert!(!feature_names.is_empty(), "need at least one feature");
         let mut sorted = feature_names.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), feature_names.len(), "duplicate feature names");
-        let columns = vec![Vec::new(); feature_names.len()];
+        let columns = (0..feature_names.len())
+            .map(|_| Vec::with_capacity(rows))
+            .collect();
         Self {
             feature_names,
             columns,
-            targets: Vec::new(),
-            groups: Vec::new(),
+            targets: Vec::with_capacity(rows),
+            groups: Vec::with_capacity(rows),
         }
     }
 
@@ -178,6 +191,21 @@ mod tests {
         assert_eq!(d.row(2), vec![3.0, 30.0]);
         assert_eq!(d.targets(), &[0.1, 0.2, 0.3]);
         assert_eq!(d.distinct_groups(), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_dataset_filled_to_its_capacity_holds_exactly_that_many_rows() {
+        let mut d = Dataset::with_capacity(vec!["a".into(), "b".into()], 3);
+        for i in 0..3 {
+            d.push_row(&[f64::from(i), 1.0], 0.5, i).unwrap();
+        }
+        assert_eq!(d, {
+            let mut s = Dataset::new(vec!["a".into(), "b".into()]);
+            (0..3).for_each(|i| s.push_row(&[f64::from(i), 1.0], 0.5, i).unwrap());
+            s
+        });
+        assert!(d.columns.iter().all(|c| c.capacity() == 3));
+        assert_eq!((d.targets.capacity(), d.groups.capacity()), (3, 3));
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl<'a> TrainSpec<'a> {
             return Err(Error::EmptyDataset("gbt training set"));
         }
         let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            common::available_threads()
         } else {
             self.threads
         };

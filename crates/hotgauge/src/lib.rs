@@ -11,7 +11,10 @@
 //!   (`perfsim`), the power model (`powersim`) and the thermal solver
 //!   (`thermal`) into the per-80 µs simulation loop that every experiment
 //!   in the paper runs on, including delayed thermal sensors and
-//!   per-step severity evaluation.
+//!   per-step severity evaluation;
+//! * the **grid runner** — [`Pipeline::run_fixed_grid`] runs a
+//!   workloads × VF-points sweep of fixed-VF runs on every core and hands
+//!   the outcomes back in serial order ([`grid`]).
 //!
 //! # Severity reconstruction
 //!
@@ -43,6 +46,7 @@
 //! ```
 
 pub mod events;
+pub mod grid;
 pub mod mltd;
 pub mod pipeline;
 pub mod severity;

@@ -1,6 +1,6 @@
 //! Building training/evaluation datasets from pipeline runs.
 
-use crate::features::FeatureSet;
+use crate::features::{FeatureSet, MAX_FEATURES};
 use common::Result;
 use gbt::Dataset;
 use hotgauge::Pipeline;
@@ -46,6 +46,12 @@ impl Default for DatasetSpec {
 /// per step: features at step `t`, label = max severity over the next
 /// `horizon` steps, group = the workload's index in `workloads`.
 ///
+/// The fixed-VF runs go through [`Pipeline::run_fixed_grid`] on every
+/// available core, and rows are appended in the serial workload-major
+/// order, so the dataset is bit-identical at any core count. Its columns
+/// are sized up front for exactly `workloads × vf_points × (steps −
+/// horizon)` rows.
+///
 /// # Errors
 ///
 /// Propagates pipeline errors; returns an error if `spec.steps` is not
@@ -57,6 +63,30 @@ pub fn build_dataset(
     vf_points: &[(common::units::GigaHertz, common::units::Volts)],
     spec: &DatasetSpec,
 ) -> Result<Dataset> {
+    build_dataset_on(
+        pipeline,
+        features,
+        workloads,
+        vf_points,
+        spec,
+        common::available_threads(),
+    )
+}
+
+/// [`build_dataset`] on `threads` threads (clamped to `1..=runs`): the
+/// dataset is the same at every thread count.
+///
+/// # Errors
+///
+/// As [`build_dataset`].
+pub fn build_dataset_on(
+    pipeline: &Pipeline,
+    features: &FeatureSet,
+    workloads: &[WorkloadSpec],
+    vf_points: &[(common::units::GigaHertz, common::units::Volts)],
+    spec: &DatasetSpec,
+    threads: usize,
+) -> Result<Dataset> {
     if spec.steps <= spec.horizon {
         return Err(common::Error::invalid_config(
             "dataset",
@@ -66,13 +96,22 @@ pub fn build_dataset(
             ),
         ));
     }
-    let mut data = Dataset::new(features.names());
-    for (w_idx, w) in workloads.iter().enumerate() {
-        for &(freq, voltage) in vf_points {
-            let out = pipeline.run_fixed(w, freq, voltage, spec.steps)?;
+    let rows_per_run = spec.steps - spec.horizon;
+    let mut data = Dataset::with_capacity(
+        features.names(),
+        workloads.len() * vf_points.len() * rows_per_run,
+    );
+    let mut buf = [0.0; MAX_FEATURES];
+    let row = &mut buf[..features.len()];
+    pipeline.run_fixed_grid(
+        workloads,
+        vf_points,
+        spec.steps,
+        threads,
+        |w_idx, _, out| {
             let records = &out.records;
-            for t in 0..records.len() - spec.horizon {
-                let row = features.extract(&records[t], spec.sensor_idx);
+            for t in 0..rows_per_run {
+                features.extract_into(&records[t], spec.sensor_idx, row);
                 let label = records[t + 1..=t + spec.horizon]
                     .iter()
                     .map(|r| match spec.label_cap {
@@ -80,10 +119,11 @@ pub fn build_dataset(
                         None => r.max_severity.value(),
                     })
                     .fold(0.0f64, f64::max);
-                data.push_row(&row, label, w_idx as u32)?;
+                data.push_row(row, label, w_idx as u32)?;
             }
-        }
-    }
+            Ok(())
+        },
+    )?;
     Ok(data)
 }
 
@@ -98,6 +138,82 @@ mod tests {
         let mut cfg = PipelineConfig::paper();
         cfg.grid = GridSpec::new(16, 12).unwrap();
         cfg.build().unwrap()
+    }
+
+    /// The serial extraction `build_dataset` replaced, kept as its
+    /// oracle: one `run_fixed` per (workload, point) in grid order, one
+    /// owned row per step.
+    fn serial_reference(
+        p: &Pipeline,
+        features: &FeatureSet,
+        workloads: &[WorkloadSpec],
+        vf: &[(GigaHertz, Volts)],
+        spec: &DatasetSpec,
+    ) -> Dataset {
+        let mut data = Dataset::new(features.names());
+        for (w_idx, w) in workloads.iter().enumerate() {
+            for &(freq, voltage) in vf {
+                let records = p.run_fixed(w, freq, voltage, spec.steps).unwrap().records;
+                for t in 0..records.len() - spec.horizon {
+                    let row = features.extract(&records[t], spec.sensor_idx);
+                    let label = records[t + 1..=t + spec.horizon]
+                        .iter()
+                        .map(|r| match spec.label_cap {
+                            Some(cap) => r.max_severity_raw.min(cap),
+                            None => r.max_severity.value(),
+                        })
+                        .fold(0.0f64, f64::max);
+                    data.push_row(&row, label, w_idx as u32).unwrap();
+                }
+            }
+        }
+        data
+    }
+
+    /// Bit-exact digest of every column, target and group.
+    fn digest(d: &Dataset) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| h = (h ^ x).wrapping_mul(0x0100_0000_01b3);
+        for f in 0..d.num_features() {
+            d.column(f).iter().for_each(|v| eat(v.to_bits()));
+        }
+        d.targets().iter().for_each(|v| eat(v.to_bits()));
+        d.groups().iter().for_each(|&g| eat(u64::from(g)));
+        h
+    }
+
+    #[test]
+    fn extraction_on_any_thread_count_equals_the_serial_reference() {
+        const NAMES: [&str; 5] = ["gcc", "gromacs", "bzip2", "mcf", "gamess"];
+        const POINTS: [(f64, f64); 4] = [(3.75, 0.925), (4.0, 0.98), (4.5, 1.15), (5.0, 1.4)];
+        let p = quick_pipeline();
+        common::check::cases(12, |g| {
+            let ws = g.vec(1..=3, |g| WorkloadSpec::by_name(g.pick(&NAMES)).unwrap());
+            let vf = g.vec(1..=3, |g| {
+                let (f, v) = g.pick(&POINTS);
+                (GigaHertz::new(f), Volts::new(v))
+            });
+            let horizon = g.usize_in(1..=12);
+            let spec = DatasetSpec {
+                steps: horizon + g.usize_in(1..=20),
+                horizon,
+                sensor_idx: g.pick(&[0, 3, 6, crate::features::MAX_SENSOR_BANK]),
+                label_cap: g.option(|g| g.f64_in(0.5..2.0)),
+            };
+            let features = if g.u8() < 128 {
+                FeatureSet::full()
+            } else {
+                FeatureSet::from_names(&["ipc", crate::TEMPERATURE_FEATURE, "ROB_reads"]).unwrap()
+            };
+            let want = serial_reference(&p, &features, &ws, &vf, &spec);
+            let jobs = ws.len() * vf.len();
+            assert_eq!(want.len(), jobs * (spec.steps - spec.horizon));
+            for threads in [1, 2, 4, jobs + 1] {
+                let got = build_dataset_on(&p, &features, &ws, &vf, &spec, threads).unwrap();
+                assert_eq!(got.len(), want.len(), "rows at {threads} threads");
+                assert_eq!(digest(&got), digest(&want), "at {threads} threads");
+            }
+        });
     }
 
     #[test]

@@ -181,9 +181,9 @@ impl FeatureSet {
     pub fn extract(&self, record: &StepRecord, sensor_idx: usize) -> Vec<f64> {
         // Collected, not zero-filled and overwritten: `vec![0.0; n]`
         // allocates through `calloc`, which glibc serves past its
-        // per-thread cache, and over a dataset extraction's tens of
-        // thousands of short-lived rows that left about 13 MB of freed
-        // heap resident for the rest of the process.
+        // per-thread cache, and over tens of thousands of short-lived
+        // rows that leaves megabytes of freed heap resident for the rest
+        // of the process. Bulk extraction uses `extract_into` instead.
         self.ids
             .iter()
             .map(|&id| feature_value(id, record, sensor_idx))

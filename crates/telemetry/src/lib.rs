@@ -26,7 +26,7 @@ pub mod quality;
 pub mod selection;
 pub mod split;
 
-pub use dataset::{build_dataset, DatasetSpec};
+pub use dataset::{build_dataset, build_dataset_on, DatasetSpec};
 pub use features::{
     observed_temperature, FeatureId, FeatureSet, DEFAULT_SENSOR_INDEX, MAX_FEATURES,
     MAX_SENSOR_BANK, TEMPERATURE_FEATURE,
