@@ -3,7 +3,8 @@
 //! This crate provides the strongly-typed physical units, simulation-time
 //! representation, error types, deterministic random-number generation,
 //! the JSON codec ([`json`]), the flag parser behind every binary
-//! ([`cli`]), k-means clustering ([`kmeans`]) and the property-test
+//! ([`cli`]), the worker crew behind every multi-threaded phase
+//! ([`crew`]), k-means clustering ([`kmeans`]) and the property-test
 //! runner ([`check`]) used by every other crate in the workspace.
 //! Keeping them in one place guarantees that, e.g., a
 //! [`units::Celsius`] produced by the thermal solver is the same type
@@ -28,6 +29,7 @@
 
 pub mod check;
 pub mod cli;
+pub mod crew;
 pub mod error;
 pub mod json;
 pub mod kmeans;

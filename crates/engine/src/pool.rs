@@ -1,13 +1,11 @@
 //! Persistent execution pool with per-job panic isolation.
 //!
-//! A [`Pool`] of `t` threads is the calling thread plus `t − 1` worker
-//! threads that it starts on its first multi-threaded batch and keeps
-//! parked on a `Mutex`/`Condvar` between batches, until the pool drops
-//! and joins them. A batch is posted to every parked worker; the calling
-//! thread works as worker 0, the same pattern as the GBT trainer's crew.
-//! Spawning a fresh set of threads per batch cost a freshly spawned
-//! thread's first job up to 4 ms of scheduling delay on a busy 2-vCPU
-//! host, about a fifth of a Fig. 8 pass; parked threads do not pay it.
+//! A [`Pool`] of `t` threads is a job queue over one [`Crew`]: the
+//! calling thread plus `t − 1` worker threads that the crew starts on
+//! the pool's first multi-threaded batch and keeps parked between
+//! batches, until the pool drops and joins them. Every thread of a
+//! batch, the caller's included, runs the same share: claim jobs until
+//! the queue is empty.
 //!
 //! Jobs are tagged with their index in the scenario's deterministic
 //! expansion order before being scattered across threads, so the caller
@@ -25,10 +23,11 @@
 //! and rebuilds it with `init` before the next job, since the panic may
 //! have left it half-mutated.
 
+use common::crew::Crew;
 use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::{Mutex, PoisonError};
 
 /// What became of one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,11 +65,10 @@ pub struct Batch<R> {
 /// A calling thread plus worker threads that live as long as the pool
 /// (see the [module docs](self)).
 pub struct Pool {
-    threads: usize,
-    /// Started on the first multi-threaded batch. The lock is held for
-    /// a whole batch, so batches from two threads sharing the pool run
-    /// one after the other.
-    crew: Mutex<Option<Crew>>,
+    crew: Crew,
+    /// Set by the first batch that runs on the crew: the one whose run
+    /// starts the crew's threads, if it has any.
+    started: AtomicBool,
 }
 
 impl Pool {
@@ -78,22 +76,22 @@ impl Pool {
     /// included. No thread starts until a batch needs one.
     pub fn new(threads: usize) -> Pool {
         Pool {
-            threads: threads.max(1),
-            crew: Mutex::new(None),
+            crew: Crew::new(threads),
+            started: AtomicBool::new(false),
         }
     }
 
     /// Threads a batch runs on, the caller's included.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.crew.threads()
     }
 
     /// Runs `jobs` and returns one outcome per job; panics are contained
     /// per job.
     ///
-    /// With one thread (or at most one job) everything runs inline on
-    /// the calling thread, in job order, which is the reference order
-    /// for determinism tests.
+    /// With one thread (or at most one job) everything runs on the
+    /// calling thread, in job order, which is the reference order for
+    /// determinism tests.
     ///
     /// # Panics
     ///
@@ -109,24 +107,10 @@ impl Pool {
         J: Send,
         R: Send,
     {
-        if self.threads == 1 || jobs.len() <= 1 {
-            let mut state = None;
-            let outcomes = jobs
-                .into_iter()
-                .map(|(idx, job)| {
-                    let state = state.get_or_insert_with(&init);
-                    (idx, guarded(state, &init, &exec, job))
-                })
-                .collect();
-            return Batch {
-                outcomes,
-                workers_started: 0,
-            };
-        }
-
+        let inline = jobs.len() <= 1;
         let results = Mutex::new(Vec::with_capacity(jobs.len()));
         let queue = Mutex::new(jobs.into_iter());
-        let share = || {
+        let share = |_: usize| {
             let mut state = None;
             let mut done = Vec::new();
             // Jobs run under `catch_unwind`, so the queue lock is never
@@ -143,191 +127,31 @@ impl Pool {
                 .unwrap_or_else(PoisonError::into_inner)
                 .extend(done);
         };
-        let workers_started = self.scatter(&share);
+        let workers_started = if inline {
+            share(0);
+            0
+        } else {
+            // The crew serialises runs and starts its threads in its
+            // first one, before that run's caller share: the share that
+            // first sets the flag is the batch that started them. A
+            // one-thread crew starts none.
+            self.crew.run(
+                || {
+                    let first = !self.started.swap(true, Relaxed);
+                    share(0);
+                    if first {
+                        self.threads() - 1
+                    } else {
+                        0
+                    }
+                },
+                &share,
+            )
+        };
         Batch {
             outcomes: results.into_inner().unwrap_or_else(PoisonError::into_inner),
             workers_started,
         }
-    }
-
-    /// Runs `share` once on every thread of the pool, the caller's
-    /// included, and returns once all of them are done; returns how many
-    /// worker threads it had to start first.
-    fn scatter(&self, share: &(dyn Fn() + Sync)) -> usize {
-        let mut crew = self.crew.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut started = 0;
-        let crew = crew.get_or_insert_with(|| {
-            started = self.threads - 1;
-            Crew::start(started)
-        });
-        let board = &crew.board;
-        // SAFETY: only the lifetime is erased (same pointer, same
-        // vtable). Workers dereference the pointer only between this
-        // post and their decrement of `running`, and `Posted`'s drop,
-        // which runs when this function returns or unwinds, waits until
-        // `running` is 0 and takes the pointer back off the board. So
-        // no worker touches `share` after this borrow ends: the
-        // contract `std::thread::scope` keeps for its spawned threads.
-        let task = Task(unsafe {
-            std::mem::transmute::<*const (dyn Fn() + Sync + '_), *const (dyn Fn() + Sync)>(share)
-        });
-        board.update(|state| {
-            state.task = Some(task);
-            state.batch += 1;
-            state.running = crew.workers.len();
-            state.panic = None;
-        });
-        let posted = Posted(board);
-        share();
-        drop(posted);
-        if let Some(payload) = board.lock().panic.take() {
-            resume_unwind(payload);
-        }
-        started
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        let crew = self
-            .crew
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(crew) = crew {
-            crew.board.update(|state| state.closed = true);
-            for worker in crew.workers {
-                // A worker catches every panic of its share, so its
-                // thread only ends by returning.
-                let _ = worker.join();
-            }
-        }
-    }
-}
-
-/// The worker threads and their shared board.
-struct Crew {
-    board: Arc<Board>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl Crew {
-    fn start(workers: usize) -> Crew {
-        let board = Arc::new(Board {
-            state: Mutex::new(State {
-                task: None,
-                batch: 0,
-                running: 0,
-                panic: None,
-                closed: false,
-            }),
-            wake: Condvar::new(),
-        });
-        let workers = (1..=workers)
-            .map(|k| {
-                let board = Arc::clone(&board);
-                std::thread::Builder::new()
-                    .name(format!("boreas-engine-{k}"))
-                    .spawn(move || work(&board))
-                    .expect("spawn an engine worker thread")
-            })
-            .collect();
-        Crew { board, workers }
-    }
-}
-
-/// A posted batch's share, its borrow's lifetime erased.
-#[derive(Clone, Copy)]
-struct Task(*const (dyn Fn() + Sync));
-
-// SAFETY: the pointee is `Sync`, so calling it from another thread
-// through a shared reference is sound; how long the pointer stays valid
-// is `Pool::scatter`'s business.
-unsafe impl Send for Task {}
-
-/// What the calling thread and the workers share.
-struct State {
-    /// The posted batch's share while it runs.
-    task: Option<Task>,
-    /// Counts posted batches; a worker runs each one once.
-    batch: u64,
-    /// Workers that have not yet finished the posted batch.
-    running: usize,
-    /// The first panic a worker's share raised outside any job.
-    panic: Option<Box<dyn Any + Send>>,
-    /// Set when the pool drops: the workers return.
-    closed: bool,
-}
-
-/// The board and the one condvar both sides wait on: workers for a new
-/// batch or the close, the calling thread for `running` to reach 0.
-struct Board {
-    state: Mutex<State>,
-    wake: Condvar,
-}
-
-impl Board {
-    /// Locks the state. Nothing panics while holding the lock, so a
-    /// poisoned lock still holds consistent state.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&self, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        self.wake
-            .wait(state)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn update(&self, change: impl FnOnce(&mut State)) {
-        change(&mut self.lock());
-        self.wake.notify_all();
-    }
-}
-
-/// Waits, on drop, until every worker has finished the posted batch,
-/// then takes the batch's share off the board. Runs on unwind too.
-struct Posted<'a>(&'a Board);
-
-impl Drop for Posted<'_> {
-    fn drop(&mut self) {
-        let mut state = self.0.lock();
-        while state.running > 0 {
-            state = self.0.wait(state);
-        }
-        state.task = None;
-    }
-}
-
-/// A worker thread's loop: run each posted batch's share once, park in
-/// between, return once the pool closes.
-fn work(board: &Board) {
-    let mut seen = 0;
-    loop {
-        let task = {
-            let mut state = board.lock();
-            loop {
-                if state.closed {
-                    return;
-                }
-                match state.task {
-                    Some(task) if state.batch != seen => {
-                        seen = state.batch;
-                        break task;
-                    }
-                    _ => state = board.wait(state),
-                }
-            }
-        };
-        // SAFETY: the pointer was posted by `Pool::scatter`, which does
-        // not return before `running` drops to 0 below (see there).
-        let ran = catch_unwind(AssertUnwindSafe(|| unsafe { (*task.0)() }));
-        board.update(|state| {
-            if let Err(payload) = ran {
-                state.panic.get_or_insert(payload);
-            }
-            state.running -= 1;
-        });
     }
 }
 

@@ -14,11 +14,12 @@
 //!
 //! # Parallelism and determinism
 //!
-//! [`fit`] starts one worker set ([`Crew`] of [`Worker`]s) before it
-//! bins, and every phase of the fit runs on it: the calling thread plus
-//! `min(threads, features) − 1` scoped threads that live until the last
-//! tree is grown. Worker `k` of `t` owns the features
-//! `[k·nf/t, (k+1)·nf/t)` and the rows `[k·n/t, (k+1)·n/t)`:
+//! [`fit`] sets up one worker set ([`Workers`]: a [`Crew`] and one
+//! [`Worker`] per member) before it bins, and every phase of the fit
+//! runs on it: the calling thread plus `min(threads, features) − 1`
+//! crew threads that live until the last tree is grown. Worker `k` of
+//! `t` owns the features `[k·nf/t, (k+1)·nf/t)` and the rows
+//! `[k·n/t, (k+1)·n/t)`:
 //!
 //! | phase | split by | the worker's share |
 //! |---|---|---|
@@ -31,9 +32,9 @@
 //! assembles the code matrix after binning, reduces the workers' best
 //! splits and grows the tree. Workers never share a histogram bin or
 //! write the same row, so no thread merges another's partials. Each
-//! phase is one hand-off through a `Mutex`/`Condvar` slot per worker
-//! ([`crate::workers`]); a worker that panics fails the fit instead of
-//! hanging it.
+//! phase is one run of the crew, whose board hands the phase to every
+//! member at once; a worker that panics fails the fit with its own
+//! panic instead of hanging it.
 //!
 //! Results are **bit-identical at any thread count**, and identical to
 //! a single-threaded fit. Rows are cut into fixed [`BLOCK_ROWS`]-sized
@@ -50,11 +51,10 @@ use crate::binned::{bin_column, BinBuffers, BinnedDataset};
 use crate::dataset::Dataset;
 use crate::params::GbtParams;
 use crate::tree::{Node, RegressionTree};
-use crate::workers::{Crew, Handler};
+use common::crew::Crew;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::OnceLock;
-use std::thread::Scope;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Rows per accumulation block. Fixed — never derived from the thread
@@ -153,43 +153,16 @@ enum Task {
     },
 }
 
-enum Reply {
-    /// The worker's features' cuts and their codes, column-major.
-    Binned(Vec<Vec<f64>>, Vec<u8>),
-    Scans(Vec<Scan>),
-    Done,
-}
-
-/// What a fit's workers share.
-struct Shared<'d> {
-    data: &'d Dataset,
-    params: GbtParams,
-    /// Set by the calling thread once the workers have binned.
-    growth: OnceLock<Growth>,
-}
-
-impl<'d> Shared<'d> {
-    fn new(data: &'d Dataset, params: GbtParams) -> Shared<'d> {
-        Shared {
-            data,
-            params,
-            growth: OnceLock::new(),
-        }
-    }
-
-    fn growth(&self) -> &Growth {
-        self.growth.get().expect("binned before growth")
-    }
-}
-
 /// What tree growth shares: the codes and each row's entries, allocated
 /// only once binning has freed its buffers. A row's entries are written
 /// only by the worker that owns the row, during `Route` and `Finish`,
-/// and read by every worker during `Hist`. `Relaxed` suffices: a
-/// worker's writes come before it locks its slot to reply (release),
-/// the calling thread locks that slot to take the reply (acquire) and
-/// then each slot to post the next task, which the readers lock to take
-/// it.
+/// and read by every worker during `Hist`. `Relaxed` suffices because
+/// every phase is one run of the fit's crew, and the crew's board lock
+/// orders the runs: a member's writes come before it locks the board to
+/// count itself done (release); the calling thread, whose own writes
+/// come before its run returns, locks the board to see every member
+/// done (acquire) and again to post the next phase (release), which
+/// each member locks the board to take (acquire).
 struct Growth {
     binned: BinnedDataset,
     /// Each row's prediction (`f64` bits).
@@ -223,8 +196,7 @@ impl Growth {
 }
 
 /// One worker's state; worker 0 lives on the calling thread.
-struct Worker<'s> {
-    shared: &'s Shared<'s>,
+struct Worker {
     features: Range<usize>,
     rows: Range<usize>,
     /// The worker's slice of each frontier node's histogram.
@@ -234,50 +206,50 @@ struct Worker<'s> {
     /// Binning buffers and the code block, until `Task::Bin`. The
     /// calling thread allocates them, so they return to its heap.
     binning: Option<(BinBuffers, Vec<u8>)>,
+    /// From `Task::Bin` until the calling thread takes them: the
+    /// worker's features' cuts and their codes, column-major.
+    binned: Option<(Vec<Vec<f64>>, Vec<u8>)>,
+    /// From `Task::Split` until the calling thread takes them: the
+    /// worker's scan of each frontier node.
+    scans: Vec<Scan>,
 }
 
-impl<'s> Worker<'s> {
-    fn new(shared: &'s Shared<'s>, k: usize, t: usize) -> Worker<'s> {
-        let (nf, n) = (shared.data.num_features(), shared.data.len());
+impl Worker {
+    fn new(data: &Dataset, k: usize, t: usize) -> Worker {
+        let (nf, n) = (data.num_features(), data.len());
         let features = k * nf / t..(k + 1) * nf / t;
         Worker {
-            shared,
             binning: Some((BinBuffers::with_rows(n), vec![0; n * features.len()])),
             features,
             rows: k * n / t..(k + 1) * n / t,
             level: Vec::new(),
             partial: Vec::new(),
+            binned: None,
+            scans: Vec::new(),
         }
     }
 
     /// Bins the worker's features into its code block, one column after
     /// another.
-    fn bin(&mut self) -> Reply {
+    fn bin(&mut self, workers: &Workers) {
         let (mut buffers, mut codes) = self.binning.take().expect("a worker bins once");
-        let data = self.shared.data;
+        let data = workers.data;
         let cuts = self
             .features
             .clone()
             .zip(codes.chunks_exact_mut(data.len()))
-            .map(|(f, col)| {
-                bin_column(
-                    data.column(f),
-                    self.shared.params.max_bins,
-                    col,
-                    &mut buffers,
-                )
-            })
+            .map(|(f, col)| bin_column(data.column(f), workers.params.max_bins, col, &mut buffers))
             .collect();
-        Reply::Binned(cuts, codes)
+        self.binned = Some((cuts, codes));
     }
 
     /// Builds the next level's histogram slices: the accumulated nodes
     /// first, then each subtract node from its parent, which is moved
     /// out of the previous level.
-    fn build_level(&mut self, plan: &[Source]) {
+    fn build_level(&mut self, workers: &Workers, plan: &[Source]) {
         let n_slots = plan.iter().filter(|s| matches!(s, Source::Rows)).count();
         let mut accumulated = accumulate(
-            self.shared.growth(),
+            workers.growth(),
             self.features.clone(),
             n_slots,
             &mut self.partial,
@@ -303,46 +275,35 @@ impl<'s> Worker<'s> {
 
     /// Searches each frontier node, given its `(Σg, rows)`, over the
     /// worker's features.
-    fn scan(&self, totals: &[(f64, u32)]) -> Vec<Scan> {
-        let binned = &self.shared.growth().binned;
+    fn scan(&self, workers: &Workers, totals: &[(f64, u32)]) -> Vec<Scan> {
+        let binned = &workers.growth().binned;
         totals
             .iter()
             .zip(&self.level)
             .map(|(&(g, n), hist)| {
-                best_split(
-                    binned,
-                    self.features.clone(),
-                    hist,
-                    g,
-                    n,
-                    &self.shared.params,
-                )
+                best_split(binned, self.features.clone(), hist, g, n, &workers.params)
             })
             .collect()
     }
-}
 
-impl Handler for Worker<'_> {
-    type Task = Task;
-    type Reply = Reply;
-
-    fn handle(&mut self, task: &Task) -> Reply {
+    /// Runs the worker's share of `task`.
+    fn handle(&mut self, workers: &Workers, task: &Task) {
         match task {
-            Task::Bin => return self.bin(),
-            Task::Hist(plan) => self.build_level(plan),
-            Task::Split(totals) => return Reply::Scans(self.scan(totals)),
+            Task::Bin => self.bin(workers),
+            Task::Hist(plan) => self.build_level(workers, plan),
+            Task::Split(totals) => self.scans = self.scan(workers, totals),
             Task::Route {
                 branches,
                 slot_of_id,
             } => {
-                let growth = self.shared.growth();
+                let growth = workers.growth();
                 route(growth, self.rows.clone(), branches, |r, id| {
                     growth.slot[r].store(slot_of_id[id as usize], Relaxed);
                 });
             }
             Task::Finish { branches, values } => {
-                let growth = self.shared.growth();
-                let (targets, lr) = (growth.binned.targets(), self.shared.params.learning_rate);
+                let growth = workers.growth();
+                let (targets, lr) = (growth.binned.targets(), workers.params.learning_rate);
                 route(growth, self.rows.clone(), branches, |r, id| {
                     let p = f64::from_bits(growth.pred[r].load(Relaxed)) + lr * values[id as usize];
                     growth.pred[r].store(p.to_bits(), Relaxed);
@@ -351,7 +312,55 @@ impl Handler for Worker<'_> {
                 });
             }
         }
-        Reply::Done
+    }
+}
+
+/// A fit's worker set: what its workers share, its crew, and member
+/// `k`'s [`Worker`] in slot `k`.
+struct Workers<'d> {
+    data: &'d Dataset,
+    params: GbtParams,
+    /// Set by the calling thread once the workers have binned.
+    growth: OnceLock<Growth>,
+    crew: Crew,
+    slots: Vec<Mutex<Worker>>,
+}
+
+impl<'d> Workers<'d> {
+    /// The worker set of `threads` for a fit of `data` (see the module
+    /// docs); its threads start on its first phase.
+    fn new(data: &'d Dataset, params: GbtParams, threads: usize) -> Workers<'d> {
+        let t = threads.min(data.num_features()).max(1);
+        Workers {
+            data,
+            params,
+            growth: OnceLock::new(),
+            crew: Crew::new(t),
+            slots: (0..t)
+                .map(|k| Mutex::new(Worker::new(data, k, t)))
+                .collect(),
+        }
+    }
+
+    fn growth(&self) -> &Growth {
+        self.growth.get().expect("binned before growth")
+    }
+
+    /// Member `k`'s worker. Only member `k` locks it during a phase, and
+    /// only the calling thread between phases. A worker that panicked
+    /// is never read again: the phase re-raises the panic.
+    fn slot(&self, k: usize) -> MutexGuard<'_, Worker> {
+        self.slots[k].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `task` on every member.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a member that panics.
+    fn run(&self, task: Task) {
+        let handle = |k: usize| self.slot(k).handle(self, &task);
+        self.crew.run(|| handle(0), &handle);
     }
 }
 
@@ -513,10 +522,9 @@ fn reduce<'a>(scans: impl Iterator<Item = &'a Scan>) -> Option<Best> {
 /// (with real-valued thresholds, interchangeable with the exact path's
 /// trees); its `Finish` has added the tree to every row's prediction
 /// and set the next tree's gradients.
-fn grow_tree(crew: &mut Crew<Worker>, phases: &mut Phases) -> RegressionTree {
-    let shared = crew.own().shared;
-    let binned = &shared.growth().binned;
-    let params = &shared.params;
+fn grow_tree(workers: &Workers, phases: &mut Phases) -> RegressionTree {
+    let binned = &workers.growth().binned;
+    let params = &workers.params;
     let leaf = |g: f64, n: u32| -g / (f64::from(n) + params.lambda);
 
     let mut nodes: Vec<Node> = vec![Node::leaf(0.0)];
@@ -528,11 +536,12 @@ fn grow_tree(crew: &mut Crew<Worker>, phases: &mut Phases) -> RegressionTree {
     let mut clock = Instant::now();
     for depth in 0..params.max_depth {
         // 1. Histograms: accumulate the `Rows` nodes, subtract the rest.
-        crew.run(Task::Hist(plan));
+        workers.run(Task::Hist(plan));
         if depth == 0 {
             // Every row lands in exactly one bin of feature 0, which
             // worker 0 — this thread — owns.
-            let root = &crew.own().level[0];
+            let own = workers.slot(0);
+            let root = &own.level[0];
             let nb0 = binned.cuts().num_bins(0);
             frontier[0].1 = root.cells[..nb0].iter().map(|cell| cell[0]).sum();
             debug_assert_eq!(
@@ -543,15 +552,11 @@ fn grow_tree(crew: &mut Crew<Worker>, phases: &mut Phases) -> RegressionTree {
         phases.hist_ns += lap(&mut clock);
 
         // 2. Split or finalise each frontier node.
-        let scans: Vec<Vec<Scan>> = crew
-            .run(Task::Split(
-                frontier.iter().map(|&(_, g, n)| (g, n)).collect(),
-            ))
-            .into_iter()
-            .map(|reply| match reply {
-                Reply::Scans(scans) => scans,
-                _ => unreachable!("split replies with scans"),
-            })
+        workers.run(Task::Split(
+            frontier.iter().map(|&(_, g, n)| (g, n)).collect(),
+        ));
+        let scans: Vec<Vec<Scan>> = (0..workers.slots.len())
+            .map(|k| std::mem::take(&mut workers.slot(k).scans))
             .collect();
         let mut next = Vec::new();
         let mut next_plan = Vec::new();
@@ -609,7 +614,7 @@ fn grow_tree(crew: &mut Crew<Worker>, phases: &mut Phases) -> RegressionTree {
                 nodes[id as usize].value = leaf(g, n);
             }
             let values = nodes.iter().map(|node| node.value).collect();
-            crew.run(Task::Finish { branches, values });
+            workers.run(Task::Finish { branches, values });
             phases.route_ns += lap(&mut clock);
             break;
         }
@@ -619,7 +624,7 @@ fn grow_tree(crew: &mut Crew<Worker>, phases: &mut Phases) -> RegressionTree {
         for (slot, (&(id, _, _), _)) in rows.enumerate() {
             slot_of_id[id as usize] = slot as u16;
         }
-        crew.run(Task::Route {
+        workers.run(Task::Route {
             branches,
             slot_of_id,
         });
@@ -665,29 +670,21 @@ pub(crate) struct Fit {
     pub phases: Phases,
 }
 
-/// Starts the worker set of `threads` for `shared` (see the module
-/// docs).
-fn start<'scope, 's>(
-    scope: &'scope Scope<'scope, 's>,
-    shared: &'s Shared<'s>,
-    threads: usize,
-) -> Crew<Worker<'s>> {
-    let t = threads.min(shared.data.num_features()).max(1);
-    Crew::start(scope, (0..t).map(|k| Worker::new(shared, k, t)).collect())
-}
-
-/// Bins every feature on `crew`.
-fn bin_on(crew: &mut Crew<Worker>) -> BinnedDataset {
-    let shared = crew.own().shared;
+/// Bins every feature on `workers`.
+fn bin_on(workers: &Workers) -> BinnedDataset {
+    workers.run(Task::Bin);
     let (mut cuts, mut blocks) = (Vec::new(), Vec::new());
-    for reply in crew.run(Task::Bin) {
-        let Reply::Binned(worker_cuts, block) = reply else {
-            unreachable!("bin replies with cuts and codes")
-        };
+    for k in 0..workers.slots.len() {
+        let (worker_cuts, block) = workers.slot(k).binned.take().expect("every worker bins");
         cuts.extend(worker_cuts);
         blocks.push(block);
     }
-    BinnedDataset::from_blocks(cuts, blocks, shared.params.max_bins, shared.data.targets())
+    BinnedDataset::from_blocks(
+        cuts,
+        blocks,
+        workers.params.max_bins,
+        workers.data.targets(),
+    )
 }
 
 /// Quantises `data` on a worker set of `threads`; `max_bins` must be in
@@ -697,8 +694,7 @@ pub(crate) fn bin(data: &Dataset, max_bins: usize, threads: usize) -> BinnedData
         max_bins,
         ..GbtParams::default()
     };
-    let shared = Shared::new(data, params);
-    std::thread::scope(|scope| bin_on(&mut start(scope, &shared, threads)))
+    bin_on(&Workers::new(data, params, threads))
 }
 
 /// Boosts a full ensemble on `data` with one worker set of `threads`:
@@ -713,23 +709,19 @@ pub(crate) fn bin(data: &Dataset, max_bins: usize, threads: usize) -> BinnedData
 pub(crate) fn fit(data: &Dataset, params: &GbtParams, threads: usize) -> Fit {
     let mut clock = Instant::now();
     let base_score = data.targets().iter().sum::<f64>() / data.len() as f64;
-    let shared = Shared::new(data, *params);
     let mut phases = Phases::default();
-    let trees = std::thread::scope(|scope| {
-        let mut crew = start(scope, &shared, threads);
-        let growth = Growth::new(bin_on(&mut crew), base_score);
-        assert!(shared.growth.set(growth).is_ok(), "a fit bins once");
-        phases.bin_ns = lap(&mut clock);
-        let trees = (0..params.n_estimators)
-            .map(|_| grow_tree(&mut crew, &mut phases))
-            .collect();
-        phases.grow_ns = lap(&mut clock);
-        trees
-    });
+    let workers = Workers::new(data, *params, threads);
+    let growth = Growth::new(bin_on(&workers), base_score);
+    assert!(workers.growth.set(growth).is_ok(), "a fit bins once");
+    phases.bin_ns = lap(&mut clock);
+    let trees = (0..params.n_estimators)
+        .map(|_| grow_tree(&workers, &mut phases))
+        .collect();
+    phases.grow_ns = lap(&mut clock);
     Fit {
         base_score,
         trees,
-        total_bins: shared.growth().binned.total_bins(),
+        total_bins: workers.growth().binned.total_bins(),
         phases,
     }
 }
@@ -742,14 +734,11 @@ mod tests {
     /// Grows one tree on a one-worker set from gradients `−y`. Returns
     /// the tree and each row's leaf.
     fn grow(data: &Dataset, params: &GbtParams) -> (RegressionTree, Vec<u32>) {
-        let shared = Shared::new(data, *params);
-        let tree = std::thread::scope(|scope| {
-            let mut crew = start(scope, &shared, 1);
-            let growth = Growth::new(bin_on(&mut crew), 0.0);
-            assert!(shared.growth.set(growth).is_ok());
-            grow_tree(&mut crew, &mut Phases::default())
-        });
-        let node = &shared.growth().node;
+        let workers = Workers::new(data, *params, 1);
+        let growth = Growth::new(bin_on(&workers), 0.0);
+        assert!(workers.growth.set(growth).is_ok());
+        let tree = grow_tree(&workers, &mut Phases::default());
+        let node = &workers.growth().node;
         let leaves = node.iter().map(|id| id.load(Relaxed)).collect();
         (tree, leaves)
     }
@@ -827,9 +816,9 @@ mod tests {
     fn a_dead_worker_fails_the_fit_instead_of_hanging() {
         // Feature b is worker 1's; a code past its last bin makes worker
         // 1 panic while it accumulates the root, and worker 0 (this
-        // thread) is left waiting for its reply.
+        // thread) must see that panic instead of waiting for worker 1.
         let d = two_feature_data();
-        let shared = Shared::new(&d, GbtParams::default());
+        let workers = Workers::new(&d, GbtParams::default(), 2);
         let n = d.len();
         let mut codes = vec![0; 2 * n];
         let cuts = (0..2)
@@ -840,12 +829,9 @@ mod tests {
             .collect();
         codes[n + 7] = u8::MAX;
         let fit = catch_unwind(AssertUnwindSafe(|| {
-            std::thread::scope(|scope| {
-                let mut crew = start(scope, &shared, 2);
-                let binned = BinnedDataset::from_blocks(cuts, vec![codes], 16, d.targets());
-                assert!(shared.growth.set(Growth::new(binned, 0.0)).is_ok());
-                grow_tree(&mut crew, &mut Phases::default())
-            })
+            let binned = BinnedDataset::from_blocks(cuts, vec![codes], 16, d.targets());
+            assert!(workers.growth.set(Growth::new(binned, 0.0)).is_ok());
+            grow_tree(&workers, &mut Phases::default())
         }));
         assert!(fit.is_err());
     }

@@ -53,7 +53,6 @@ pub mod model;
 pub mod params;
 pub mod spec;
 pub mod tree;
-mod workers;
 
 pub use binned::{BinCuts, BinnedDataset};
 pub use cv::{grid_search, leave_one_group_out, CvOutcome, GridResult};

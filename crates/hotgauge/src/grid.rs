@@ -6,13 +6,15 @@
 //! deterministic, so the grid runner spreads them over threads and hands
 //! their outcomes back on the calling thread in the serial, workload-major
 //! order: whatever the caller builds from them is bit-identical at any
-//! thread count.
+//! thread count. The threads are a per-grid [`Crew`]: the calling
+//! thread delivers outcomes in order and runs jobs while it waits, the
+//! crew's members claim and run jobs.
 
 use crate::pipeline::{FixedRunOutcome, Pipeline};
+use common::crew::Crew;
 use common::units::{GigaHertz, Volts};
 use common::Result;
 use std::collections::BTreeMap;
-use std::panic;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use workloads::WorkloadSpec;
 
@@ -28,12 +30,12 @@ struct Board {
     visited: usize,
     /// Finished, not yet visited outcomes, by job index.
     done: BTreeMap<usize, Result<FixedRunOutcome>>,
-    /// Set when the caller leaves (return, error or panic) or a worker
+    /// Set when the caller leaves (return, error or panic) or a member
     /// panics: nobody claims another job.
     closed: bool,
 }
 
-/// What the calling thread and the workers share.
+/// What the calling thread and the crew's members share.
 struct Shared<'a> {
     pipeline: &'a Pipeline,
     workloads: &'a [WorkloadSpec],
@@ -77,47 +79,46 @@ impl Shared<'_> {
         )
     }
 
-    /// A worker thread: claims jobs in grid order while the window has
+    /// Claims job `board.next`, runs it outside the lock and posts its
+    /// outcome; returns the board locked again.
+    fn run_next<'b>(&'b self, mut board: MutexGuard<'b, Board>) -> MutexGuard<'b, Board> {
+        let j = board.next;
+        board.next += 1;
+        drop(board);
+        let outcome = self.run(j);
+        let mut board = self.lock();
+        board.done.insert(j, outcome);
+        self.wake.notify_all();
+        board
+    }
+
+    /// A crew member: claims jobs in grid order while the window has
     /// room, and posts each outcome for the calling thread to visit.
     fn work(&self) {
         let _close = CloseGuard {
             shared: self,
             on_return: false,
         };
-        loop {
-            let j = {
-                let mut board = self.lock();
-                loop {
-                    if board.closed || board.next == self.jobs {
-                        return;
-                    }
-                    if self.claimable(&board) {
-                        break;
-                    }
-                    board = self.wait(board);
-                }
-                board.next += 1;
-                board.next - 1
+        let mut board = self.lock();
+        while !board.closed && board.next < self.jobs {
+            board = if self.claimable(&board) {
+                self.run_next(board)
+            } else {
+                self.wait(board)
             };
-            let outcome = self.run(j);
-            self.lock().done.insert(j, outcome);
-            self.wake.notify_all();
         }
     }
 
     /// The calling thread: visits finished outcomes in grid order, and
     /// runs a job itself whenever the next outcome is not ready yet.
+    /// Only a panicking member closes the board while the caller is
+    /// here; the crew re-raises that panic.
     fn deliver(
         &self,
         visit: &mut impl FnMut(usize, usize, FixedRunOutcome) -> Result<()>,
     ) -> Result<()> {
         let mut board = self.lock();
-        loop {
-            // Only a panicking worker closes the board while the caller
-            // is here; joining it re-raises that panic.
-            if board.visited == self.jobs || board.closed {
-                return Ok(());
-            }
+        while !board.closed && board.visited < self.jobs {
             let j = board.visited;
             if let Some(outcome) = board.done.remove(&j) {
                 board.visited += 1;
@@ -126,22 +127,18 @@ impl Shared<'_> {
                 visit(j / self.points.len(), j % self.points.len(), outcome?)?;
                 board = self.lock();
             } else if self.claimable(&board) {
-                let mine = board.next;
-                board.next += 1;
-                drop(board);
-                let outcome = self.run(mine);
-                board = self.lock();
-                board.done.insert(mine, outcome);
+                board = self.run_next(board);
             } else {
                 board = self.wait(board);
             }
         }
+        Ok(())
     }
 }
 
 /// Closes the board when its thread unwinds, and also when it returns if
 /// `on_return` is set (the calling thread's guard), so no thread waits
-/// for a party that has left. A worker that runs out of jobs returns
+/// for a party that has left. A member that runs out of jobs returns
 /// without closing: the caller still has outcomes to visit.
 struct CloseGuard<'s, 'a> {
     shared: &'s Shared<'a>,
@@ -165,22 +162,23 @@ impl Pipeline {
     /// `for w { for p { run_fixed } }` loop.
     ///
     /// The calling thread is one of the `threads` (clamped to
-    /// `1..=jobs`); the others are scoped threads that claim jobs in grid
-    /// order from a shared counter. A job is claimed only while fewer than
-    /// `2 × threads` jobs are claimed and not yet visited, so at most that
-    /// many outcomes wait out of order. Every run is independent and
+    /// `1..=jobs`); the others are the members of a crew that lives for
+    /// this call and claim jobs in grid order from a shared counter. A
+    /// job is claimed only while fewer than `2 × threads` jobs are
+    /// claimed and not yet visited, so at most that many outcomes wait
+    /// out of order. Every run is independent and
     /// deterministic, so what `visit` sees does not depend on `threads`.
     ///
     /// # Errors
     ///
     /// Returns the first error in grid order — a failed run or an error
     /// returned by `visit` — exactly as the serial loop would, after every
-    /// thread has been joined. No job is visited after it.
+    /// thread has stopped. No job is visited after it.
     ///
     /// # Panics
     ///
     /// Re-raises a panic of a run or of `visit`, after every thread has
-    /// stopped claiming jobs and been joined.
+    /// stopped claiming jobs.
     pub fn run_fixed_grid(
         &self,
         workloads: &[WorkloadSpec],
@@ -209,21 +207,15 @@ impl Pipeline {
             }),
             wake: Condvar::new(),
         };
-        std::thread::scope(|s| {
-            let workers: Vec<_> = (1..threads).map(|_| s.spawn(|| shared.work())).collect();
-            let result = {
+        Crew::new(threads).run(
+            || {
                 let _close = CloseGuard {
                     shared: &shared,
                     on_return: true,
                 };
                 shared.deliver(&mut visit)
-            };
-            for worker in workers {
-                if let Err(payload) = worker.join() {
-                    panic::resume_unwind(payload);
-                }
-            }
-            result
-        })
+            },
+            &|_| shared.work(),
+        )
     }
 }

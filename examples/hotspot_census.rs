@@ -6,18 +6,35 @@
 //! Run with: `cargo run --release --example hotspot_census [freq_ghz]`
 
 use boreas::prelude::*;
+use common::cli::{run_main, Spec};
+use common::Error;
 use hotgauge::{detect_events, summarize, HotspotClass};
 use std::collections::BTreeMap;
 
-fn main() -> Result<()> {
-    let freq: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4.5);
+fn main() {
+    let args = Spec::new(
+        "hotspot_census",
+        "hotspot episodes per workload at one frequency",
+    )
+    .positionals("freq_ghz", 0..=1, "core frequency in GHz [default: 4.5]")
+    .parse_env();
+    run_main(|| census(args.positionals().first().map_or("4.5", String::as_str)));
+}
+
+/// Prints the census at `freq_ghz` GHz.
+fn census(freq_ghz: &str) -> Result<()> {
+    let freq = freq_ghz
+        .parse::<f64>()
+        .ok()
+        .filter(|f| f.is_finite() && *f > 0.0)
+        .ok_or_else(|| {
+            Error::invalid_config(
+                "freq_ghz",
+                format!("`{freq_ghz}` is not a positive frequency"),
+            )
+        })?;
     let pipeline = PipelineConfig::paper().build()?;
-    let vf = VfTable::paper();
     let point = VfPoint::closest(GigaHertz::new(freq));
-    let _ = &vf;
 
     println!(
         "hotspot census at {:.2} GHz, severity threshold 0.9, 12 ms per workload\n",
