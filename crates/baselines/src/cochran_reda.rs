@@ -205,11 +205,6 @@ impl CochranRedaModel {
         }
     }
 
-    /// Phase id of a counter vector (diagnostics).
-    pub fn phase_of(&self, counters: &[f64]) -> usize {
-        self.phases.assign(&self.pca.transform(counters))
-    }
-
     /// MSE of the future-temperature prediction on held-out pipeline
     /// runs (on every available core, summed in grid order).
     ///

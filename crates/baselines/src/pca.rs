@@ -119,11 +119,6 @@ impl Pca {
         })
     }
 
-    /// Number of components kept.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Eigenvalues of the kept components, descending.
     pub fn eigenvalues(&self) -> &[f64] {
         &self.eigenvalues

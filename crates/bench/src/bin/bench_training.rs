@@ -7,7 +7,7 @@
 //! trainings, reduced ensemble so a sample stays interactive):
 //!
 //! * `train_hist_1t` / `train_hist_2t` / `train_hist_4t` — the binned
-//!   histogram trainer ([`gbt::TrainSpec`], [`gbt::TrainMethod::Histogram`])
+//!   histogram trainer ([`gbt::TrainSpec`])
 //!   at 1, 2 and 4 threads;
 //! * the baseline is [`gbt::GbtModel::train_reference`], the seed's
 //!   exact greedy scan, on the same dataset and hyper-parameters.
@@ -42,7 +42,7 @@ use boreas_bench::report::{publish, speedup_regressions, DatasetShape, Kernel, K
 use boreas_core::VfTable;
 use common::cli::Spec;
 use common::{json, Result};
-use gbt::{Dataset, GbtModel, GbtParams, TrainMethod};
+use gbt::{Dataset, GbtModel, GbtParams};
 use hotgauge::Pipeline;
 use std::time::Instant;
 use telemetry::{DatasetSpec, FeatureSet};
@@ -137,7 +137,6 @@ fn synthetic_dataset(rows: usize, features: usize) -> Result<Dataset> {
 fn hist_train(data: &Dataset, params: &GbtParams, threads: usize) -> gbt::TrainReport {
     gbt::TrainSpec::new(data)
         .params(*params)
-        .method(TrainMethod::Histogram)
         .threads(threads)
         .fit()
         .expect("histogram training")
@@ -165,14 +164,9 @@ fn phase_line(s: &gbt::TrainStats) -> String {
 /// FNV-1a digest of `model`'s prediction bits on every row of `data`,
 /// in row order: equal digests mean bit-identical predictions.
 fn prediction_digest(model: &GbtModel, data: &Dataset) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for r in 0..data.len() {
-        for byte in model.predict(&data.row(r)).to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    (0..data.len()).fold(common::FNV1A64_OFFSET, |hash, r| {
+        common::fnv1a64(hash, &model.predict(&data.row(r)).to_bits().to_le_bytes())
+    })
 }
 
 /// How many times faster each phase ran in `fast` than in `slow`.

@@ -8,7 +8,6 @@
 //! digest at 1 and 4 engine worker threads.
 
 use engine::{ControllerSpec, Scenario, Session};
-use gbt::TrainMethod;
 use workloads::WorkloadSpec;
 
 /// The fig8 smoke dataset: severity ≈ frequency/5 over 200 rows.
@@ -69,7 +68,7 @@ fn run_smoke_loop(threads: usize) -> engine::SessionReport {
 fn smoke_model_is_thread_invariant_and_histogram_trained() {
     let r1 = smoke_model(1);
     let r4 = smoke_model(4);
-    assert_eq!(r1.stats.method, TrainMethod::Histogram);
+    assert!(r1.stats.total_bins > 0);
     assert_eq!(r1.stats.trees, 30);
     assert_eq!(r1.stats.threads, 1);
     assert_eq!(r4.stats.threads, 4);

@@ -1,6 +1,5 @@
 //! The frequency controllers the paper evaluates.
 
-use crate::critical::CriticalTemps;
 use crate::vf::VfTable;
 use common::units::GigaHertz;
 use common::{Error, Result};
@@ -97,13 +96,6 @@ impl<'a> ControlContext<'a> {
     /// Panics if the interval is empty (the runner never does this).
     pub fn last_record(&self) -> &StepRecord {
         self.recent.last().expect("non-empty interval")
-    }
-
-    /// The delayed sensor temperature visible to the controller, °C,
-    /// read via the context's default selector (a single sensor, or the
-    /// bank maximum for [`telemetry::MAX_SENSOR_BANK`]).
-    pub fn sensor_temp(&self) -> f64 {
-        self.sensor_temp_at(self.sensor_idx)
     }
 
     /// The delayed temperature of a specific sensor selector.
@@ -241,11 +233,6 @@ pub struct ThermalController {
 }
 
 impl ThermalController {
-    /// Builds TH-δ from measured critical temperatures.
-    pub fn from_critical(crit: &CriticalTemps, relax_c: f64) -> Self {
-        Self::from_thresholds(crit.global_thresholds(), relax_c)
-    }
-
     /// Builds a controller from explicit thresholds, reading the paper's
     /// default sensor (tsens03).
     pub fn from_thresholds(thresholds: Vec<Option<f64>>, relax_c: f64) -> Self {

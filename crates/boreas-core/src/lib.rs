@@ -58,9 +58,7 @@ pub use obs::{
 };
 pub use online::{ControlDecision, OnlineController, TelemetryFrame};
 pub use oracle::{oracle_frequencies, OracleController, SweepTable};
-pub use resilient::{
-    ControlStage, DegradationEvent, DegradationLog, ResilienceConfig, ResilientController,
-};
+pub use resilient::{ControlStage, DegradationEvent, DegradationLog, ResilientController};
 pub use runner::{ClosedLoopOutcome, ObservationFilter, PassthroughFilter, RunSpec};
 pub use training::{smoke_model, TrainReport, TrainSpec, TrainingConfig};
 pub use vf::{VfPoint, VfTable};

@@ -4,14 +4,14 @@
 //! and the raw interval records. Every decision it:
 //!
 //! 1. **sanitises** the interval — each sensor reading is checked against
-//!    a [`telemetry::QualityPolicy`] (finite, in physical range, bounded
+//!    [`telemetry::quality`]'s bounds (finite, in physical range, bounded
 //!    rate of change versus the last *accepted* reading of that sensor);
 //!    implausible readings are replaced by the last-known-good value, and
 //!    insane counter blocks by the last sane block;
 //! 2. **scores** the interval — the fraction of fully plausible records;
-//! 3. **degrades** when the score drops below a floor: the inner (ML)
-//!    policy is bypassed in favour of a conservative thermal-threshold
-//!    fallback, and after `watchdog_k` consecutive bad intervals a
+//! 3. **degrades** when the score drops below a floor of 0.75: the inner
+//!    (ML) policy is bypassed in favour of a conservative
+//!    thermal-threshold fallback, and after 3 consecutive bad intervals a
 //!    watchdog forces the global-safe operating point outright;
 //! 4. **recovers** to the primary policy as soon as an interval scores
 //!    clean again, and
@@ -28,7 +28,7 @@ use common::{Error, Result};
 use hotgauge::StepRecord;
 use perfsim::IntervalCounters;
 use std::fmt;
-use telemetry::QualityPolicy;
+use telemetry::quality::{counters_plausible, reading_plausible};
 
 /// Which policy is currently in charge of the VF decision.
 ///
@@ -61,54 +61,13 @@ impl fmt::Display for ControlStage {
     }
 }
 
-/// Knobs of the degradation ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceConfig {
-    /// What counts as a plausible reading / counter block.
-    pub policy: QualityPolicy,
-    /// Minimum fraction of plausible records per interval before the
-    /// primary policy is trusted.
-    pub quality_floor: f64,
-    /// Consecutive below-floor intervals before the watchdog forces the
-    /// global-safe point.
-    pub watchdog_k: usize,
-}
+/// Minimum fraction of plausible records per interval before the primary
+/// policy is trusted.
+const QUALITY_FLOOR: f64 = 0.75;
 
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self {
-            policy: QualityPolicy::default(),
-            quality_floor: 0.75,
-            watchdog_k: 3,
-        }
-    }
-}
-
-impl ResilienceConfig {
-    /// Checks the configuration's own consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] for an out-of-range quality floor
-    /// or a zero watchdog count, and propagates
-    /// [`QualityPolicy::validate`] failures.
-    pub fn validate(&self) -> Result<()> {
-        self.policy.validate()?;
-        if !(self.quality_floor.is_finite() && (0.0..=1.0).contains(&self.quality_floor)) {
-            return Err(Error::invalid_config(
-                "resilience",
-                format!("quality floor {} outside [0, 1]", self.quality_floor),
-            ));
-        }
-        if self.watchdog_k == 0 {
-            return Err(Error::invalid_config(
-                "resilience",
-                "watchdog count must be at least 1",
-            ));
-        }
-        Ok(())
-    }
-}
+/// Consecutive below-floor intervals before the watchdog forces the
+/// global-safe point.
+const WATCHDOG_K: usize = 3;
 
 /// One stage transition of the degradation ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,14 +159,12 @@ impl DegradationLog {
 /// A [`Controller`] wrapper implementing the degradation ladder.
 ///
 /// See the [module docs](self) for the behaviour; construct with
-/// [`ResilientController::new`] and tune with
-/// [`ResilientController::with_config`].
+/// [`ResilientController::new`].
 #[derive(Debug, Clone)]
 pub struct ResilientController<C> {
     inner: C,
     fallback: ThermalController,
     safe_idx: usize,
-    cfg: ResilienceConfig,
     /// Last accepted reading per sensor, °C.
     last_good: Vec<Option<f64>>,
     last_good_counters: Option<IntervalCounters>,
@@ -228,7 +185,6 @@ impl<C: Controller> ResilientController<C> {
             inner,
             fallback,
             safe_idx,
-            cfg: ResilienceConfig::default(),
             last_good: Vec::new(),
             last_good_counters: None,
             consecutive_anomalous: 0,
@@ -239,18 +195,6 @@ impl<C: Controller> ResilientController<C> {
         }
     }
 
-    /// Replaces the default [`ResilienceConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when `cfg` fails
-    /// [`ResilienceConfig::validate`].
-    pub fn with_config(mut self, cfg: ResilienceConfig) -> Result<Self> {
-        cfg.validate()?;
-        self.cfg = cfg;
-        Ok(self)
-    }
-
     /// The stage currently in charge.
     pub fn stage(&self) -> ControlStage {
         self.stage
@@ -259,11 +203,6 @@ impl<C: Controller> ResilientController<C> {
     /// The transition history of the current run.
     pub fn log(&self) -> &DegradationLog {
         &self.log
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ResilienceConfig {
-        &self.cfg
     }
 
     /// Unwraps the primary controller.
@@ -280,7 +219,7 @@ impl<C: Controller> ResilientController<C> {
         }
         for (i, t) in record.sensor_temps.iter_mut().enumerate() {
             let v = t.value();
-            if self.cfg.policy.reading_plausible(self.last_good[i], v) {
+            if reading_plausible(self.last_good[i], v) {
                 self.last_good[i] = Some(v);
             } else {
                 clean = false;
@@ -288,7 +227,7 @@ impl<C: Controller> ResilientController<C> {
                 *t = Celsius::new(self.last_good[i].unwrap_or(Celsius::AMBIENT.value()));
             }
         }
-        if self.cfg.policy.counters_plausible(&record.counters) {
+        if counters_plausible(&record.counters) {
             self.last_good_counters = Some(record.counters.clone());
         } else {
             clean = false;
@@ -303,14 +242,14 @@ impl<C: Controller> ResilientController<C> {
     /// Applies the ladder for one interval of quality `q`; records any
     /// transition.
     fn advance_stage(&mut self, q: f64) {
-        let anomalous = q < self.cfg.quality_floor;
+        let anomalous = q < QUALITY_FLOOR;
         if anomalous {
             self.log.anomalous_intervals += 1;
             self.consecutive_anomalous += 1;
         } else {
             self.consecutive_anomalous = 0;
         }
-        let next = if self.consecutive_anomalous >= self.cfg.watchdog_k {
+        let next = if self.consecutive_anomalous >= WATCHDOG_K {
             ControlStage::Safe
         } else if anomalous {
             ControlStage::Fallback
@@ -320,10 +259,9 @@ impl<C: Controller> ResilientController<C> {
         if next != self.stage {
             let reason = match next {
                 ControlStage::Primary => format!("telemetry recovered (quality {q:.2})"),
-                ControlStage::Fallback => format!(
-                    "telemetry quality {q:.2} below floor {:.2}",
-                    self.cfg.quality_floor
-                ),
+                ControlStage::Fallback => {
+                    format!("telemetry quality {q:.2} below floor {QUALITY_FLOOR:.2}")
+                }
                 ControlStage::Safe => format!(
                     "watchdog: {} consecutive anomalous intervals",
                     self.consecutive_anomalous
@@ -556,22 +494,6 @@ mod tests {
         assert_eq!(rc.log().intervals(), 0);
         assert!(rc.log().events().is_empty());
         rc.log().require_clean().unwrap();
-    }
-
-    #[test]
-    fn config_validation() {
-        ResilienceConfig::default().validate().unwrap();
-        let bad = ResilienceConfig {
-            quality_floor: 1.5,
-            ..ResilienceConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ResilienceConfig {
-            watchdog_k: 0,
-            ..ResilienceConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        assert!(resilient().with_config(bad).is_err());
     }
 
     #[test]

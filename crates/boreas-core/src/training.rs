@@ -71,7 +71,6 @@ pub struct TrainSpec<'a> {
     workloads: Vec<WorkloadSpec>,
     config: TrainingConfig,
     threads: usize,
-    method: gbt::TrainMethod,
     obs: obs::Obs,
 }
 
@@ -85,7 +84,6 @@ impl<'a> TrainSpec<'a> {
             workloads: WorkloadSpec::train_set(),
             config: TrainingConfig::default(),
             threads: 0,
-            method: gbt::TrainMethod::Histogram,
             obs: obs::Obs::default(),
         }
     }
@@ -141,13 +139,6 @@ impl<'a> TrainSpec<'a> {
         self
     }
 
-    /// Selects the underlying trainer (histogram by default).
-    #[must_use]
-    pub fn method(mut self, method: gbt::TrainMethod) -> Self {
-        self.method = method;
-        self
-    }
-
     /// Attaches an observability bundle; training emits `train_*`
     /// counters and `train.bin` / `train.grow` spans through it.
     #[must_use]
@@ -183,7 +174,6 @@ impl<'a> TrainSpec<'a> {
         let report = gbt::TrainSpec::new(&dataset)
             .params(self.config.params)
             .threads(self.threads)
-            .method(self.method)
             .observe(&self.obs)
             .fit()?;
         Ok(TrainReport {

@@ -48,3 +48,32 @@ pub use time::{SimTime, STEPS_PER_DECISION, STEP_MICROS};
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
+
+/// The FNV-1a-64 offset basis: the hash of no bytes, and the state
+/// [`fnv1a64`] starts from.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a-64 state `hash` and returns the new
+/// state, so a digest over several pieces is one call per piece,
+/// starting from [`FNV1A64_OFFSET`]. The digest behind the
+/// training-bench prediction digest and the load driver's decision
+/// digest.
+pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a64_matches_the_published_vectors() {
+        assert_eq!(fnv1a64(FNV1A64_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(FNV1A64_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(FNV1A64_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        let split = fnv1a64(fnv1a64(FNV1A64_OFFSET, b"foo"), b"bar");
+        assert_eq!(split, 0x8594_4171_f739_67e8);
+    }
+}

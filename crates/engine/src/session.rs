@@ -441,7 +441,7 @@ impl Session {
     }
 
     /// Overrides the retry policy (default:
-    /// [`RetryPolicy::default`] — one retry, no backoff).
+    /// [`RetryPolicy::default`] — one retry).
     #[must_use]
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;

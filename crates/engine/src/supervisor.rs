@@ -11,30 +11,22 @@
 //!
 //! Jobs stay owned by the supervisor and cross into the pool by
 //! reference, so a panic mid-job can never consume the payload — a
-//! panicked job is always retryable. Backoff (if configured) sleeps
-//! *between* waves, off the result path, so results stay byte-identical
-//! whether or not the supervisor ever waited.
+//! panicked job is always retryable.
 
 use crate::pool::{JobOutcome, Pool};
-use std::time::Duration;
 
 /// How failed jobs are retried.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per job (1 = no retries). Clamped to ≥ 1.
     pub max_attempts: usize,
-    /// Sleep between retry waves; never influences results.
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
-    /// One retry, no backoff — enough to absorb a transient fault
+    /// One retry — enough to absorb a transient fault
     /// without hiding a deterministic bug behind many repeats.
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 2,
-            backoff: Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 2 }
     }
 }
 
@@ -42,21 +34,12 @@ impl RetryPolicy {
     /// A policy that never retries: first failure goes straight to
     /// quarantine.
     pub fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
     /// Builder: total attempts per job.
     pub fn with_max_attempts(mut self, max_attempts: usize) -> RetryPolicy {
         self.max_attempts = max_attempts;
-        self
-    }
-
-    /// Builder: sleep between retry waves.
-    pub fn with_backoff(mut self, backoff: Duration) -> RetryPolicy {
-        self.backoff = backoff;
         self
     }
 }
@@ -156,9 +139,6 @@ where
     for attempt in 0..max_attempts {
         if wave.is_empty() {
             break;
-        }
-        if attempt > 0 && !policy.backoff.is_zero() {
-            std::thread::sleep(policy.backoff);
         }
         let tasks: Vec<(usize, (usize, &J))> = wave
             .iter()

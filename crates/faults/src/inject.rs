@@ -1,17 +1,11 @@
 //! Applying a [`FaultPlan`] to live telemetry.
 //!
-//! Two injection surfaces share the same corruption core:
-//!
-//! * [`FaultInjector`] corrupts [`hotgauge::StepRecord`]s and implements
-//!   [`boreas_core::ObservationFilter`], so a filtered
-//!   [`boreas_core::RunSpec`] can feed a controller faulty telemetry
-//!   while its accounting stays on the true records;
-//! * [`FaultySensorBank`] wraps a [`thermal::SensorBank`] and corrupts
-//!   its readings in place, for components that talk to the sensor layer
-//!   directly.
-//!
-//! Both replay bit-identically for a given plan because all randomness
-//! is derived statelessly from `(seed, fault, step, lane)`.
+//! [`FaultInjector`] corrupts [`hotgauge::StepRecord`]s and implements
+//! [`boreas_core::ObservationFilter`], so a filtered
+//! [`boreas_core::RunSpec`] can feed a controller faulty telemetry while
+//! its accounting stays on the true records. It replays bit-identically
+//! for a given plan because all randomness is derived statelessly from
+//! `(seed, fault, step, lane)`.
 
 use crate::plan::{lane, FaultKind, FaultPlan, FaultTarget};
 use boreas_core::ObservationFilter;
@@ -19,7 +13,6 @@ use common::units::Celsius;
 use hotgauge::StepRecord;
 use perfsim::{CounterId, IntervalCounters};
 use std::collections::VecDeque;
-use thermal::{SensorBank, SensorReading, ThermalGrid};
 
 /// Pristine per-step temperature vectors, newest last, bounded to what
 /// [`FaultKind::Late`] faults can reach back to.
@@ -209,119 +202,6 @@ impl ObservationFilter for FaultInjector {
     }
 }
 
-/// A [`SensorBank`] whose readings pass through a [`FaultPlan`].
-///
-/// The wrapper counts [`FaultySensorBank::record`] calls as its step
-/// clock, so faults are windowed on the same 80 µs steps as the rest of
-/// the pipeline. Counter faults in the plan are ignored here — a sensor
-/// bank carries no counters.
-#[derive(Debug, Clone)]
-pub struct FaultySensorBank {
-    inner: SensorBank,
-    plan: FaultPlan,
-    late: LateBuffer,
-    /// Steps recorded so far; the current step index is `recorded - 1`.
-    recorded: usize,
-}
-
-impl FaultySensorBank {
-    /// Wraps `inner` with `plan`.
-    pub fn new(inner: SensorBank, plan: FaultPlan) -> Self {
-        let late = LateBuffer::for_plan(&plan);
-        Self {
-            inner,
-            plan,
-            late,
-            recorded: 0,
-        }
-    }
-
-    /// The pristine bank underneath.
-    pub fn inner(&self) -> &SensorBank {
-        &self.inner
-    }
-
-    /// The plan being injected.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Number of sensors.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` when the bank has no sensors.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Records the current thermal state and advances the fault clock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SensorBank::record`] shape errors.
-    pub fn record(&mut self, now_us: f64, thermal: &ThermalGrid) -> common::Result<()> {
-        self.inner.record(now_us, thermal)?;
-        self.late.push(
-            self.inner
-                .read_all(now_us)
-                .iter()
-                .map(|r| r.temperature.value())
-                .collect(),
-        );
-        self.recorded += 1;
-        Ok(())
-    }
-
-    fn current_step(&self) -> usize {
-        self.recorded.saturating_sub(1)
-    }
-
-    /// Reads every sensor at `now_us`, with faults applied.
-    pub fn read_all(&self, now_us: f64) -> Vec<SensorReading> {
-        let mut readings = self.inner.read_all(now_us);
-        let mut temps: Vec<f64> = readings.iter().map(|r| r.temperature.value()).collect();
-        let step = self.current_step();
-        for fault_idx in self.plan.active_at(step) {
-            if !self.plan.faults()[fault_idx].kind.is_counter_fault() {
-                apply_sensor_fault(&self.plan, fault_idx, step, &self.late, &mut temps);
-            }
-        }
-        for (r, t) in readings.iter_mut().zip(temps) {
-            r.temperature = Celsius::new(t);
-        }
-        readings
-    }
-
-    /// Reads one sensor by index, with faults applied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range; prefer
-    /// [`FaultySensorBank::try_read_one`].
-    pub fn read_one(&self, idx: usize, now_us: f64) -> SensorReading {
-        self.read_all(now_us)[idx]
-    }
-
-    /// Reads one sensor by index, with faults applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`common::Error::NotFound`] when `idx` is out of range.
-    pub fn try_read_one(&self, idx: usize, now_us: f64) -> common::Result<SensorReading> {
-        self.inner.try_read_one(idx, now_us)?;
-        Ok(self.read_all(now_us)[idx])
-    }
-
-    /// Resets sensor histories and the fault clock.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-        self.late.clear();
-        self.recorded = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,66 +361,5 @@ mod tests {
         let mut r = record(&[55.0]);
         inj.corrupt(0, &mut r);
         assert_eq!(r.sensor_temps[0].value(), 55.0, "history gone after reset");
-    }
-
-    mod bank {
-        use super::*;
-        use common::units::Celsius;
-        use floorplan::{Floorplan, Grid, GridSpec, SensorSite};
-        use thermal::{ThermalConfig, ThermalGrid};
-
-        fn setup(plan: FaultPlan) -> (Grid, ThermalGrid, FaultySensorBank) {
-            let fp = Floorplan::skylake_like();
-            let grid = Grid::rasterize(&fp, GridSpec::default()).unwrap();
-            let thermal = ThermalGrid::new(&grid, ThermalConfig::default());
-            let bank = SensorBank::new(
-                SensorSite::paper_seven(&fp),
-                &grid,
-                0.0,
-                0.0,
-                Celsius::AMBIENT,
-            )
-            .unwrap();
-            (grid, thermal, FaultySensorBank::new(bank, plan))
-        }
-
-        #[test]
-        fn faulty_bank_matches_inner_when_plan_empty() {
-            let (grid, mut thermal, mut bank) = setup(FaultPlan::new(0));
-            let power = vec![0.05; grid.spec().cells()];
-            thermal.step(&power, 80.0).unwrap();
-            bank.record(80.0, &thermal).unwrap();
-            assert_eq!(bank.read_all(80.0), bank.inner().read_all(80.0));
-            assert_eq!(bank.len(), 7);
-            assert!(!bank.is_empty());
-        }
-
-        #[test]
-        fn faulty_bank_applies_windowed_stuck_at() {
-            let plan = FaultPlan::new(1)
-                .with(Fault::new(FaultKind::StuckAt { value_c: 20.0 }).during(2, 100));
-            let (grid, mut thermal, mut bank) = setup(plan);
-            let power = vec![0.05; grid.spec().cells()];
-            let mut now = 0.0;
-            for step in 0..5 {
-                thermal.step(&power, 80.0).unwrap();
-                now += 80.0;
-                bank.record(now, &thermal).unwrap();
-                let reading = bank.read_one(3, now).temperature.value();
-                let truth = bank.inner().read_one(3, now).temperature.value();
-                if step < 2 {
-                    assert_eq!(reading, truth, "step {step}: window closed");
-                } else {
-                    assert_eq!(reading, 20.0, "step {step}: latched");
-                    assert_ne!(truth, 20.0);
-                }
-            }
-            assert!(bank.try_read_one(99, now).is_err());
-            bank.reset();
-            assert_eq!(
-                bank.try_read_one(3, now).unwrap().temperature,
-                Celsius::AMBIENT
-            );
-        }
     }
 }

@@ -5,15 +5,11 @@
 //! seeded, replayable set of faults — stuck-at sensors, dropped or late
 //! readings, additive Gaussian noise, transient spikes, zeroed or
 //! scrambled counter blocks — each with an activation window and a
-//! per-step firing probability. Two injection surfaces apply it:
-//!
-//! * [`FaultInjector`] — corrupts the [`hotgauge::StepRecord`] stream a
-//!   controller observes; plugs into [`boreas_core::RunSpec::filter`] as
-//!   a [`boreas_core::ObservationFilter`], so reliability accounting
-//!   stays on the *true* records while the controller sees the faulty
-//!   ones;
-//! * [`FaultySensorBank`] — wraps [`thermal::SensorBank`] for components
-//!   reading the sensor layer directly.
+//! per-step firing probability. A [`FaultInjector`] applies it: it
+//! corrupts the [`hotgauge::StepRecord`] stream a controller observes and
+//! plugs into [`boreas_core::RunSpec::filter`] as a
+//! [`boreas_core::ObservationFilter`], so reliability accounting stays on
+//! the *true* records while the controller sees the faulty ones.
 //!
 //! All randomness derives statelessly from `(seed, fault, step, lane)`
 //! via [`common::rng::SplitMix64`]: a plan replays bit-identically,
@@ -34,5 +30,5 @@ pub mod inject;
 pub mod plan;
 
 pub use engine::{EngineFault, EngineFaultKind, EngineFaultPlan};
-pub use inject::{FaultInjector, FaultySensorBank};
+pub use inject::FaultInjector;
 pub use plan::{Fault, FaultKind, FaultPlan, FaultTarget, StepWindow};

@@ -20,9 +20,8 @@
 //! into the cuts. A fit runs it on its worker set, each worker
 //! over its own features (`crate::hist`), and the calling thread then
 //! assembles the row-major matrix. [`BinnedDataset::build`] starts a
-//! worker set for binning alone; [`BinnedDataset::from_dataset`] and
-//! [`BinCuts::fit`] are its one-thread wrappers. Cuts and codes are
-//! the same for every thread count.
+//! worker set for binning alone. Cuts and codes are the same for every
+//! thread count.
 
 use crate::dataset::Dataset;
 use common::{Error, Result};
@@ -39,17 +38,6 @@ pub struct BinCuts {
 }
 
 impl BinCuts {
-    /// Learns cut points from every feature column of `data`: the cuts
-    /// of [`BinnedDataset::from_dataset`], which bins on one thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyDataset`] for an empty dataset and
-    /// [`Error::InvalidConfig`] when `max_bins` is outside `2..=256`.
-    pub fn fit(data: &Dataset, max_bins: usize) -> Result<BinCuts> {
-        Ok(BinnedDataset::from_dataset(data, max_bins)?.cuts)
-    }
-
     /// Number of features covered.
     pub fn num_features(&self) -> usize {
         self.cuts.len()
@@ -244,16 +232,6 @@ pub struct BinnedDataset {
 }
 
 impl BinnedDataset {
-    /// Quantises `data` with freshly fitted cuts, on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyDataset`] for an empty dataset and
-    /// [`Error::InvalidConfig`] when `max_bins` is outside `2..=256`.
-    pub fn from_dataset(data: &Dataset, max_bins: usize) -> Result<BinnedDataset> {
-        Self::build(data, max_bins, 1)
-    }
-
     /// Quantises `data` on a worker set of `threads` (`min(threads,
     /// features)` threads, the calling thread included; worker `k` of
     /// `t` bins the features `[k·nf/t, (k+1)·nf/t)`), as a fit does
@@ -262,7 +240,8 @@ impl BinnedDataset {
     ///
     /// # Errors
     ///
-    /// As [`BinnedDataset::from_dataset`].
+    /// Returns [`Error::EmptyDataset`] for an empty dataset and
+    /// [`Error::InvalidConfig`] when `max_bins` is outside `2..=256`.
     pub fn build(data: &Dataset, max_bins: usize, threads: usize) -> Result<BinnedDataset> {
         if !(2..=MAX_BINS_LIMIT).contains(&max_bins) {
             return Err(Error::invalid_config(
@@ -378,14 +357,14 @@ mod tests {
     #[test]
     fn prebinned_feature_gets_midpoint_cuts() {
         let d = toy();
-        let cuts = BinCuts::fit(&d, 256).unwrap();
+        let binned = BinnedDataset::build(&d, 256, 1).unwrap();
+        let cuts = binned.cuts();
         // Feature a has distinct values {0,1,2,3} -> cuts at 0.5, 1.5, 2.5.
         assert_eq!(cuts.num_bins(0), 4);
         assert_eq!(cuts.threshold(0, 0), 0.5);
         assert_eq!(cuts.threshold(0, 1), 1.5);
         assert_eq!(cuts.threshold(0, 2), 2.5);
         // Row i holds a = i % 4, which is its own bin.
-        let binned = BinnedDataset::from_dataset(&d, 256).unwrap();
         for r in 0..20 {
             assert_eq!(binned.row_codes(r)[0], (r % 4) as u8);
         }
@@ -397,10 +376,9 @@ mod tests {
         for i in 0..1000 {
             d.push_row(&[i as f64], 0.0, 0).unwrap();
         }
-        let cuts = BinCuts::fit(&d, 16).unwrap();
-        assert_eq!(cuts.num_bins(0), 16);
+        let binned = BinnedDataset::build(&d, 16, 1).unwrap();
+        assert_eq!(binned.cuts().num_bins(0), 16);
         // Codes span all bins and are monotone in the value.
-        let binned = BinnedDataset::from_dataset(&d, 16).unwrap();
         let codes: Vec<u8> = (0..1000).map(|r| binned.row_codes(r)[0]).collect();
         assert!(codes.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*codes.first().unwrap(), 0);
@@ -411,7 +389,7 @@ mod tests {
     fn bin_boundaries_agree_with_strict_less_than() {
         let d = toy();
         for max_bins in [4, 256] {
-            let binned = BinnedDataset::from_dataset(&d, max_bins).unwrap();
+            let binned = BinnedDataset::build(&d, max_bins, 1).unwrap();
             let cuts = binned.cuts();
             for f in 0..2 {
                 for b in 0..cuts.num_bins(f) - 1 {
@@ -431,7 +409,7 @@ mod tests {
         for _ in 0..10 {
             d.push_row(&[7.0], 1.0, 0).unwrap();
         }
-        let binned = BinnedDataset::from_dataset(&d, 64).unwrap();
+        let binned = BinnedDataset::build(&d, 64, 1).unwrap();
         assert_eq!(binned.cuts().num_bins(0), 1);
         assert!((0..10).all(|r| binned.row_codes(r)[0] == 0));
     }
@@ -439,17 +417,17 @@ mod tests {
     #[test]
     fn max_bins_bounds_are_enforced() {
         let d = toy();
-        assert!(BinCuts::fit(&d, 1).is_err());
-        assert!(BinCuts::fit(&d, 257).is_err());
-        assert!(BinCuts::fit(&d, 2).is_ok());
+        assert!(BinnedDataset::build(&d, 1, 1).is_err());
+        assert!(BinnedDataset::build(&d, 257, 1).is_err());
+        assert!(BinnedDataset::build(&d, 2, 1).is_ok());
         let empty = Dataset::new(vec!["x".into()]);
-        assert!(BinCuts::fit(&empty, 16).is_err());
+        assert!(BinnedDataset::build(&empty, 16, 1).is_err());
     }
 
     #[test]
     fn offsets_partition_the_flat_histogram() {
         let d = toy();
-        let binned = BinnedDataset::from_dataset(&d, 256).unwrap();
+        let binned = BinnedDataset::build(&d, 256, 1).unwrap();
         assert_eq!(binned.offset(0), 0);
         assert_eq!(binned.offset(1) as usize, binned.cuts().num_bins(0));
         assert_eq!(

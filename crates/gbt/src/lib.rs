@@ -5,15 +5,15 @@
 //!
 //! * squared-error objective trained on residuals, starting from the mean
 //!   of the targets;
-//! * **two interchangeable trainers** behind one [`TrainSpec`] builder:
-//!   the default LightGBM-style histogram path ([`binned`]) —
-//!   feature quantisation into ≤256 bins, per-node histogram
-//!   accumulation with a deterministic block-ordered reduction
-//!   (bit-identical at any thread count), and the parent−sibling
-//!   subtraction trick, every phase of a fit (binning, histograms,
-//!   split search, routing) split by feature or by row range across one
-//!   worker set per fit — and the seed's exact greedy scan, kept as
-//!   [`GbtModel::train_reference`];
+//! * **one trainer** behind the [`TrainSpec`] builder, a LightGBM-style
+//!   histogram path ([`binned`]): feature quantisation into ≤256 bins,
+//!   per-node histogram accumulation with a deterministic block-ordered
+//!   reduction (bit-identical at any thread count), and the
+//!   parent−sibling subtraction trick, every phase of a fit (binning,
+//!   histograms, split search, routing) split by feature or by row range
+//!   across one worker set per fit. The seed's exact greedy scan stays
+//!   as [`GbtModel::train_reference`], the oracle the tests compare the
+//!   histogram trainer against;
 //! * split finding with the second-order gain
 //!   `½·[G_L²/(H_L+λ) + G_R²/(H_R+λ) − (G_L+G_R)²/(H_L+H_R+λ)] − γ`,
 //!   learning-rate `α` (the paper's `alpha = 0.3`), `max_depth`, and
@@ -61,5 +61,5 @@ pub use flat::FlatModel;
 pub use hist::BLOCK_ROWS;
 pub use model::{GbtModel, PredictionCost};
 pub use params::GbtParams;
-pub use spec::{TrainMethod, TrainReport, TrainSpec, TrainStats};
+pub use spec::{TrainReport, TrainSpec, TrainStats};
 pub use tree::RegressionTree;

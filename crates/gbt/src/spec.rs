@@ -2,13 +2,10 @@
 //! the runner's `RunSpec` idiom (dataset → params → threads → obs →
 //! [`TrainSpec::fit`]).
 //!
-//! Two interchangeable training methods sit behind the same spec:
-//!
-//! * [`TrainMethod::Histogram`] (default) — the binned, multi-threaded
-//!   trainer of the `hist` module; bit-identical at any thread count;
-//! * [`TrainMethod::Reference`] — the seed's exact-greedy scan
-//!   ([`crate::GbtModel::train_reference`]), kept as the equivalence
-//!   oracle.
+//! The spec runs the binned, multi-threaded trainer of the `hist`
+//! module, bit-identical at any thread count. The seed's exact-greedy
+//! scan stays as [`crate::GbtModel::train_reference`], the equivalence
+//! oracle the tests compare it against.
 //!
 //! ```
 //! use boreas_gbt::{Dataset, GbtParams, TrainSpec};
@@ -32,26 +29,6 @@ use crate::hist;
 use crate::model::GbtModel;
 use crate::params::GbtParams;
 use common::{Error, Result};
-use std::time::Instant;
-
-/// Which trainer [`TrainSpec::fit`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainMethod {
-    /// Binned histogram training with deterministic parallel reduction.
-    Histogram,
-    /// The exact-greedy presorted scan (single-threaded oracle).
-    Reference,
-}
-
-impl TrainMethod {
-    /// Stable lowercase name (used in benchmark artifacts).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TrainMethod::Histogram => "histogram",
-            TrainMethod::Reference => "reference",
-        }
-    }
-}
 
 /// What one [`TrainSpec::fit`] run did, beside the model itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,24 +39,21 @@ pub struct TrainStats {
     pub features: usize,
     /// Worker threads actually used (after `0 = auto` resolution).
     pub threads: usize,
-    /// The trainer that ran.
-    pub method: TrainMethod,
     /// Trees grown.
     pub trees: usize,
-    /// Sum of per-feature bin counts (0 for the reference path).
+    /// Sum of per-feature bin counts.
     pub total_bins: usize,
     /// Nanoseconds spent starting the fit's workers and quantising the
-    /// dataset on them (0 for reference).
+    /// dataset on them.
     pub bin_ns: u64,
     /// Nanoseconds spent boosting.
     pub grow_ns: u64,
-    /// Of `grow_ns`: building node histograms (0 for reference).
+    /// Of `grow_ns`: building node histograms.
     pub hist_ns: u64,
-    /// Of `grow_ns`: searching histograms for splits (0 for reference).
+    /// Of `grow_ns`: searching histograms for splits.
     pub split_ns: u64,
     /// Of `grow_ns`: routing rows to child nodes and, after each tree's
-    /// last level, updating their predictions and gradients (0 for
-    /// reference).
+    /// last level, updating their predictions and gradients.
     pub route_ns: u64,
 }
 
@@ -94,13 +68,12 @@ pub struct TrainReport {
 
 /// Builder for one training run.
 ///
-/// Defaults: [`GbtParams::default`], histogram method, automatic thread
-/// count, observability off.
+/// Defaults: [`GbtParams::default`], automatic thread count,
+/// observability off.
 pub struct TrainSpec<'a> {
     data: &'a Dataset,
     params: GbtParams,
     threads: usize,
-    method: TrainMethod,
     obs: obs::Obs,
 }
 
@@ -111,7 +84,6 @@ impl<'a> TrainSpec<'a> {
             data,
             params: GbtParams::default(),
             threads: 0,
-            method: TrainMethod::Histogram,
             obs: obs::Obs::default(),
         }
     }
@@ -132,17 +104,10 @@ impl<'a> TrainSpec<'a> {
         self
     }
 
-    /// Selects the trainer.
-    #[must_use]
-    pub fn method(mut self, method: TrainMethod) -> Self {
-        self.method = method;
-        self
-    }
-
     /// Attaches an observability bundle: `fit` emits `train_*` counters
     /// and `train.bin` / `train.grow` spans through it, plus the
-    /// histogram trainer's `train.hist` / `train.split` / `train.route`
-    /// phases of `train.grow`.
+    /// `train.hist` / `train.split` / `train.route` phases of
+    /// `train.grow`.
     #[must_use]
     pub fn observe(mut self, obs: &obs::Obs) -> Self {
         self.obs = obs.clone();
@@ -166,40 +131,25 @@ impl<'a> TrainSpec<'a> {
             self.threads
         };
 
-        let (model, total_bins, phases) = match self.method {
-            TrainMethod::Histogram => {
-                let fit = hist::fit(self.data, &self.params, threads);
-                let model = GbtModel::from_parts(
-                    fit.base_score,
-                    fit.trees,
-                    self.params,
-                    self.data.feature_names().to_vec(),
-                );
-                (model, fit.total_bins, fit.phases)
-            }
-            TrainMethod::Reference => {
-                let t0 = Instant::now();
-                let model = GbtModel::train_reference(self.data, &self.params)?;
-                let phases = hist::Phases {
-                    grow_ns: t0.elapsed().as_nanos() as u64,
-                    ..hist::Phases::default()
-                };
-                (model, 0, phases)
-            }
-        };
+        let fit = hist::fit(self.data, &self.params, threads);
+        let model = GbtModel::from_parts(
+            fit.base_score,
+            fit.trees,
+            self.params,
+            self.data.feature_names().to_vec(),
+        );
 
         let stats = TrainStats {
             rows: self.data.len(),
             features: self.data.num_features(),
             threads,
-            method: self.method,
             trees: model.num_trees(),
-            total_bins,
-            bin_ns: phases.bin_ns,
-            grow_ns: phases.grow_ns,
-            hist_ns: phases.hist_ns,
-            split_ns: phases.split_ns,
-            route_ns: phases.route_ns,
+            total_bins: fit.total_bins,
+            bin_ns: fit.phases.bin_ns,
+            grow_ns: fit.phases.grow_ns,
+            hist_ns: fit.phases.hist_ns,
+            split_ns: fit.phases.split_ns,
+            route_ns: fit.phases.route_ns,
         };
         self.emit(&stats);
         Ok(TrainReport { model, stats })
@@ -221,12 +171,10 @@ impl<'a> TrainSpec<'a> {
             .metrics
             .counter("train_trees_total", "Trees grown by GBT training")
             .add(stats.trees as u64);
-        if stats.method == TrainMethod::Histogram {
-            self.obs.tracer.record("train.bin", stats.bin_ns);
-            self.obs.tracer.record("train.hist", stats.hist_ns);
-            self.obs.tracer.record("train.split", stats.split_ns);
-            self.obs.tracer.record("train.route", stats.route_ns);
-        }
+        self.obs.tracer.record("train.bin", stats.bin_ns);
+        self.obs.tracer.record("train.hist", stats.hist_ns);
+        self.obs.tracer.record("train.split", stats.split_ns);
+        self.obs.tracer.record("train.route", stats.route_ns);
         self.obs.tracer.record("train.grow", stats.grow_ns);
     }
 }
@@ -255,27 +203,11 @@ mod tests {
             .fit()
             .unwrap();
         assert!(report.model.mse_on(&d) < 0.01);
-        assert_eq!(report.stats.method, TrainMethod::Histogram);
         assert_eq!(report.stats.rows, 500);
         assert_eq!(report.stats.features, 2);
         assert_eq!(report.stats.trees, 50);
         assert!(report.stats.total_bins > 0);
         assert_eq!(report.stats.threads, 1);
-    }
-
-    #[test]
-    fn reference_method_matches_train_reference() {
-        let d = wave(300);
-        let params = GbtParams::default().with_estimators(10);
-        let via_spec = TrainSpec::new(&d)
-            .params(params)
-            .method(TrainMethod::Reference)
-            .fit()
-            .unwrap();
-        let direct = GbtModel::train_reference(&d, &params).unwrap();
-        assert_eq!(via_spec.model, direct);
-        assert_eq!(via_spec.stats.total_bins, 0);
-        assert_eq!(via_spec.stats.bin_ns, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the histogram trainer: the thread-count
 //! determinism contract and exact-greedy equivalence on pre-binned data.
 
-use boreas_gbt::{Dataset, GbtModel, GbtParams, TrainMethod, TrainSpec, BLOCK_ROWS};
+use boreas_gbt::{Dataset, GbtModel, GbtParams, TrainSpec, BLOCK_ROWS};
 use common::check::{self, Gen};
 
 /// A random continuous dataset: `nf` features, `rows` rows, bounded
@@ -41,7 +41,6 @@ fn arb_params(g: &mut Gen) -> GbtParams {
 fn train_hist(data: &Dataset, params: &GbtParams, threads: usize) -> GbtModel {
     TrainSpec::new(data)
         .params(*params)
-        .method(TrainMethod::Histogram)
         .threads(threads)
         .fit()
         .expect("histogram training")

@@ -45,13 +45,11 @@
 //! # Ok::<(), common::Error>(())
 //! ```
 
-pub mod events;
 pub mod grid;
 pub mod mltd;
 pub mod pipeline;
 pub mod severity;
 
-pub use events::{detect_events, summarize, EventSummary, HotspotClass, HotspotEvent};
 pub use mltd::{ArgmaxScratch, MltdMap, SeverityArgmax};
 pub use pipeline::{
     FixedRunOutcome, KernelBreakdown, Pipeline, PipelineConfig, SimRun, StepRecord,

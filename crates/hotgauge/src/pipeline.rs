@@ -256,11 +256,6 @@ impl Pipeline {
         &self.cfg
     }
 
-    /// The severity parameters in use.
-    pub fn severity_params(&self) -> &SeverityParams {
-        &self.cfg.severity
-    }
-
     /// Starts a fresh run of `spec` with the paper's seven sensor sites.
     ///
     /// # Errors

@@ -343,15 +343,6 @@ impl Registry {
         self.gauge_in(name, help, Determinism::Execution)
     }
 
-    /// Registers (or retrieves) a result-domain gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered with a different kind.
-    pub fn result_gauge(&self, name: &str, help: &str) -> Gauge {
-        self.gauge_in(name, help, Determinism::Result)
-    }
-
     /// Registers (or retrieves) an execution-domain histogram with the
     /// given upper bucket bounds (a `+Inf` bucket is implicit; bounds are
     /// sorted and deduplicated, non-finite bounds dropped).

@@ -30,7 +30,7 @@
 use boreas_core::{TelemetryFrame, VfTable};
 use boreas_serve::protocol::{self, Incoming, Response};
 use common::cli::Spec;
-use common::{json, json_codec, Error, Result, ServerKind};
+use common::{fnv1a64, json, json_codec, Error, Result, ServerKind, FNV1A64_OFFSET};
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -123,21 +123,11 @@ fn connect(addr: &str) -> Result<TcpStream> {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *hash ^= u64::from(*b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// Digest over the run's decisions, order- and die-offset-normalized:
 /// identical for any daemon serving the same per-die frame sequences.
 fn decision_digest(entries: &mut [(u32, u64, boreas_core::ControlDecision)], offset: u32) -> u64 {
     entries.sort_by_key(|(die, seq, _)| (*die, *seq));
-    let mut hash = FNV_OFFSET;
+    let mut hash = FNV1A64_OFFSET;
     for (die, seq, decision) in entries.iter() {
         let local = die - offset;
         let body = protocol::encode_response(&Response::Decision {
@@ -146,9 +136,9 @@ fn decision_digest(entries: &mut [(u32, u64, boreas_core::ControlDecision)], off
             decision: decision.clone(),
         })
         .unwrap_or_default();
-        fnv1a(&mut hash, &local.to_be_bytes());
-        fnv1a(&mut hash, &seq.to_be_bytes());
-        fnv1a(&mut hash, &body);
+        hash = fnv1a64(hash, &local.to_be_bytes());
+        hash = fnv1a64(hash, &seq.to_be_bytes());
+        hash = fnv1a64(hash, &body);
     }
     hash
 }
@@ -489,7 +479,7 @@ fn run() -> Result<()> {
     let mut runs = Vec::with_capacity(connections.len());
     // One combined digest line for CI to diff between daemon
     // configurations.
-    let mut combined = FNV_OFFSET;
+    let mut combined = FNV1A64_OFFSET;
     for (i, &c) in connections.iter().enumerate() {
         // Fresh die ids per run so the daemon builds fresh control
         // loops — every run starts from the same controller state.
@@ -503,7 +493,7 @@ fn run() -> Result<()> {
             "loadgen: c={} — latency p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, digest {}",
             r.connections, r.latency_p50_ms, r.latency_p95_ms, r.latency_p99_ms, r.digest
         );
-        fnv1a(&mut combined, &digest.to_be_bytes());
+        combined = fnv1a64(combined, &digest.to_be_bytes());
         runs.push(r);
     }
     println!("loadgen digest: {combined:016x}");

@@ -102,8 +102,6 @@ pub struct ServeConfig {
     pub(crate) idle_timeout: Duration,
     pub(crate) controller: ControllerSpec,
     pub(crate) vf: VfTable,
-    pub(crate) start_idx: usize,
-    pub(crate) sensor_idx: usize,
     pub(crate) registry: Registry,
 }
 
@@ -148,8 +146,6 @@ pub struct ServeConfigBuilder {
     idle_timeout: Duration,
     controller: Option<ControllerSpec>,
     vf: Option<VfTable>,
-    start_idx: Option<usize>,
-    sensor_idx: usize,
     registry: Registry,
 }
 
@@ -167,8 +163,6 @@ impl ServeConfigBuilder {
             idle_timeout: Duration::from_secs(60),
             controller: None,
             vf: None,
-            start_idx: None,
-            sensor_idx: telemetry::MAX_SENSOR_BANK,
             registry: Registry::new(),
         }
     }
@@ -238,21 +232,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the VF index each new die's loop starts at (default: the
-    /// 3.75 GHz baseline, clamped to the table).
-    #[must_use]
-    pub fn start_idx(mut self, idx: usize) -> Self {
-        self.start_idx = Some(idx);
-        self
-    }
-
-    /// Sets the sensor selector for every loop.
-    #[must_use]
-    pub fn sensor_idx(mut self, idx: usize) -> Self {
-        self.sensor_idx = idx;
-        self
-    }
-
     /// Uses `registry` for the server's metrics; pass a shared registry
     /// to expose it over HTTP.
     #[must_use]
@@ -266,8 +245,7 @@ impl ServeConfigBuilder {
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] for zero reactor threads, a zero
-    /// connection cap, a zero idle timeout, an empty VF table or an
-    /// out-of-range start index.
+    /// connection cap, a zero idle timeout or an empty VF table.
     pub fn build(self) -> Result<ServeConfig> {
         if self.io_threads == 0 {
             return Err(Error::invalid_config("io_threads", "must be at least 1"));
@@ -288,15 +266,6 @@ impl ServeConfigBuilder {
         if vf.is_empty() {
             return Err(Error::invalid_config("vf", "table must not be empty"));
         }
-        let start_idx = self
-            .start_idx
-            .unwrap_or_else(|| VfTable::BASELINE_INDEX.min(vf.len() - 1));
-        if start_idx >= vf.len() {
-            return Err(Error::invalid_config(
-                "start_idx",
-                format!("index {start_idx} outside the {}-point VF table", vf.len()),
-            ));
-        }
         let controller = self
             .controller
             .unwrap_or_else(|| ControllerSpec::thermal(vec![Some(70.0); vf.len()], 0.0));
@@ -306,8 +275,6 @@ impl ServeConfigBuilder {
             idle_timeout: self.idle_timeout,
             controller,
             vf,
-            start_idx,
-            sensor_idx: self.sensor_idx,
             registry: self.registry,
         })
     }
@@ -642,14 +609,9 @@ impl Server {
             let active_connections = Arc::new(AtomicUsize::new(0));
 
             let dies = {
-                let (vf, start_idx, sensor_idx) =
-                    (config.vf.clone(), config.start_idx, config.sensor_idx);
+                let vf = config.vf.clone();
                 Arc::new(DieTable::new(MAX_DIES, EVICT_AFTER, move |_die| {
-                    Ok(
-                        OnlineController::new(build_controller(&factory), vf.clone())?
-                            .start(start_idx)?
-                            .sensor(sensor_idx),
-                    )
+                    OnlineController::new(build_controller(&factory), vf.clone())
                 }))
             };
             let mut reactors = Vec::with_capacity(config.io_threads);
@@ -1204,10 +1166,6 @@ mod tests {
             .idle_timeout(Duration::ZERO)
             .build()
             .is_err());
-        assert!(ServeConfig::builder()
-            .start_idx(usize::MAX)
-            .build()
-            .is_err());
     }
 
     #[test]
@@ -1216,7 +1174,11 @@ mod tests {
         assert_eq!(c.io_threads(), 1);
         assert_eq!(c.max_connections(), 1024);
         assert_eq!(c.idle_timeout(), Duration::from_secs(60));
-        assert_eq!(c.start_idx, VfTable::BASELINE_INDEX);
+        // Each die's loop starts at the start point derived from the VF
+        // table: the 3.75 GHz baseline.
+        let factory = ControllerFactory::new(&c.controller).unwrap();
+        let die = OnlineController::new(build_controller(&factory), c.vf.clone()).unwrap();
+        assert_eq!(die.current_idx(), VfTable::BASELINE_INDEX);
     }
 
     /// A socket handed to a reactor that has already drained (the

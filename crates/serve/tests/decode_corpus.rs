@@ -19,6 +19,7 @@ use boreas_core::TelemetryFrame;
 use boreas_serve::protocol::{decode_frame, FrameView};
 use common::units::Celsius;
 use common::ProtocolKind::{self, Malformed, NonFinite, Schema};
+use common::{fnv1a64, FNV1A64_OFFSET};
 use hotgauge::StepRecord;
 use perfsim::IntervalCounters;
 
@@ -330,12 +331,6 @@ fn rows() -> Vec<(String, Vec<u8>, Want)> {
     rows
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Each row through both decoding paths: [`decode_frame`], and the
 /// serving daemon's in-place path, [`FrameView::parse`] then
 /// [`FrameView::write_record`] into one slot reused row after row. The
@@ -346,7 +341,7 @@ fn every_row_decodes_to_its_recorded_outcome() {
     let rows = rows();
     assert!(rows.len() >= 43, "no smaller than the version-1 corpus");
     let outcome = |decoded: common::Result<TelemetryFrame>| match decoded {
-        Ok(frame) => Frame(fnv1a(format!("{frame:?}").as_bytes())),
+        Ok(frame) => Frame(fnv1a64(FNV1A64_OFFSET, format!("{frame:?}").as_bytes())),
         Err(e) => Error(e.protocol_kind().expect("a protocol error")),
     };
     let mut slot = StepRecord {

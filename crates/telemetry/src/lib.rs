@@ -32,6 +32,5 @@ pub use features::{
     MAX_SENSOR_BANK, TEMPERATURE_FEATURE,
 };
 pub use gbt::Dataset;
-pub use quality::{interval_quality, QualityPolicy};
 pub use selection::{select_top_features, selection_curve, SelectionPoint};
 pub use split::{build_test_dataset, build_train_dataset, TrainTest};

@@ -11,223 +11,92 @@
 //! The checks are deliberately cheap (a handful of comparisons per 80 µs
 //! record) so they can run inside the 960 µs decision loop.
 
-use common::{Error, Result};
-use hotgauge::StepRecord;
 use perfsim::{CounterId, IntervalCounters};
 
-/// Bounds separating plausible from implausible telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityPolicy {
-    /// Lowest believable sensor temperature, °C (below even a chilled
-    /// ambient).
-    pub temp_min_c: f64,
-    /// Highest believable sensor temperature, °C (well above any
-    /// survivable junction temperature).
-    pub temp_max_c: f64,
-    /// Largest believable change of one sensor between two consecutive
-    /// 80 µs samples, °C. Even an advanced hotspot moves the die a
-    /// fraction of a degree per step; a larger jump is a glitch.
-    pub max_step_delta_c: f64,
-    /// Smallest believable `total_cycles` for an 80 µs interval (a live
-    /// core at 2 GHz retires 160 k cycles; an all-zero counter block is a
-    /// dropped telemetry packet, not an idle core).
-    pub min_cycles: f64,
-}
+/// Lowest believable sensor temperature, °C (below even a chilled
+/// ambient).
+pub const TEMP_MIN_C: f64 = 0.0;
 
-impl Default for QualityPolicy {
-    fn default() -> Self {
-        Self {
-            temp_min_c: 0.0,
-            temp_max_c: 130.0,
-            max_step_delta_c: 4.0,
-            min_cycles: 1.0,
-        }
+/// Highest believable sensor temperature, °C (well above any survivable
+/// junction temperature).
+pub const TEMP_MAX_C: f64 = 130.0;
+
+/// Largest believable change of one sensor between two consecutive
+/// 80 µs samples, °C. Even an advanced hotspot moves the die a fraction
+/// of a degree per step; a larger jump is a glitch.
+pub const MAX_STEP_DELTA_C: f64 = 4.0;
+
+/// Smallest believable `total_cycles` for an 80 µs interval (a live core
+/// at 2 GHz retires 160 k cycles; an all-zero counter block is a dropped
+/// telemetry packet, not an idle core).
+pub const MIN_CYCLES: f64 = 1.0;
+
+/// `true` when a single sensor reading is believable: inside
+/// [`TEMP_MIN_C`]..=[`TEMP_MAX_C`] (so not NaN or infinite), and (when a
+/// previous accepted reading for the same sensor is known) within
+/// [`MAX_STEP_DELTA_C`] of it.
+pub fn reading_plausible(prev_c: Option<f64>, value_c: f64) -> bool {
+    if !(TEMP_MIN_C..=TEMP_MAX_C).contains(&value_c) {
+        return false;
     }
-}
-
-impl QualityPolicy {
-    /// Checks the policy's own consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] for non-finite bounds, an empty
-    /// temperature range, or a non-positive rate-of-change bound.
-    pub fn validate(&self) -> Result<()> {
-        if !(self.temp_min_c.is_finite() && self.temp_max_c.is_finite())
-            || self.temp_min_c >= self.temp_max_c
-        {
-            return Err(Error::invalid_config(
-                "quality policy",
-                format!(
-                    "temperature range [{}, {}] is empty or non-finite",
-                    self.temp_min_c, self.temp_max_c
-                ),
-            ));
-        }
-        if !(self.max_step_delta_c.is_finite() && self.max_step_delta_c > 0.0) {
-            return Err(Error::invalid_config(
-                "quality policy",
-                format!("rate-of-change bound {} invalid", self.max_step_delta_c),
-            ));
-        }
-        if !(self.min_cycles.is_finite() && self.min_cycles >= 0.0) {
-            return Err(Error::invalid_config(
-                "quality policy",
-                format!("cycle floor {} invalid", self.min_cycles),
-            ));
-        }
-        Ok(())
-    }
-
-    /// `true` when a single sensor reading is believable: finite, inside
-    /// the physical range, and (when a previous accepted reading for the
-    /// same sensor is known) within the rate-of-change bound.
-    pub fn reading_plausible(&self, prev_c: Option<f64>, value_c: f64) -> bool {
-        if !value_c.is_finite() || value_c < self.temp_min_c || value_c > self.temp_max_c {
-            return false;
-        }
-        match prev_c {
-            Some(p) => (value_c - p).abs() <= self.max_step_delta_c,
-            None => true,
-        }
-    }
-
-    /// `true` when an interval's counter block is believable: every
-    /// counter finite and non-negative, and the cycle count consistent
-    /// with a core that actually ran.
-    pub fn counters_plausible(&self, counters: &IntervalCounters) -> bool {
-        counters.is_sane() && counters.get(CounterId::TotalCycles) >= self.min_cycles
-    }
-
-    /// `true` when every observable of `record` is believable, checking
-    /// rate of change against `prev` (the previous record of the same
-    /// run, if any).
-    pub fn record_plausible(&self, prev: Option<&StepRecord>, record: &StepRecord) -> bool {
-        if !self.counters_plausible(&record.counters) {
-            return false;
-        }
-        record.sensor_temps.iter().enumerate().all(|(i, t)| {
-            let prev_c = prev.and_then(|p| p.sensor_temps.get(i)).map(|t| t.value());
-            self.reading_plausible(prev_c, t.value())
-        })
+    match prev_c {
+        Some(p) => (value_c - p).abs() <= MAX_STEP_DELTA_C,
+        None => true,
     }
 }
 
-/// Fraction of records in `records` that are fully plausible under
-/// `policy` (1.0 for an empty slice). Rate-of-change is checked between
-/// consecutive records of the slice.
-pub fn interval_quality(policy: &QualityPolicy, records: &[StepRecord]) -> f64 {
-    if records.is_empty() {
-        return 1.0;
-    }
-    let mut good = 0usize;
-    let mut prev: Option<&StepRecord> = None;
-    for r in records {
-        if policy.record_plausible(prev, r) {
-            good += 1;
-        }
-        prev = Some(r);
-    }
-    good as f64 / records.len() as f64
+/// `true` when an interval's counter block is believable: every counter
+/// finite and non-negative, and at least [`MIN_CYCLES`] cycles, as from
+/// a core that actually ran.
+pub fn counters_plausible(counters: &IntervalCounters) -> bool {
+    counters.is_sane() && counters.get(CounterId::TotalCycles) >= MIN_CYCLES
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use common::time::SimTime;
-    use common::units::{Celsius, GigaHertz, Volts, Watts};
-    use hotgauge::Severity;
-
-    fn record(temps: &[f64], cycles: f64) -> StepRecord {
-        let mut counters = IntervalCounters::zeroed();
-        counters.set(CounterId::TotalCycles, cycles);
-        StepRecord {
-            time: SimTime::from_steps(1),
-            counters,
-            sensor_temps: temps.iter().map(|&t| Celsius::new(t)).collect(),
-            max_temp: Celsius::new(60.0),
-            max_severity: Severity::new(0.5),
-            max_severity_raw: 0.5,
-            hotspot_xy: (1.0, 1.0),
-            total_power: Watts::new(10.0),
-            frequency: GigaHertz::new(3.75),
-            voltage: Volts::new(0.925),
-        }
-    }
 
     #[test]
     fn default_policy_accepts_ordinary_telemetry() {
-        let p = QualityPolicy::default();
-        p.validate().unwrap();
-        let r = record(&[55.0, 61.25, 58.5], 300_000.0);
-        assert!(p.record_plausible(None, &r));
-        assert!((interval_quality(&p, &[r.clone(), r]) - 1.0).abs() < 1e-12);
+        for t in [55.0, 61.25, 58.5] {
+            assert!(reading_plausible(None, t));
+        }
+        assert!(reading_plausible(Some(55.0), 58.5));
+        let mut c = IntervalCounters::zeroed();
+        c.set(CounterId::TotalCycles, 300_000.0);
+        assert!(counters_plausible(&c));
     }
 
     #[test]
     fn rejects_non_finite_and_out_of_range_readings() {
-        let p = QualityPolicy::default();
-        assert!(!p.reading_plausible(None, f64::NAN));
-        assert!(!p.reading_plausible(None, f64::INFINITY));
-        assert!(!p.reading_plausible(None, -40.0));
-        assert!(!p.reading_plausible(None, 400.0));
-        assert!(p.reading_plausible(None, 85.0));
+        assert!(!reading_plausible(None, f64::NAN));
+        assert!(!reading_plausible(None, f64::INFINITY));
+        assert!(!reading_plausible(None, -40.0));
+        assert!(!reading_plausible(None, 400.0));
+        assert!(reading_plausible(None, 85.0));
     }
 
     #[test]
     fn rate_of_change_bound_applies_only_with_history() {
-        let p = QualityPolicy::default();
-        assert!(p.reading_plausible(None, 95.0));
-        assert!(p.reading_plausible(Some(93.0), 95.0));
+        assert!(reading_plausible(None, 95.0));
+        assert!(reading_plausible(Some(93.0), 95.0));
         assert!(
-            !p.reading_plausible(Some(70.0), 95.0),
+            !reading_plausible(Some(70.0), 95.0),
             "25 C in 80 us is a glitch"
         );
         assert!(
-            !p.reading_plausible(Some(95.0), 70.0),
+            !reading_plausible(Some(95.0), 70.0),
             "downward glitches count too"
         );
     }
 
     #[test]
     fn zeroed_counters_are_implausible() {
-        let p = QualityPolicy::default();
-        assert!(!p.counters_plausible(&IntervalCounters::zeroed()));
+        assert!(!counters_plausible(&IntervalCounters::zeroed()));
         let mut c = IntervalCounters::zeroed();
         c.set(CounterId::TotalCycles, 160_000.0);
-        assert!(p.counters_plausible(&c));
+        assert!(counters_plausible(&c));
         c.set(CounterId::BusyCycles, f64::NAN);
-        assert!(!p.counters_plausible(&c));
-    }
-
-    #[test]
-    fn interval_quality_counts_bad_records() {
-        let p = QualityPolicy::default();
-        let good = record(&[60.0], 200_000.0);
-        let dropped = record(&[f64::NAN], 200_000.0);
-        let stuck_jump = record(&[45.0], 200_000.0); // 15 C below its predecessor
-        let q = interval_quality(&p, &[good.clone(), dropped, stuck_jump, good.clone()]);
-        // records 2 and 3 are implausible; record 4 jumps back up from 45.
-        assert!(q <= 0.5, "quality {q}");
-        assert!(q >= 0.25, "quality {q}");
-    }
-
-    #[test]
-    fn invalid_policies_rejected() {
-        let p = QualityPolicy {
-            temp_min_c: 200.0,
-            ..QualityPolicy::default()
-        };
-        assert!(p.validate().is_err());
-        let p = QualityPolicy {
-            max_step_delta_c: 0.0,
-            ..QualityPolicy::default()
-        };
-        assert!(p.validate().is_err());
-        let p = QualityPolicy {
-            min_cycles: f64::NAN,
-            ..QualityPolicy::default()
-        };
-        assert!(p.validate().is_err());
+        assert!(!counters_plausible(&c));
     }
 }

@@ -133,15 +133,6 @@ impl ThermalGrid {
         Celsius::new(self.temps.iter().sum::<f64>() / self.temps.len() as f64)
     }
 
-    /// Temperature of one cell by flat (row-major) index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flat` is out of range.
-    pub fn temp_at(&self, flat: usize) -> Celsius {
-        Celsius::new(self.temps[flat])
-    }
-
     /// Resets every node to ambient.
     pub fn reset(&mut self) {
         let a = self.cfg.ambient.value();

@@ -78,7 +78,11 @@ impl PhaseEngine {
     /// Creates an engine for `spec` with a deterministic `seed`.
     pub fn new(spec: &WorkloadSpec, seed: u64) -> Self {
         // Mix the workload identity into the seed so different workloads
-        // sharing a root seed still get independent streams.
+        // sharing a root seed still get independent streams. This is
+        // FNV-1a's shape with 0x1000_0000_01b3 as the multiplier, not
+        // FNV's prime 0x100_0000_01b3, so it is not `common::fnv1a64`:
+        // every simulated trace, and every digest pinned on one, derives
+        // from these seeds.
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for b in spec.name.bytes() {
             hash = (hash ^ b as u64).wrapping_mul(0x1000_0000_01b3);

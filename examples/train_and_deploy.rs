@@ -52,12 +52,11 @@ fn main() -> Result<()> {
         .fit()?;
     let (model, data) = (report.model, report.dataset);
     println!(
-        "trained on {} instances ({} threads, {} trees, method {:?}); training MSE {:.5}; \
+        "trained on {} instances ({} threads, {} trees); training MSE {:.5}; \
          model cost: {} ops, {} bytes",
         data.len(),
         report.stats.threads,
         report.stats.trees,
-        report.stats.method,
         model.mse_on(&data),
         model.cost().total_ops(),
         model.cost().weight_bytes,

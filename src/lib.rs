@@ -105,8 +105,8 @@ pub mod prelude {
     pub use boreas_core::{
         BoreasController, ControlDecision, ControlStage, Controller, CriticalTemps, DegradationLog,
         GlobalVfController, ObservationFilter, OnlineController, OracleController,
-        ResilienceConfig, ResilientController, RunSpec, SweepTable, TelemetryFrame,
-        ThermalController, TrainReport, TrainSpec, TrainingConfig, VfPoint, VfTable,
+        ResilientController, RunSpec, SweepTable, TelemetryFrame, ThermalController, TrainReport,
+        TrainSpec, TrainingConfig, VfPoint, VfTable,
     };
     pub use common::time::SimTime;
     pub use common::units::{Celsius, GigaHertz, Volts, Watts};
@@ -116,9 +116,8 @@ pub mod prelude {
     };
     pub use faults::{
         EngineFault, EngineFaultKind, EngineFaultPlan, Fault, FaultInjector, FaultKind, FaultPlan,
-        FaultySensorBank,
     };
-    pub use gbt::{GbtModel, GbtParams, TrainMethod};
+    pub use gbt::{GbtModel, GbtParams};
     pub use hotgauge::{Pipeline, PipelineConfig, Severity, SeverityParams};
     pub use obs::{FlightEvent, FlightRecorder, Obs, Registry, Tracer};
     pub use serve::{Response, ServeConfig, Server};
